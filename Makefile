@@ -25,9 +25,14 @@ build:
 	go build ./...
 
 # -shuffle=on randomizes test order so accidental inter-test state
-# dependence surfaces instead of hiding behind a fixed order.
+# dependence surfaces instead of hiding behind a fixed order. bench/ is its
+# own module, so the root ./... skips it: the second pair of commands runs
+# the benchmark harness's vet and its own tests (the BENCHMARK.json drift
+# gate and the short correctness smoke).
 test:
 	go test -race -shuffle=on ./...
+	go -C bench vet ./...
+	go -C bench test -short ./...
 
 # lint is the static gate: formatting, go vet, the repository's own
 # trnglint analyzers (16-bit bus masking, determinism, error-contract and

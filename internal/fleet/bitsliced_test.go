@@ -225,6 +225,17 @@ func TestBitSlicedValidation(t *testing.T) {
 	if _, err := New(Config{Design: design, Alpha: 0.01, BitSliced: true}); err == nil {
 		t.Fatal("BitSliced accepted a design hwslice cannot express")
 	}
+	// Every block length divides n=192, but M=48 neither divides 64 nor
+	// is a multiple of it, so block boundaries fall mid-word.
+	design = design128(t)
+	design.N = 192
+	design.Params.BlockFrequencyM = 48
+	if _, err := New(Config{Design: design, Alpha: 0.01}); err != nil {
+		t.Fatalf("serial ingest refused the n=192 design: %v", err)
+	}
+	if _, err := New(Config{Design: design, Alpha: 0.01, BitSliced: true}); err == nil {
+		t.Fatal("BitSliced accepted block-frequency M=48")
+	}
 }
 
 // TestBitSlicedPushZeroAllocMidSequence is the sliced twin of

@@ -36,8 +36,8 @@
 // Two opt-in ingest extensions preserve the serial contract bit for bit:
 //
 //   - Bit-sliced ingest (Config.BitSliced): each shard regroups resident
-//     streams into 64-lane groups advanced through one transposed
-//     internal/hwslice engine, one 64-bit tile per call. Sequence
+//     streams into 64-lane groups advanced through one internal/hwslice
+//     engine, a burst of 64-bit tiles per call. Sequence
 //     boundaries and lane evictions hand each lane's state back to its
 //     own monitor, so verdicts, alarms, breaker trips and accounting are
 //     byte-identical to the serial path (DESIGN.md §6.2).
@@ -190,18 +190,22 @@ type Config struct {
 	// (0 = DefaultKeepReports; negative keeps everything).
 	KeepReports int
 
-	// BitSliced switches the shards to transposed ("bit-sliced") ingest:
-	// resident streams are grouped into 64-wide lane groups whose
+	// BitSliced switches the shards to bit-sliced ingest: resident
+	// streams are grouped into 64-wide lane groups whose
 	// word-parallelizable statistics (frequency, runs, cusum, longest run)
-	// advance through one shared internal/hwslice engine per group, one
-	// transposed tile at a time, while each stream's own monitor runs only
-	// the residual per-stream engines on the original words. Producers
-	// additionally stage batches (stageBatches per queue handoff), so Push
-	// throughput rises severalfold at high stream density. Verdicts,
+	// advance through one shared internal/hwslice engine per group, a
+	// burst of 64-bit tiles at a time, while each stream's own monitor
+	// runs only the residual per-stream engines on the original words.
+	// Producers additionally stage batches (stageBatches per queue
+	// handoff), so Push throughput rises severalfold at high stream
+	// density. Verdicts,
 	// accounting and incident timelines stay byte-identical to the serial
 	// path; a stream that cannot stay lane-aligned (detach, hard fault,
 	// starving fifo) falls back to serial ingest transparently. Requires a
-	// design whose sequence length is a multiple of 64.
+	// design whose sequence length is a multiple of 64 (below 2^31) and
+	// whose block-frequency and longest-run block lengths each divide 64
+	// or are a multiple of 64 — every hwblock.NewConfig design, and every
+	// hwblock.NewCustomConfig design below that length, qualifies.
 	BitSliced bool
 
 	// Online, if set, runs a per-stream streaming anomaly tracker
@@ -269,8 +273,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BitSliced {
 		// Fail admission-time, not adoption-time: the design must be
-		// expressible as a lane group (n a tile multiple, block lengths
-		// dividing n). The throwaway group is the cheapest full check.
+		// expressible as a lane group (n a tile multiple, each block
+		// length dividing n and either dividing 64 or a multiple of 64).
+		// The throwaway group is the cheapest full check.
 		if _, err := hwslice.New(c.Design.N, c.Design.Tests, c.Design.Params); err != nil {
 			return c, fmt.Errorf("fleet: BitSliced: %w", err)
 		}

@@ -9,7 +9,7 @@ import (
 
 // Bit-sliced ingest (Config.BitSliced) regroups a shard's resident streams
 // into lane groups of up to 64 and advances their word-parallelizable
-// statistics through one shared hwslice engine, one transposed 64-bit tile
+// statistics through one shared hwslice engine, a burst of 64-bit tiles
 // at a time. The contract with the serial path is exact: every stream's
 // verdicts, accounting and incident timeline stay byte-identical to its
 // serial replay — slicing changes the arithmetic, never the semantics.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hwfast"
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/sweval"
@@ -71,13 +72,11 @@ func newPool(cfg Config, start bool) (*Pool, error) {
 		byTenant: make(map[string]*Stream),
 	}
 	if cfg.BitSliced {
-		p.skipFeed = true
-		for _, t := range cfg.Design.Tests {
-			if t == 7 || t == 8 || t == 11 || t == 12 {
-				p.skipFeed = false
-				break
-			}
+		st, err := hwfast.New(cfg.Design.N, cfg.Design.Tests, cfg.Design.Params)
+		if err != nil {
+			return nil, err
 		}
+		p.skipFeed = !st.Residual()
 	}
 	p.fobs.init(cfg.Obs, cfg.Shards)
 	p.shards = make([]*shard, cfg.Shards)

@@ -1,71 +1,33 @@
 package hwslice
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"repro/internal/hwfast"
-)
-
-// fastGroup is the tile-rate engine behind Group for designs whose block
-// lengths are tile-aligned (n, BlockFrequencyM and LongestRunM all
-// multiples of 64, n ≤ 2^20) — every standard design of 65536 bits and up.
-// It computes the same four sliceable statistics as the generic per-step
-// engine, but entirely horizontally: one pass over the 64 lane-major
-// words per tile, with no per-bit state transitions at all.
+// The tile-rate kernels behind Group compute the four sliceable
+// statistics horizontally: one pass over the 64 lane-major words per
+// tile, with no per-bit state transitions at all.
 //
-//   - The cumulative-sums walk is per-lane, per-tile. The reflected walk
+//   - The cumulative-sums walk is per-lane, per-word. The reflected walk
 //     obeys the Lindley recursion: over any 64-bit span the floor hits
 //     (new extrema) are drops = max(0, M − d₀), where d₀ is the distance
-//     to the extremum at tile start and M the span's maximum prefix
+//     to the extremum at word start and M the span's maximum prefix
 //     deficit, and the end distance is d₀ + S + drops (S the net sum).
 //     M, its excess twin E and S come from an 8-bit lookup table folded
 //     over the word's bytes; a lane at distance ≥ 64 on both sides skips
 //     even that and takes the linear update d ± (2·ones − 64).
 //   - Runs and block frequency have no cross-bit state: per-lane
 //     transition counts and ones counts are single POPCNTs.
-//   - Longest run keeps a carried open-run length per lane and tests
-//     whole words: the carried run closed by the word's leading ones
-//     competes first, then a word-parallel doubling test (y &= y<<s
-//     marks run ends of length ≥ c) asks only whether some internal
-//     run beats the current maximum — exact length is recovered by
-//     further doubling only on the rare new-maximum event. Completed
-//     blocks classify scalar per lane into per-class counters, so no
-//     per-block bank exists and extraction is O(1) in the block count.
-//
-// Inactive lanes are not masked out: a stale slot updates independently
-// and is never read (ExtractLane is only called for attached lanes), and
-// every bound below holds for arbitrary bit patterns — d and the drops
-// counters grow at most n per sequence, run lengths are capped by lrM —
-// so stale lanes can neither overflow a counter nor perturb a live one.
-// Rollover clears them.
-type fastGroup struct {
-	n int
-
-	// cumulative-sums walk: distances to the extrema plus monotone
-	// extrema counters, one scalar per lane.
-	dMin  [64]uint32 // s − sMin; ≤ 2n
-	dMax  [64]uint32 // sMax − s; ≤ 2n
-	drops [64]uint32 // −sMin; ≤ n
-	rises [64]uint32 // sMax; ≤ n
-
-	hasRuns bool
-	runs    [64]uint32 // per-lane runs counter
-	prevT   uint64     // previous tile's last-bit mask (seam + ws.Prev)
-
-	hasBF  bool
-	bfM    int
-	bfEps  [64]uint32 // ones in the in-flight block
-	bfBank []uint32   // completed blocks × 64 lanes
-	bfCur  int        // completed blocks this sequence
-	nBFBlk int
-
-	hasLR      bool
-	lrM        int
-	lrLo, lrHi int
-	lrMax      [64]uint32     // longest ones run in the in-flight block
-	lrRun      [64]uint32     // ones run ending at the last absorbed bit
-	lrCls      [64 * 8]uint32 // per-lane × class completed-block counts
-}
+//   - Longest run over blocks of a tile or more keeps a carried open-run
+//     length per lane and tests whole words: the carried run closed by
+//     the word's leading ones competes first, then a word-parallel
+//     doubling test (y &= y<<s marks run ends of length ≥ c) asks only
+//     whether some internal run beats the current maximum — exact length
+//     is recovered by further doubling only on the rare new-maximum
+//     event. Completed blocks classify scalar per lane into per-class
+//     counters.
+//   - Blocks shorter than a tile divide 64, so each opens and closes
+//     inside one word and carries no state across words: absorbSubBlocks
+//     stores one masked POPCNT per block-frequency block and classifies
+//     a word's longest-run blocks together by run-length erosion.
 
 // walkTab maps a byte (eight chronological bits, LSB first) to its walk
 // summary: bits 16.. hold the maximum prefix excess E, bits 8..15 the
@@ -94,64 +56,6 @@ func init() {
 	}
 }
 
-// newFast reports whether the design can run on the tile-rate engine and
-// builds it if so. The gates are structural: tile-aligned block lengths
-// let block boundaries coincide with tile boundaries, and n ≤ 2^20 keeps
-// every counter within its fixed-width budget.
-func newFast(n int, hasRuns, hasBF bool, bfM int, hasLR bool, lrM, lrLo, lrHi int) *fastGroup {
-	if n > 1<<20 {
-		return nil
-	}
-	if hasBF && bfM%64 != 0 {
-		return nil
-	}
-	if hasLR && lrM%64 != 0 {
-		return nil
-	}
-	f := &fastGroup{n: n, hasRuns: hasRuns}
-	if hasBF {
-		f.hasBF = true
-		f.bfM = bfM
-		f.nBFBlk = n / bfM
-		f.bfBank = make([]uint32, f.nBFBlk*64)
-	}
-	if hasLR {
-		f.hasLR = true
-		f.lrM = lrM
-		f.lrLo, f.lrHi = lrLo, lrHi
-	}
-	return f
-}
-
-// absorbBurst advances every lane by len(tiles)·64 bits. tiles[j][l]
-// carries lane l's j-th next 64 chronological bits; off is the bit offset
-// of the first tile within the sequence (a multiple of 64). The burst is
-// split only at block-frequency boundaries (blocks of many tiles, so the
-// split is rare and chunks stay long); longest-run blocks can be as short
-// as two tiles, so their boundary work happens inline in the chunk loop —
-// splitting on them would chop every burst down to nothing.
-func (f *fastGroup) absorbBurst(tiles [][64]uint64, off int) {
-	for len(tiles) > 0 {
-		c := len(tiles)
-		if f.hasBF {
-			if room := (f.bfM - off%f.bfM) / 64; room < c {
-				c = room
-			}
-		}
-		f.absorbChunk(tiles[:c], off)
-		off += 64 * c
-		if f.hasBF && off%f.bfM == 0 {
-			base := f.bfCur * 64
-			copy(f.bfBank[base:base+64], f.bfEps[:])
-			for l := range f.bfEps {
-				f.bfEps[l] = 0
-			}
-			f.bfCur++
-		}
-		tiles = tiles[c:]
-	}
-}
-
 // absorbChunk is the burst hot loop: tile-outer, lane-inner, unrolled
 // two tiles per pass so each lane's counters load and store once per
 // word pair instead of once per word — that halves the L1 read/write
@@ -159,11 +63,12 @@ func (f *fastGroup) absorbBurst(tiles [][64]uint64, off int) {
 // cost after the popcounts themselves. The full lane-outer transpose
 // (hoisting counters across the whole chunk) was tried and measured
 // slower — the widened loop spilled registers — so the pair is the
-// sweet spot. The per-word statistic updates are identical to the
-// per-bit engine; the differential suite against hwfast holds them to
+// sweet spot. The per-word statistic updates are hwfast's, restated
+// per lane; the differential suite against hwfast holds them to
 // bit-exactness.
-func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
-	hasRuns, hasBF, hasLR := f.hasRuns, f.hasBF, f.hasLR
+func (g *Group) absorbChunk(tiles [][64]uint64) {
+	hasRuns, hasBF, hasLR := g.hasRuns, g.bfLong, g.lrLong
+	off := g.off
 	first := uint64(0)
 	if off == 0 {
 		first = 1 // every lane counts its opening run at bit zero
@@ -174,12 +79,12 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 	// the trackers rearm — runs restart at block boundaries, exactly
 	// like the hardware engine.
 	lrTiles, cnt := 0, 0
-	lo, hi := f.lrLo, f.lrHi
+	lo, hi := g.lrLo, g.lrHi
 	if hasLR {
-		lrTiles = f.lrM / 64
+		lrTiles = g.lrM / 64
 		cnt = lrTiles - (off/64)%lrTiles
 	}
-	prev := f.prevT
+	prev := g.prevT
 	j := 0
 	for ; j+1 < len(tiles); j += 2 {
 		ta, tb := &tiles[j], &tiles[j+1]
@@ -201,11 +106,11 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 		var pt uint64
 		for l := 0; l < 64; l++ {
 			w0, w1 := ta[l], tb[l]
-			runsv := f.runs[l]
-			bf := f.bfEps[l]
-			r := int(f.lrRun[l])
-			m := int(f.lrMax[l])
-			d, x := int(f.dMin[l]), int(f.dMax[l])
+			runsv := g.runs[l]
+			bf := g.bfEps[l]
+			r := int(g.lrRun[l])
+			m := int(g.lrMax[l])
+			d, x := int(g.dMin[l]), int(g.dMax[l])
 
 			// ---- first word of the pair ----
 			{
@@ -260,7 +165,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 					}
 					if b0 {
 						c := min(max(m, lo), hi) - lo
-						f.lrCls[l<<3|c]++
+						g.lrCls[l<<3|c]++
 						m, r = 0, 0
 					}
 				}
@@ -295,7 +200,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 						m67 := max(t6>>8&0xff, t7>>8&0xff-s6)
 						mw := max(max(m01, m23-s01), max(m45, m67-s45)-s03)
 						dr := max(0, mw-d)
-						f.drops[l] += uint32(dr)
+						g.drops[l] += uint32(dr)
 						d += dr
 					}
 					if x < 64 {
@@ -305,7 +210,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 						e67 := max(t7>>16+s6, t6>>16)
 						e := max(max(e23+s01, e01), max(e67+s45, e45)+s03)
 						ri := max(0, e-x)
-						f.rises[l] += uint32(ri)
+						g.rises[l] += uint32(ri)
 						x += ri
 					}
 					d += s
@@ -356,7 +261,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 					}
 					if b1 {
 						c := min(max(m, lo), hi) - lo
-						f.lrCls[l<<3|c]++
+						g.lrCls[l<<3|c]++
 						m, r = 0, 0
 					}
 				}
@@ -388,7 +293,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 						m67 := max(t6>>8&0xff, t7>>8&0xff-s6)
 						mw := max(max(m01, m23-s01), max(m45, m67-s45)-s03)
 						dr := max(0, mw-d)
-						f.drops[l] += uint32(dr)
+						g.drops[l] += uint32(dr)
 						d += dr
 					}
 					if x < 64 {
@@ -398,7 +303,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 						e67 := max(t7>>16+s6, t6>>16)
 						e := max(max(e23+s01, e01), max(e67+s45, e45)+s03)
 						ri := max(0, e-x)
-						f.rises[l] += uint32(ri)
+						g.rises[l] += uint32(ri)
 						x += ri
 					}
 					d += s
@@ -406,10 +311,10 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 				}
 			}
 
-			f.runs[l] = runsv
-			f.bfEps[l] = bf
-			f.lrRun[l], f.lrMax[l] = uint32(r), uint32(m)
-			f.dMin[l], f.dMax[l] = uint32(d), uint32(x)
+			g.runs[l] = runsv
+			g.bfEps[l] = bf
+			g.lrRun[l], g.lrMax[l] = uint32(r), uint32(m)
+			g.dMin[l], g.dMax[l] = uint32(d), uint32(x)
 			pt |= w1 >> 63 << uint(l)
 		}
 		prev = pt
@@ -425,16 +330,16 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 			pc := int(bits.OnesCount64(w))
 			if hasRuns {
 				tr := (w ^ (w<<1 | prev>>uint(l)&1)) | first
-				f.runs[l] += uint32(bits.OnesCount64(tr))
+				g.runs[l] += uint32(bits.OnesCount64(tr))
 			}
 			if hasBF {
-				f.bfEps[l] += uint32(pc)
+				g.bfEps[l] += uint32(pc)
 			}
 			if hasLR {
 				nw := ^w
 				lead := bits.TrailingZeros64(nw)
-				r := int(f.lrRun[l])
-				m := int(f.lrMax[l])
+				r := int(g.lrRun[l])
+				m := int(g.lrMax[l])
 				m = max(m, r+lead)
 				if lead == 64 {
 					r += 64
@@ -462,10 +367,10 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 					}
 					r = bits.LeadingZeros64(nw)
 				}
-				f.lrRun[l], f.lrMax[l] = uint32(r), uint32(m)
+				g.lrRun[l], g.lrMax[l] = uint32(r), uint32(m)
 			}
 			s := 2*pc - 64
-			d, x := int(f.dMin[l]), int(f.dMax[l])
+			d, x := int(g.dMin[l]), int(g.dMax[l])
 			if d < 64 || x < 64 {
 				t0 := int(walkTab[w&0xff])
 				t1 := int(walkTab[w>>8&0xff])
@@ -490,7 +395,7 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 					m67 := max(t6>>8&0xff, t7>>8&0xff-s6)
 					mw := max(max(m01, m23-s01), max(m45, m67-s45)-s03)
 					dr := max(0, mw-d)
-					f.drops[l] += uint32(dr)
+					g.drops[l] += uint32(dr)
 					d += dr
 				}
 				if x < 64 {
@@ -500,12 +405,12 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 					e67 := max(t7>>16+s6, t6>>16)
 					e := max(max(e23+s01, e01), max(e67+s45, e45)+s03)
 					ri := max(0, e-x)
-					f.rises[l] += uint32(ri)
+					g.rises[l] += uint32(ri)
 					x += ri
 				}
 			}
-			f.dMin[l] = uint32(d + s)
-			f.dMax[l] = uint32(x - s)
+			g.dMin[l] = uint32(d + s)
+			g.dMax[l] = uint32(x - s)
 			pt |= w >> 63 << uint(l)
 		}
 		prev = pt
@@ -514,86 +419,65 @@ func (f *fastGroup) absorbChunk(tiles [][64]uint64, off int) {
 			cnt--
 			if cnt == 0 {
 				for l := 0; l < 64; l++ {
-					c := min(max(int(f.lrMax[l]), lo), hi) - lo
-					f.lrCls[l<<3|c]++
-					f.lrMax[l], f.lrRun[l] = 0, 0
+					c := min(max(int(g.lrMax[l]), lo), hi) - lo
+					g.lrCls[l<<3|c]++
+					g.lrMax[l], g.lrRun[l] = 0, 0
 				}
 				cnt = lrTiles
 			}
 		}
 	}
-	f.prevT = prev
+	g.prevT = prev
 }
 
-// extractLane mirrors Group.ExtractLane for the fast engine.
-func (f *fastGroup) extractLane(lane, off int, ws *hwfast.WordStats) {
-	ws.Bits = off
-	drops := int64(f.drops[lane])
-	ws.S = int64(f.dMin[lane]) - drops
-	ws.SMin = -drops
-	ws.SMax = int64(f.rises[lane])
-
-	ws.Runs, ws.Prev = 0, 0
-	if f.hasRuns {
-		ws.Runs = uint64(f.runs[lane])
-		if off > 0 {
-			ws.Prev = byte(f.prevT >> uint(lane) & 1)
-		}
+// absorbSubBlocks closes every sub-tile block of a burst starting at the
+// group's offset. Each block lies inside one word, so block frequency
+// stores the block's masked POPCNT straight into the bank and longest run
+// classifies the word's blocks straight into the class counters; bfEps,
+// lrMax and lrRun stay zero, as hwfast holds them at every word boundary
+// of such a design.
+//
+// Longest run uses hwfast's run-length erosion (x &= x>>1 removes one bit
+// from every run), applied to all blocks of a word at once: clearing each
+// block's top bit after the shift keeps runs from eroding across block
+// boundaries, so after t−1 steps a block is nonzero exactly when its
+// longest run is ≥ t. A SWAR test sets a block's top bit when the block
+// is nonzero, and the POPCNT of those bits counts the blocks at each
+// threshold; differences of consecutive counts are the class counts.
+func (g *Group) absorbSubBlocks(tiles [][64]uint64) {
+	bfM, lrM := g.bfM, g.lrM
+	lo, hi := g.lrLo, g.lrHi
+	var top uint64 // the top bit of every longest-run block
+	if lrM > 0 && lrM < 64 {
+		top = ^uint64(0) / (1<<uint(lrM) - 1) << uint(lrM-1)
 	}
-
-	ws.BFEps = 0
-	ws.BFBank = ws.BFBank[:0]
-	if f.hasBF {
-		ws.BFEps = uint64(f.bfEps[lane])
-		for b := 0; b < f.nBFBlk; b++ {
-			var v uint64
-			if b < f.bfCur {
-				v = uint64(f.bfBank[b*64+lane])
+	for j := range tiles {
+		lanes := &tiles[j]
+		if bfM > 0 && bfM < 64 {
+			mask := uint64(1)<<uint(bfM) - 1
+			base := (g.off + 64*j) / bfM * 64
+			for l, w := range lanes {
+				for b, k := base+l, 0; k < 64; b, k = b+64, k+bfM {
+					g.bfBank[b] = uint32(bits.OnesCount64(w >> uint(k) & mask))
+				}
 			}
-			ws.BFBank = append(ws.BFBank, v) //trnglint:alloc recycled WordStats backing reaches steady-state capacity after the first extraction
 		}
-	}
-
-	ws.LRRun, ws.LRBlkMax = 0, 0
-	ws.LRClasses = ws.LRClasses[:0]
-	if f.hasLR {
-		ws.LRBlkMax = int(f.lrMax[lane])
-		ws.LRRun = int(f.lrRun[lane])
-		for c := 0; c <= f.lrHi-f.lrLo; c++ {
-			ws.LRClasses = append(ws.LRClasses, uint64(f.lrCls[lane<<3|c])) //trnglint:alloc recycled WordStats backing reaches steady-state capacity after the first extraction
-		}
-	}
-}
-
-// rollover clears every counter (including stale detached-lane state) for
-// the next sequence.
-func (f *fastGroup) rollover() {
-	for l := 0; l < 64; l++ {
-		f.dMin[l], f.dMax[l] = 0, 0
-		f.drops[l], f.rises[l] = 0, 0
-	}
-	if f.hasRuns {
-		for l := range f.runs {
-			f.runs[l] = 0
-		}
-	}
-	f.prevT = 0
-	if f.hasBF {
-		for l := range f.bfEps {
-			f.bfEps[l] = 0
-		}
-		for i := range f.bfBank[:f.bfCur*64] {
-			f.bfBank[i] = 0
-		}
-		f.bfCur = 0
-	}
-	if f.hasLR {
-		for l := range f.lrMax {
-			f.lrMax[l] = 0
-			f.lrRun[l] = 0
-		}
-		for i := range f.lrCls {
-			f.lrCls[i] = 0
+		if lrM > 0 && lrM < 64 {
+			for l, w := range lanes {
+				cls := g.lrCls[l<<3 : l<<3+8]
+				above := uint32(64 / lrM) // blocks whose longest run reached the last threshold
+				for t := 1; t <= hi; t++ {
+					if t > 1 {
+						w &= w >> 1 &^ top
+					}
+					if t > lo {
+						n := uint32(bits.OnesCount64((w&^top + ^top | w) & top))
+						cls[t-1-lo] += above - n
+						above = n
+					}
+				}
+				cls[hi-lo] += above
+			}
 		}
 	}
 }

@@ -1,38 +1,26 @@
-// Package hwslice is the bit-sliced (transposed) ingest engine: it advances
-// the four word-parallelizable statistics of up to 64 streams at once by
-// operating on 64-bit tiles — lane-major words in, one transpose
-// (bitstream.Transpose64) inside, vertical carry-save arithmetic over the
-// time-major form where word t of a tile carries bit t of every lane.
+// Package hwslice is the bit-sliced ingest engine: it advances the four
+// word-parallelizable statistics of up to 64 streams at once by operating
+// on 64-bit tiles — one lane-major word per stream, exactly as each stream
+// produced it.
 //
 // The sliceable subset is exactly the engines hwfast can freeze in external
 // mode: the cumulative-sums walk with its extrema (tests 1, 3, 13 inputs),
 // the runs counter (test 3), block frequency (test 2) and longest run of
-// ones (test 4). Two engines implement it behind one Group API:
-//
-//   - The generic engine (this file) reformulates each statistic over
-//     carry-save vertical counters (vcounter), stepping bit by bit:
-//     the walk keeps non-negative distances dMin = s−sMin and dMax = sMax−s
-//     whose saturating-decrement underflow masks feed the monotone extrema
-//     counters; runs adds per-step transition masks; block frequency and
-//     longest run copy plane snapshots into per-block banks at block
-//     boundaries. It handles every tile-granular design, including block
-//     lengths that straddle tile boundaries.
-//   - The fast engine (fast.go) is selected by New when the design's block
-//     lengths are tile-aligned (n, BlockFrequencyM, LongestRunM all
-//     multiples of 64 and n ≤ 2^20 — every standard design of 65536 bits
-//     and up). It hoists per-bit work to per-tile work: carry-save ones
-//     accumulation, a near/far lane split for the walk, horizontal
-//     POPCNT-based runs and block frequency, and vertical threshold
-//     classification for longest run. Same statistics, same extraction
-//     format, an order of magnitude less work per bit.
+// ones (test 4). One tile-rate engine (fast.go) computes them: it hoists
+// per-bit work to per-word work — a byte-table fold with a near/far lane
+// split for the walk, POPCNT-based runs and block frequency, and a
+// word-parallel doubling test for longest run. Block lengths must divide
+// 64 or be multiples of 64, so every block boundary falls on a word
+// boundary: a sub-tile block opens and closes inside one word, a long
+// block closes at a tile boundary.
 //
 // The residual per-stream engines (templates, serial) are NOT computed
-// here: callers keep the original lane-major words and feed them to each
-// stream's own hwfast model in external mode ("lazy de-transposition" —
-// transposed words are never reconstructed). ExtractLane hands a lane's
-// sliceable state back as hwfast.WordStats, bit-exact with what internal
-// ingest of the same prefix would hold, so a stream can leave the group at
-// any tile boundary and resume serially.
+// here: callers feed the same lane-major words to each stream's own
+// hwfast model in external mode (the "lazy de-transposition" of DESIGN.md
+// §6.2). ExtractLane hands a lane's sliceable state back as
+// hwfast.WordStats, bit-exact with what internal ingest of the same prefix
+// would hold, so a stream can leave the group at any tile boundary and
+// resume serially.
 //
 // hwslice is pure word arithmetic over caller-supplied tiles — no clocks,
 // no randomness, no map iteration — and carries the repository's
@@ -48,60 +36,68 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/bitstream"
 	"repro/internal/hwfast"
 	"repro/internal/nist"
 )
 
 // Group advances the sliceable statistics of up to 64 streams over one
 // shared design (n bits, test subset, parameters). Lanes attach at a
-// sequence boundary (offset zero) and may detach at any tile boundary;
-// detached lanes' stale counter bits are inert — every vertical counter
-// column ripples independently — and are cleared at the next Rollover.
+// sequence boundary (offset zero) and may detach at any tile boundary.
+//
+// Inactive lanes are not masked out: a stale slot updates independently
+// and is never read (ExtractLane is only called for attached lanes), and
+// every bound below holds for arbitrary bit patterns — the distances grow
+// at most 2n and the extrema counters at most n per sequence, run lengths
+// are capped by lrM — so stale lanes can neither overflow a counter nor
+// perturb a live one.
+// Rollover clears them.
 type Group struct {
 	n      int
 	off    int    // bits absorbed in the current sequence (multiple of 64)
 	active uint64 // mask of attached lanes
 
-	f *fastGroup // tile-rate engine; nil means the generic path below
-
-	tw  [64]uint64    // time-major scratch for the generic path
-	one [1][64]uint64 // single-tile burst scratch for the fast path
-
-	// cumulative-sums walk (always present, like hwfast's ingestWalk):
-	// distances to the extrema plus monotone extrema counters.
-	dMin, dMax         vcounter // s−sMin, sMax−s
-	minDrops, maxRises vcounter // −sMin, sMax
+	// cumulative-sums walk: distances to the extrema plus monotone
+	// extrema counters, one scalar per lane.
+	dMin  [64]uint32 // s − sMin; ≤ 2n
+	dMax  [64]uint32 // sMax − s; ≤ 2n
+	drops [64]uint32 // −sMin; ≤ n
+	rises [64]uint32 // sMax; ≤ n
 
 	hasRuns bool
-	runs    vcounter
-	prevT   uint64 // previous step's lane bits (seam for transition masks)
+	runs    [64]uint32 // per-lane runs counter
+	prevT   uint64     // previous tile's last-bit mask (seam + ws.Prev)
 
-	hasBF    bool
-	bfM      int
-	bfPlanes int
-	bfEps    vcounter
-	bfBank   []uint64 // n/bfM completed blocks × bfPlanes planes
-	bfCur    int      // completed blocks this sequence
-	bfFill   int      // bits into the current block
+	// Block frequency (bfM > 0): a block of 64 bits or more accumulates
+	// in bfEps and lands in the bank at its tile-aligned end; a shorter
+	// block closes inside its word and goes straight to the bank.
+	bfM    int
+	bfLong bool       // bfM ≥ 64; see New
+	bfEps  [64]uint32 // ones in the in-flight block (bfM ≥ 64 only)
+	bfBank []uint32   // n/bfM blocks × 64 lanes; blocks < off/bfM are live
 
-	hasLR      bool
+	// Longest run (lrM > 0): blocks of 64 bits or more carry an open run
+	// and the block maximum across words; shorter blocks classify straight
+	// from the word. Completed blocks count into per-class counters, so no
+	// per-block bank exists and extraction is O(1) in the block count.
 	lrM        int
+	lrLong     bool // lrM ≥ 64; see New
 	lrLo, lrHi int
-	lrPlanes   int
-	lrMax      vcounter // m: longest ones run in the in-flight block
-	lrDiff     vcounter // m − r, r = ones run ending at the last bit
-	lrBank     []uint64 // n/lrM completed blocks × lrPlanes planes
-	lrCur      int
-	lrPos      int
+	lrMax      [64]uint32     // longest ones run in the in-flight block
+	lrRun      [64]uint32     // ones run ending at the last absorbed bit
+	lrCls      [64 * 8]uint32 // per-lane × class completed-block counts
 }
 
 // New builds a lane group for a design of n bits implementing the given
 // SP800-22 test subset with parameters p — the same inputs hwfast.New
-// takes, restricted to tile granularity (n must be a multiple of 64).
+// takes, restricted to word granularity: n must be a multiple of 64 below
+// 2^31 (the per-lane counters are 32 bits wide and the walk distances
+// reach 2n), and every block length must divide 64 or be a multiple of it.
 func New(n int, tests []int, p nist.Params) (*Group, error) {
 	if n < 64 || n%64 != 0 {
 		return nil, fmt.Errorf("hwslice: sequence length %d is not a positive multiple of 64", n)
+	}
+	if int64(n) >= 1<<31 {
+		return nil, fmt.Errorf("hwslice: sequence length %d overflows the 32-bit lane counters (2n must stay below 2^32)", n)
 	}
 	has := func(id int) bool {
 		for _, t := range tests {
@@ -112,53 +108,45 @@ func New(n int, tests []int, p nist.Params) (*Group, error) {
 		return false
 	}
 	g := &Group{n: n, hasRuns: has(3)}
-	var lrLo, lrHi int
 	if has(2) {
-		if p.BlockFrequencyM < 1 || n%p.BlockFrequencyM != 0 {
-			return nil, fmt.Errorf("hwslice: block frequency M=%d does not divide n=%d", p.BlockFrequencyM, n)
+		m := p.BlockFrequencyM
+		if m < 1 || n%m != 0 {
+			return nil, fmt.Errorf("hwslice: block frequency M=%d does not divide n=%d", m, n)
 		}
-		g.hasBF = true
-		g.bfM = p.BlockFrequencyM
+		if !wordAligned(m) {
+			return nil, fmt.Errorf("hwslice: block frequency M=%d neither divides 64 nor is a multiple of 64", m)
+		}
+		g.bfM = m
 	}
 	if has(4) {
-		lo, hi, err := nist.LongestRunClassBounds(p.LongestRunM)
+		m := p.LongestRunM
+		lo, hi, err := nist.LongestRunClassBounds(m)
 		if err != nil {
 			return nil, fmt.Errorf("hwslice: %w", err)
 		}
-		if p.LongestRunM < 1 || n%p.LongestRunM != 0 {
-			return nil, fmt.Errorf("hwslice: longest-run M=%d does not divide n=%d", p.LongestRunM, n)
+		if n%m != 0 {
+			return nil, fmt.Errorf("hwslice: longest-run M=%d does not divide n=%d", m, n)
 		}
-		g.hasLR = true
-		g.lrM = p.LongestRunM
-		lrLo, lrHi = lo, hi
+		if !wordAligned(m) {
+			return nil, fmt.Errorf("hwslice: longest-run M=%d neither divides 64 nor is a multiple of 64", m)
+		}
+		g.lrM = m
 		g.lrLo, g.lrHi = lo, hi
 	}
-
-	if f := newFast(n, g.hasRuns, g.hasBF, g.bfM, g.hasLR, g.lrM, lrLo, lrHi); f != nil {
-		g.f = f
-		return g, nil
+	if g.bfM > 0 {
+		g.bfBank = make([]uint32, n/g.bfM*64)
 	}
-
-	g.dMin = newVCounter(2 * n)
-	g.dMax = newVCounter(2 * n)
-	g.minDrops = newVCounter(n)
-	g.maxRises = newVCounter(n)
-	if g.hasRuns {
-		g.runs = newVCounter(n)
-	}
-	if g.hasBF {
-		g.bfPlanes = bits.Len(uint(g.bfM))
-		g.bfEps = newVCounter(g.bfM)
-		g.bfBank = make([]uint64, n/g.bfM*g.bfPlanes)
-	}
-	if g.hasLR {
-		g.lrPlanes = bits.Len(uint(g.lrM))
-		g.lrMax = newVCounter(g.lrM)
-		g.lrDiff = newVCounter(g.lrM)
-		g.lrBank = make([]uint64, n/g.lrM*g.lrPlanes)
-	}
+	// The chunk loop handles blocks of 64 bits or more. absorbChunk reads
+	// these flags rather than comparing bfM and lrM itself: the comparisons
+	// cost its pair loop a register, and the extra spill measured about
+	// 3 % slower end to end on n65536-light.
+	g.bfLong, g.lrLong = g.bfM >= 64, g.lrM >= 64
 	return g, nil
 }
+
+// wordAligned reports whether every block of length m starts and ends on a
+// word boundary or inside a single word.
+func wordAligned(m int) bool { return 64%m == 0 || m%64 == 0 }
 
 // N returns the design's sequence length in bits.
 //
@@ -193,120 +181,48 @@ func (g *Group) Attach(lane int) error {
 	return nil
 }
 
-// Detach releases a lane at any tile boundary. The lane's counter bits go
+// Detach releases a lane at any tile boundary. The lane's counters go
 // stale but stay inert until Rollover clears them; callers wanting the
 // lane's final statistics must ExtractLane before detaching.
 func (g *Group) Detach(lane int) {
 	g.active &^= 1 << uint(lane)
 }
 
-// AbsorbTile advances every attached lane by 64 bits. lanes is lane-major:
-// lanes[l] carries lane l's next 64 chronological bits, LSB first — the
-// words exactly as each stream produced them. The engine transposes
-// internally; inactive lanes' bits are ignored.
-//
-//trnglint:hotpath
-func (g *Group) AbsorbTile(lanes *[64]uint64) error {
-	if g.off+64 > g.n {
-		return fmt.Errorf("hwslice: tile overruns sequence (%d of %d bits)", g.off, g.n) //trnglint:alloc argument-validation error path, never taken at line rate
-	}
-	if g.f != nil {
-		g.one[0] = *lanes
-		g.f.absorbBurst(g.one[:], g.off)
-		g.off += 64
-		return nil
-	}
-	g.tw = *lanes
-	bitstream.Transpose64(&g.tw)
-	tw := &g.tw
-	a := g.active
-	for t := 0; t < 64; t++ {
-		w := tw[t] & a
-		z := ^tw[t] & a
-
-		// Walk: ones raise dMin and erode dMax (underflow = new maximum),
-		// zeros mirror. The four counters partition by bit value, so the
-		// in-step order is immaterial.
-		g.dMin.add(w)
-		g.maxRises.add(g.dMax.decFloor(w))
-		g.dMax.add(z)
-		g.minDrops.add(g.dMin.decFloor(z))
-
-		if g.hasRuns {
-			if g.off == 0 && t == 0 {
-				g.runs.add(a)
-			} else {
-				g.runs.add((tw[t] ^ g.prevT) & a)
-			}
-			g.prevT = tw[t]
-		}
-
-		if g.hasBF {
-			g.bfEps.add(w)
-			g.bfFill++
-			if g.bfFill == g.bfM {
-				base := g.bfCur * g.bfPlanes
-				for p := 0; p < g.bfPlanes; p++ {
-					var v uint64
-					if p < g.bfEps.top {
-						v = g.bfEps.planes[p]
-					}
-					g.bfBank[base+p] = v
-				}
-				g.bfEps.zero()
-				g.bfCur++
-				g.bfFill = 0
-			}
-		}
-
-		if g.hasLR {
-			// One-bit: r++. diff==0 means r was already the block max, so
-			// the underflow mask is exactly the set of lanes whose maximum
-			// grows. Zero-bit: r drops to zero, diff returns to m.
-			g.lrMax.add(g.lrDiff.decFloor(w))
-			g.lrDiff.loadMasked(&g.lrMax, z)
-			g.lrPos++
-			if g.lrPos == g.lrM {
-				base := g.lrCur * g.lrPlanes
-				for p := 0; p < g.lrPlanes; p++ {
-					var v uint64
-					if p < g.lrMax.top {
-						v = g.lrMax.planes[p]
-					}
-					g.lrBank[base+p] = v
-				}
-				g.lrMax.zero()
-				g.lrDiff.zero()
-				g.lrCur++
-				g.lrPos = 0
-			}
-		}
-	}
-	g.off += 64
-	return nil
-}
-
-// AbsorbTiles absorbs a burst of consecutive tiles in one call —
-// equivalent to calling AbsorbTile on each in order, but the fast engine
-// runs the burst lane-outer, keeping every lane's counters in registers
-// across the whole burst instead of reloading them once per tile. Callers
-// that buffer more than one tile per lane (the fleet's lane groups) get
-// most of the engine's throughput headroom from this entry point.
+// AbsorbTiles advances every lane by len(tiles)·64 bits. tiles[j][l]
+// carries lane l's j-th next 64 chronological bits, LSB first — the words
+// exactly as each stream produced them; inactive lanes' bits are ignored.
+// The burst is split only at long block-frequency boundaries (blocks of
+// many tiles, so the split is rare and chunks stay long); longest-run
+// blocks can be as short as one tile, so their boundary work happens
+// inline in the chunk loop — splitting on them would chop every burst
+// down to nothing. Sub-tile blocks close inside their word in one
+// separate per-tile pass. Callers that buffer more than one tile per lane
+// (the fleet's lane groups) get most of the engine's throughput headroom
+// from passing whole bursts.
 //
 //trnglint:hotpath
 func (g *Group) AbsorbTiles(tiles [][64]uint64) error {
 	if g.off+64*len(tiles) > g.n {
 		return fmt.Errorf("hwslice: burst of %d tiles overruns sequence (%d of %d bits)", len(tiles), g.off, g.n) //trnglint:alloc argument-validation error path, never taken at line rate
 	}
-	if g.f != nil {
-		g.f.absorbBurst(tiles, g.off)
-		g.off += 64 * len(tiles)
-		return nil
+	if (g.bfM > 0 && g.bfM < 64) || (g.lrM > 0 && g.lrM < 64) {
+		g.absorbSubBlocks(tiles)
 	}
-	for i := range tiles {
-		if err := g.AbsorbTile(&tiles[i]); err != nil {
-			return err
+	for len(tiles) > 0 {
+		c := len(tiles)
+		if g.bfLong {
+			if room := (g.bfM - g.off%g.bfM) / 64; room < c {
+				c = room
+			}
 		}
+		g.absorbChunk(tiles[:c])
+		g.off += 64 * c
+		if g.bfLong && g.off%g.bfM == 0 {
+			base := (g.off/g.bfM - 1) * 64
+			copy(g.bfBank[base:base+64], g.bfEps[:])
+			g.bfEps = [64]uint32{}
+		}
+		tiles = tiles[c:]
 	}
 	return nil
 }
@@ -318,19 +234,15 @@ func (g *Group) AbsorbTiles(tiles [][64]uint64) error {
 //
 //trnglint:hotpath
 func (g *Group) ExtractLane(lane int, ws *hwfast.WordStats) {
-	if g.f != nil {
-		g.f.extractLane(lane, g.off, ws)
-		return
-	}
 	ws.Bits = g.off
-	drops := int64(g.minDrops.get(lane))
-	ws.S = int64(g.dMin.get(lane)) - drops
+	drops := int64(g.drops[lane])
+	ws.S = int64(g.dMin[lane]) - drops
 	ws.SMin = -drops
-	ws.SMax = int64(g.maxRises.get(lane))
+	ws.SMax = int64(g.rises[lane])
 
 	ws.Runs, ws.Prev = 0, 0
 	if g.hasRuns {
-		ws.Runs = g.runs.get(lane)
+		ws.Runs = uint64(g.runs[lane])
 		if g.off > 0 {
 			ws.Prev = byte(g.prevT >> uint(lane) & 1)
 		}
@@ -338,16 +250,13 @@ func (g *Group) ExtractLane(lane int, ws *hwfast.WordStats) {
 
 	ws.BFEps = 0
 	ws.BFBank = ws.BFBank[:0]
-	if g.hasBF {
-		ws.BFEps = g.bfEps.get(lane)
-		nBlocks := g.n / g.bfM
-		for b := 0; b < nBlocks; b++ {
+	if g.bfM > 0 {
+		ws.BFEps = uint64(g.bfEps[lane])
+		done := g.off / g.bfM
+		for b := 0; b < g.n/g.bfM; b++ {
 			var v uint64
-			if b < g.bfCur {
-				base := b * g.bfPlanes
-				for p := 0; p < g.bfPlanes; p++ {
-					v |= g.bfBank[base+p] >> uint(lane) & 1 << uint(p)
-				}
+			if b < done {
+				v = uint64(g.bfBank[b*64+lane])
 			}
 			ws.BFBank = append(ws.BFBank, v) //trnglint:alloc recycled WordStats backing reaches steady-state capacity after the first extraction
 		}
@@ -355,62 +264,33 @@ func (g *Group) ExtractLane(lane int, ws *hwfast.WordStats) {
 
 	ws.LRRun, ws.LRBlkMax = 0, 0
 	ws.LRClasses = ws.LRClasses[:0]
-	if g.hasLR {
-		m := int(g.lrMax.get(lane))
-		ws.LRBlkMax = m
-		ws.LRRun = m - int(g.lrDiff.get(lane))
+	if g.lrM > 0 {
+		ws.LRBlkMax = int(g.lrMax[lane])
+		ws.LRRun = int(g.lrRun[lane])
 		for c := 0; c <= g.lrHi-g.lrLo; c++ {
-			ws.LRClasses = append(ws.LRClasses, 0) //trnglint:alloc recycled WordStats backing reaches steady-state capacity after the first extraction
-		}
-		for b := 0; b < g.lrCur; b++ {
-			base := b * g.lrPlanes
-			longest := 0
-			for p := 0; p < g.lrPlanes; p++ {
-				longest |= int(g.lrBank[base+p]>>uint(lane)&1) << uint(p)
-			}
-			class := 0
-			switch {
-			case longest <= g.lrLo:
-				class = 0
-			case longest >= g.lrHi:
-				class = g.lrHi - g.lrLo
-			default:
-				class = longest - g.lrLo
-			}
-			ws.LRClasses[class]++
+			ws.LRClasses = append(ws.LRClasses, uint64(g.lrCls[lane<<3|c])) //trnglint:alloc recycled WordStats backing reaches steady-state capacity after the first extraction
 		}
 	}
 }
 
 // Rollover rearms the group for the next sequence: every counter is
-// cleared (including any stale bits left by mid-sequence detaches) and the
-// offset returns to zero. Attached lanes stay attached. Call it after the
-// final tile of a sequence has been absorbed and every lane extracted.
+// cleared (including any stale state left by mid-sequence detaches) and
+// the offset returns to zero. Attached lanes stay attached. Call it after
+// the final tile of a sequence has been absorbed and every lane extracted.
+// The block-frequency bank needs no clearing: ExtractLane reads only the
+// blocks completed in the current sequence, and each is written before
+// its offset is reached.
 //
 //trnglint:hotpath
 func (g *Group) Rollover() {
 	g.off = 0
-	if g.f != nil {
-		g.f.rollover()
-		return
-	}
-	g.dMin.zero()
-	g.dMax.zero()
-	g.minDrops.zero()
-	g.maxRises.zero()
-	if g.hasRuns {
-		g.runs.zero()
-		g.prevT = 0
-	}
-	if g.hasBF {
-		g.bfEps.zero()
-		g.bfCur, g.bfFill = 0, 0
-	}
-	if g.hasLR {
-		g.lrMax.zero()
-		g.lrDiff.zero()
-		g.lrCur, g.lrPos = 0, 0
-	}
+	g.dMin, g.dMax = [64]uint32{}, [64]uint32{}
+	g.drops, g.rises = [64]uint32{}, [64]uint32{}
+	g.runs = [64]uint32{}
+	g.prevT = 0
+	g.bfEps = [64]uint32{}
+	g.lrMax, g.lrRun = [64]uint32{}, [64]uint32{}
+	g.lrCls = [64 * 8]uint32{}
 }
 
 // Reset is Rollover plus detaching every lane — the state a recycled group

@@ -5,38 +5,60 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/hwblock"
 	"repro/internal/hwfast"
 	"repro/internal/hwslice"
 	"repro/internal/nist"
 )
 
 // variants mirrors the eight Table III design points (hwblock.AllConfigs)
-// without depending on hwblock's naming.
+// without depending on hwblock's naming, then adds custom designs that
+// cover the other block-length shapes: sub-tile blocks at n=64 and n=256,
+// a sub-tile block-frequency length beside a tile-aligned longest-run one
+// and the reverse, one-tile blocks beside 32-bit ones, sub-tile block
+// frequency without longest run, and a light design past the standard
+// megabit size. A zero p means nist.RecommendedParams(n).
 var variants = []struct {
 	name  string
 	n     int
 	tests []int
+	p     nist.Params
 }{
-	{"n128-light", 128, []int{1, 2, 3, 4, 13}},
-	{"n128-medium", 128, []int{1, 2, 3, 4, 11, 12, 13}},
-	{"n65536-light", 65536, []int{1, 2, 3, 4, 13}},
-	{"n65536-medium", 65536, []int{1, 2, 3, 4, 7, 13}},
-	{"n65536-high", 65536, []int{1, 2, 3, 4, 7, 8, 11, 12, 13}},
-	{"n1m-light", 1 << 20, []int{1, 2, 3, 4, 13}},
-	{"n1m-medium", 1 << 20, []int{1, 2, 3, 4, 7, 13}},
-	{"n1m-high", 1 << 20, []int{1, 2, 3, 4, 7, 8, 11, 12, 13}},
+	{"n128-light", 128, []int{1, 2, 3, 4, 13}, nist.Params{}},
+	{"n128-medium", 128, []int{1, 2, 3, 4, 11, 12, 13}, nist.Params{}},
+	{"n65536-light", 65536, []int{1, 2, 3, 4, 13}, nist.Params{}},
+	{"n65536-medium", 65536, []int{1, 2, 3, 4, 7, 13}, nist.Params{}},
+	{"n65536-high", 65536, []int{1, 2, 3, 4, 7, 8, 11, 12, 13}, nist.Params{}},
+	{"n1m-light", 1 << 20, []int{1, 2, 3, 4, 13}, nist.Params{}},
+	{"n1m-medium", 1 << 20, []int{1, 2, 3, 4, 7, 13}, nist.Params{}},
+	{"n1m-high", 1 << 20, []int{1, 2, 3, 4, 7, 8, 11, 12, 13}, nist.Params{}},
+	{"n64-light", 64, []int{1, 2, 3, 4, 13}, nist.Params{}},
+	{"n256-medium", 256, []int{1, 2, 3, 4, 11, 12, 13}, nist.Params{}},
+	{"n512-bf32", 512, []int{1, 2, 3, 4, 13}, nist.Params{BlockFrequencyM: 32, LongestRunM: 128}},
+	{"n1024-lr16", 1024, []int{1, 2, 3, 4, 13}, nist.Params{BlockFrequencyM: 256, LongestRunM: 16}},
+	{"n256-bf64-lr32", 256, []int{1, 2, 3, 4, 13}, nist.Params{BlockFrequencyM: 64, LongestRunM: 32}},
+	{"n128-no-lr", 128, []int{1, 2, 3, 13}, nist.Params{}},
+	{"n2m-light", 1 << 21, []int{1, 2, 3, 4, 13}, nist.Params{}},
+}
+
+// params returns a variant's design parameters.
+func params(n int, p nist.Params) nist.Params {
+	if p == (nist.Params{}) {
+		return nist.RecommendedParams(n)
+	}
+	return p
 }
 
 // newPair builds a lane group and 64 shadow hwfast models for one variant.
-func newPair(t *testing.T, n int, tests []int) (*hwslice.Group, [64]*hwfast.State) {
+func newPair(t *testing.T, n int, tests []int, p nist.Params) (*hwslice.Group, [64]*hwfast.State) {
 	t.Helper()
-	g, err := hwslice.New(n, tests, nist.RecommendedParams(n))
+	g, err := hwslice.New(n, tests, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var shadows [64]*hwfast.State
 	for l := range shadows {
-		st, err := hwfast.New(n, tests, nist.RecommendedParams(n))
+		st, err := hwfast.New(n, tests, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,21 +67,23 @@ func newPair(t *testing.T, n int, tests []int) (*hwslice.Group, [64]*hwfast.Stat
 	return g, shadows
 }
 
-// absorb transposes one lane-major tile into the group and feeds the same
-// words to the attached lanes' shadows.
-func absorb(t *testing.T, g *hwslice.Group, shadows *[64]*hwfast.State, tile *[64]uint64) {
+// absorb feeds a burst of lane-major tiles to the group in one call and
+// the same words, tile by tile, to the attached lanes' shadows.
+func absorb(t *testing.T, g *hwslice.Group, shadows *[64]*hwfast.State, tiles [][64]uint64) {
 	t.Helper()
 	active := g.Active()
-	for l := 0; l < 64; l++ {
-		if active>>uint(l)&1 == 0 {
-			continue
-		}
-		if err := shadows[l].ClockWord(tile[l], 64); err != nil {
-			t.Fatalf("shadow lane %d: %v", l, err)
+	for j := range tiles {
+		for l := 0; l < 64; l++ {
+			if active>>uint(l)&1 == 0 {
+				continue
+			}
+			if err := shadows[l].ClockWord(tiles[j][l], 64); err != nil {
+				t.Fatalf("shadow lane %d: %v", l, err)
+			}
 		}
 	}
-	if err := g.AbsorbTile(tile); err != nil {
-		t.Fatalf("AbsorbTile: %v", err)
+	if err := g.AbsorbTiles(tiles); err != nil {
+		t.Fatalf("AbsorbTiles: %v", err)
 	}
 }
 
@@ -75,17 +99,22 @@ func compareLane(t *testing.T, g *hwslice.Group, sh *hwfast.State, lane int, ctx
 }
 
 // TestGroupMatchesHWFastPerTile is the core differential proof: 64 random
-// streams per variant, extracted state compared against per-lane internal
-// hwfast ingest at every tile boundary (full-density for the small
-// designs, sampled lanes plus periodic full sweeps for the megabit ones).
+// streams per variant, absorbed in bursts of 1, 2, 3, 5 and 16 tiles in
+// turn, so both the pair-unrolled loop and the odd-tail loop run and
+// bursts cross long block-frequency boundaries at varying phases.
+// Extracted state is compared against per-lane internal hwfast ingest at
+// every burst end (every lane for the small designs, sampled lanes plus
+// periodic full sweeps for the megabit ones).
 func TestGroupMatchesHWFastPerTile(t *testing.T) {
+	bursts := []int{1, 2, 3, 5, 16}
 	for _, tc := range variants {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.n > 65536 && testing.Short() {
 				t.Skip("megabit variant skipped in -short")
 			}
-			g, shadows := newPair(t, tc.n, tc.tests)
+			p := params(tc.n, tc.p)
+			g, shadows := newPair(t, tc.n, tc.tests, p)
 			for l := 0; l < 64; l++ {
 				if err := g.Attach(l); err != nil {
 					t.Fatal(err)
@@ -94,22 +123,35 @@ func TestGroupMatchesHWFastPerTile(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.n) + int64(len(tc.tests))))
 			tiles := tc.n / 64
 			full := tc.n <= 65536
-			for k := 0; k < tiles; k++ {
-				var tile [64]uint64
-				for l := range tile {
-					tile[l] = rng.Uint64()
+			bfTiles := p.BlockFrequencyM / 64
+			buf := make([][64]uint64, 16)
+			crossed := 0
+			for k, b := 0, 0; k < tiles; b++ {
+				burst := buf[:min(bursts[b%len(bursts)], tiles-k)]
+				for j := range burst {
+					for l := range burst[j] {
+						burst[j][l] = rng.Uint64()
+					}
 				}
-				absorb(t, g, &shadows, &tile)
-				if full || k%256 == 255 || k == tiles-1 {
+				absorb(t, g, &shadows, burst)
+				k0 := k
+				k += len(burst)
+				if bfTiles > 1 && k0/bfTiles != (k-1)/bfTiles {
+					crossed++ // a block-frequency block closed mid-burst
+				}
+				if full || k0/256 != k/256 || k == tiles {
 					for l := 0; l < 64; l++ {
 						compareLane(t, g, shadows[l], l, tc.name)
 					}
 				} else {
-					compareLane(t, g, shadows[k%64], k%64, tc.name)
+					compareLane(t, g, shadows[b%64], b%64, tc.name)
 				}
 			}
 			if g.Off() != tc.n {
 				t.Fatalf("group off = %d, want %d", g.Off(), tc.n)
+			}
+			if has(tc.tests, 2) && bfTiles > 1 && bfTiles < tiles && crossed == 0 {
+				t.Fatal("no burst crossed a block-frequency boundary")
 			}
 		})
 	}
@@ -137,22 +179,22 @@ func TestGroupStructuredPatterns(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for start := 0; start < len(patterns); start += 64 {
-				g, shadows := newPair(t, tc.n, tc.tests)
+				g, shadows := newPair(t, tc.n, tc.tests, params(tc.n, tc.p))
 				for l := 0; l < 64; l++ {
 					if err := g.Attach(l); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for k := 0; k < tc.n/64; k++ {
-					var tile [64]uint64
-					for l := range tile {
+					var tile [1][64]uint64
+					for l := range tile[0] {
 						p := patterns[(start+l)%len(patterns)]
 						if k%2 == 1 {
 							p = ^p // flip alternate tiles to cross seams both ways
 						}
-						tile[l] = p
+						tile[0][l] = p
 					}
-					absorb(t, g, &shadows, &tile)
+					absorb(t, g, &shadows, tile[:])
 					for l := 0; l < 64; l++ {
 						compareLane(t, g, shadows[l], l, tc.name)
 					}
@@ -172,7 +214,7 @@ func TestGroupLaneEviction(t *testing.T) {
 	if testing.Short() {
 		tc = variants[1] // n128-medium
 	}
-	g, shadows := newPair(t, tc.n, tc.tests)
+	g, shadows := newPair(t, tc.n, tc.tests, params(tc.n, tc.p))
 	for l := 0; l < 64; l++ {
 		if err := g.Attach(l); err != nil {
 			t.Fatal(err)
@@ -187,11 +229,11 @@ func TestGroupLaneEviction(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	for k := 0; k < tiles; k++ {
-		var tile [64]uint64
-		for l := range tile {
-			tile[l] = rng.Uint64()
+		var tile [1][64]uint64
+		for l := range tile[0] {
+			tile[0][l] = rng.Uint64()
 		}
-		absorb(t, g, &shadows, &tile)
+		absorb(t, g, &shadows, tile[:])
 		for lane, at := range evictAt {
 			if at != k {
 				continue
@@ -221,11 +263,11 @@ func TestGroupLaneEviction(t *testing.T) {
 		shadows[l].Reset()
 	}
 	for k := 0; k < tiles; k++ {
-		var tile [64]uint64
-		for l := range tile {
-			tile[l] = rng.Uint64()
+		var tile [1][64]uint64
+		for l := range tile[0] {
+			tile[0][l] = rng.Uint64()
 		}
-		absorb(t, g, &shadows, &tile)
+		absorb(t, g, &shadows, tile[:])
 	}
 	for l := 0; l < 64; l++ {
 		compareLane(t, g, shadows[l], l, "post-rollover")
@@ -244,10 +286,10 @@ func TestGroupHandBackToHWFast(t *testing.T) {
 			if tc.n > 65536 && testing.Short() {
 				t.Skip("megabit variant skipped in -short")
 			}
-			p := nist.RecommendedParams(tc.n)
+			p := params(tc.n, tc.p)
 			tiles := tc.n / 64
 			for _, handoff := range []int{1, tiles / 2, tiles - 1} {
-				if handoff < 1 {
+				if handoff < 1 || handoff >= tiles {
 					continue
 				}
 				g, err := hwslice.New(tc.n, tc.tests, p)
@@ -284,9 +326,9 @@ func TestGroupHandBackToHWFast(t *testing.T) {
 						t.Fatal(err)
 					}
 					if k < handoff {
-						var tile [64]uint64
-						tile[lane] = w
-						if err := g.AbsorbTile(&tile); err != nil {
+						var tile [1][64]uint64
+						tile[0][lane] = w
+						if err := g.AbsorbTiles(tile[:]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -326,12 +368,25 @@ func has(tests []int, id int) bool {
 }
 
 func TestGroupValidation(t *testing.T) {
+	for _, cfg := range hwblock.AllConfigs() {
+		if _, err := hwslice.New(cfg.N, cfg.Tests, cfg.Params); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+	}
 	p := nist.RecommendedParams(128)
 	if _, err := hwslice.New(100, []int{1}, p); err == nil {
 		t.Fatal("accepted n not a multiple of 64")
 	}
 	if _, err := hwslice.New(0, []int{1}, p); err == nil {
 		t.Fatal("accepted n = 0")
+	}
+	if _, err := hwslice.New(1<<31, []int{1}, p); err == nil {
+		t.Fatal("accepted n = 2^31, past the 32-bit counter budget")
+	}
+	p48 := p
+	p48.BlockFrequencyM = 48
+	if _, err := hwslice.New(192, []int{1, 2, 3, 4, 13}, p48); err == nil {
+		t.Fatal("accepted a block-frequency length that neither divides nor is a multiple of 64")
 	}
 	g, err := hwslice.New(128, []int{1, 2, 3, 4, 13}, p)
 	if err != nil {
@@ -349,17 +404,17 @@ func TestGroupValidation(t *testing.T) {
 	if err := g.Attach(5); err == nil {
 		t.Fatal("accepted duplicate lane")
 	}
-	var tile [64]uint64
-	if err := g.AbsorbTile(&tile); err != nil {
+	var tile [1][64]uint64
+	if err := g.AbsorbTiles(tile[:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Attach(6); err == nil {
 		t.Fatal("accepted mid-sequence attach")
 	}
-	if err := g.AbsorbTile(&tile); err != nil {
+	if err := g.AbsorbTiles(tile[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AbsorbTile(&tile); err == nil {
+	if err := g.AbsorbTiles(tile[:]); err == nil {
 		t.Fatal("accepted tile past sequence end")
 	}
 	g.Reset()
@@ -404,19 +459,19 @@ func FuzzSliceEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var ws1, ws2 hwfast.WordStats
 		for k := 0; k < tc.n/64; k++ {
-			var tile [64]uint64
-			for l := range tile {
-				tile[l] = rng.Uint64()
+			var tile [1][64]uint64
+			for l := range tile[0] {
+				tile[0][l] = rng.Uint64()
 			}
 			for l := 0; l < 64; l++ {
 				if shadows[l] == nil {
 					continue
 				}
-				if err := shadows[l].ClockWord(tile[l], 64); err != nil {
+				if err := shadows[l].ClockWord(tile[0][l], 64); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := g.AbsorbTile(&tile); err != nil {
+			if err := g.AbsorbTiles(tile[:]); err != nil {
 				t.Fatal(err)
 			}
 			for l := 0; l < 64; l++ {
