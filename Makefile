@@ -16,7 +16,8 @@ docs:
 docs-check: docs
 	git diff --exit-code REGISTERS.md
 	go run ./cmd/doccheck -md EXPERIMENTS.md \
-		./internal/online ./internal/fleet ./internal/sp80090b ./internal/hwslice
+		./internal/online ./internal/fleet ./internal/sp80090b ./internal/hwslice \
+		./internal/hwfast
 
 vet:
 	go vet ./...

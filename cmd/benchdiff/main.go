@@ -7,8 +7,11 @@
 //
 // For each benchmark present in both files it prints the old and new value
 // and the percentage delta for ns/op, plus B/op and allocs/op deltas when
-// both runs recorded them. Benchmarks present in only one file are listed
-// but never affect the exit status.
+// both runs recorded them. Benchmarks are matched without the -N
+// GOMAXPROCS suffix `go test` appends on multi-CPU hosts, so runs from
+// hosts with different CPU counts still compare. Benchmarks present in
+// only one file are listed; two files that share no benchmark at all fail
+// the run, since a gate that compares nothing must not pass.
 //
 // With -fail-over P, benchdiff exits non-zero when any benchmark's ns/op
 // regressed by more than P percent — the repository's benchmark-trajectory
@@ -96,7 +99,32 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			out[pkg+":"+name] = res
 		}
 	}
-	return out, nil
+	return stripProcs(out), nil
+}
+
+// stripProcs removes the -N GOMAXPROCS suffix from every key when all keys
+// carry the same one — the shape of a run on an N-CPU host. A 1-CPU run
+// has no suffix, and a benchmark whose own name ends in -digits (a
+// "lanes-64" sub-benchmark) then keeps it, because the other names do not
+// share it.
+func stripProcs(in map[string]result) map[string]result {
+	suffix := ""
+	for k := range in {
+		i := strings.LastIndexByte(k, '-')
+		if i < 0 || i == len(k)-1 || strings.Trim(k[i+1:], "0123456789") != "" {
+			return in
+		}
+		if suffix == "" {
+			suffix = k[i:]
+		} else if k[i:] != suffix {
+			return in
+		}
+	}
+	out := make(map[string]result, len(in))
+	for k, r := range in {
+		out[strings.TrimSuffix(k, suffix)] = r
+	}
+	return out
 }
 
 // parseLine parses one `BenchmarkX  N  V unit  V unit ...` result line.
@@ -226,6 +254,10 @@ func run(oldPath, newPath string, failOver float64, w io.Writer) (int, error) {
 	}
 	for _, k := range onlyNew {
 		fmt.Fprintf(tw, "%-64s only in %s\n", k, newPath)
+	}
+	if len(rows) == 0 {
+		fmt.Fprintf(tw, "\nbenchdiff: the two runs share no benchmark; nothing was compared\n")
+		return 1, nil
 	}
 	if zeroAllocBroken {
 		fmt.Fprintf(tw, "\nbenchdiff: zero-alloc benchmark now allocates (hard failure, ignores -fail-over)\n")

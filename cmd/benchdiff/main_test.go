@@ -19,18 +19,103 @@ func ev(pkg, out string) string {
 // split across two output events (name flush, then timing), exactly as
 // `go test -json` emits it.
 func stream(pkg string, ns float64, bop, allocs int) string {
+	return benchStream(pkg, ns, bop, allocs, "BenchmarkIngest")
+}
+
+// benchStream is stream with the given benchmark names, one result line
+// each, as printed (a GOMAXPROCS suffix, if any, included).
+func benchStream(pkg string, ns float64, bop, allocs int, names ...string) string {
 	timing := "  123456\t" + strconv.FormatFloat(ns, 'f', -1, 64) + " ns/op\t  44.04 MB/s\t       " +
 		strconv.Itoa(bop) + " B/op\t       " + strconv.Itoa(allocs) + " allocs/op\n"
 	lines := []string{
 		`{"Action":"start","Package":"` + pkg + `"}`,
 		ev(pkg, "goos: linux\n"),
-		ev(pkg, "BenchmarkIngest\n"),
-		ev(pkg, "BenchmarkIngest             \t"),
-		ev(pkg, timing),
-		ev(pkg, "PASS\n"),
-		`{"Action":"pass","Package":"` + pkg + `"}`,
 	}
+	for _, name := range names {
+		lines = append(lines,
+			ev(pkg, name+"\n"),
+			ev(pkg, name+"             \t"),
+			ev(pkg, timing))
+	}
+	lines = append(lines,
+		ev(pkg, "PASS\n"),
+		`{"Action":"pass","Package":"`+pkg+`"}`)
 	return strings.Join(lines, "\n") + "\n"
+}
+
+// writeRuns writes the old and new fixtures into a temp dir and returns
+// their paths.
+func writeRuns(t *testing.T, old, new string) (oldP, newP string) {
+	t.Helper()
+	dir := t.TempDir()
+	oldP = filepath.Join(dir, "old.json")
+	newP = filepath.Join(dir, "new.json")
+	if err := os.WriteFile(oldP, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newP, []byte(new), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return oldP, newP
+}
+
+// TestParseProcsSuffix pins how result names are keyed: the -N suffix a
+// multi-CPU host appends is dropped when every result carries the same
+// one, and a name's own trailing digits survive otherwise.
+func TestParseProcsSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		names []string
+		want  []string
+	}{
+		{"one-cpu", []string{"BenchmarkA", "BenchmarkB/lanes-64"}, []string{"BenchmarkA", "BenchmarkB/lanes-64"}},
+		{"two-cpu", []string{"BenchmarkA-2", "BenchmarkB/lanes-64-2"}, []string{"BenchmarkA", "BenchmarkB/lanes-64"}},
+		{"many-cpu", []string{"BenchmarkA-128", "BenchmarkB/n65536-light-128"}, []string{"BenchmarkA", "BenchmarkB/n65536-light"}},
+		{"mixed-suffixes", []string{"BenchmarkA/lanes-8", "BenchmarkA/lanes-64"}, []string{"BenchmarkA/lanes-8", "BenchmarkA/lanes-64"}},
+		{"trailing-dash", []string{"BenchmarkA-", "BenchmarkB-"}, []string{"BenchmarkA-", "BenchmarkB-"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := parseBench(strings.NewReader(benchStream("p", 10, 0, 0, tc.names...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != len(tc.want) {
+				t.Fatalf("got %d results %v, want %v", len(res), res, tc.want)
+			}
+			for _, w := range tc.want {
+				if _, ok := res["p:"+w]; !ok {
+					t.Fatalf("missing key p:%s; got %v", w, res)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAcrossCPUCounts proves a 1-CPU archive and a 2-CPU run compare
+// row by row, so the gate still fires across hosts.
+func TestRunAcrossCPUCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, new []string
+	}{
+		{"archive-1cpu-run-2cpu", []string{"BenchmarkA", "BenchmarkB"}, []string{"BenchmarkA-2", "BenchmarkB-2"}},
+		{"archive-2cpu-run-1cpu", []string{"BenchmarkA-2", "BenchmarkB-2"}, []string{"BenchmarkA", "BenchmarkB"}},
+		{"archive-4cpu-run-2cpu", []string{"BenchmarkA-4", "BenchmarkB-4"}, []string{"BenchmarkA-2", "BenchmarkB-2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oldP, newP := writeRuns(t,
+				benchStream("p", 100, 0, 0, tc.old...),
+				benchStream("p", 300, 0, 0, tc.new...))
+			var out strings.Builder
+			code, err := run(oldP, newP, 100, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code == 0 || strings.Count(out.String(), "REGRESSED") != 2 || strings.Contains(out.String(), "only in") {
+				t.Fatalf("a 200%% regression on both rows must fail the gate; code %d, output:\n%s", code, out.String())
+			}
+		})
+	}
 }
 
 func TestParseSplitLine(t *testing.T) {
@@ -126,26 +211,36 @@ func TestRunImprovementPasses(t *testing.T) {
 	}
 }
 
+// TestRunDisjointBenchmarks pins the handling of benchmarks present in
+// only one run: listed without failing the gate while at least one
+// benchmark compares, and a hard failure when none does.
 func TestRunDisjointBenchmarks(t *testing.T) {
-	dir := t.TempDir()
-	oldP := filepath.Join(dir, "old.json")
-	newP := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldP, []byte(stream("repro/internal/fleet", 100, 1, 0)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newP, []byte(stream("repro/internal/hwslice", 30, 0, 0)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	shared := stream("repro/internal/fleet", 100, 1, 0)
+	oldP, newP := writeRuns(t,
+		shared+stream("repro/internal/hwslice", 30, 0, 0),
+		shared+stream("repro/internal/obs", 30, 0, 0))
 	var out strings.Builder
 	code, err := run(oldP, newP, 10, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 0 {
-		t.Fatalf("disjoint benchmark sets must not fail the gate; output:\n%s", out.String())
+		t.Fatalf("benchmarks only in one run must not fail the gate; output:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "only in") {
-		t.Fatalf("disjoint benchmarks should be listed; output:\n%s", out.String())
+	if strings.Count(out.String(), "only in") != 2 {
+		t.Fatalf("benchmarks only in one run should be listed; output:\n%s", out.String())
+	}
+
+	oldP, newP = writeRuns(t,
+		stream("repro/internal/fleet", 100, 1, 0),
+		stream("repro/internal/hwslice", 30, 0, 0))
+	out.Reset()
+	code, err = run(oldP, newP, 10, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code == 0 || !strings.Contains(out.String(), "share no benchmark") {
+		t.Fatalf("wholly disjoint runs compare nothing and must fail; code %d, output:\n%s", code, out.String())
 	}
 }
 

@@ -10,6 +10,11 @@
 // FuzzFastPathEquivalence fuzz target at n=65536, one randomized pass at
 // n=2^20 — all eight Table III design points).
 //
+// The walk fold (Walk) and the block-frequency and longest-run in-flight
+// blocks (BlockFreq, LongestRun) are exported: internal/online's sliding
+// tracker runs these same engines, so the netlist-equivalence suite checks
+// the code both consumers use.
+//
 // Word-level techniques, per engine:
 //
 //   - ones / cumulative sums (tests 1, 13): a 256-entry byte table carries
@@ -66,22 +71,16 @@ type State struct {
 	runs    uint64
 	prev    byte
 
-	// block frequency (test 2)
+	// block frequency (test 2): in-flight block and completed blocks
 	hasBF  bool
-	bfM    int
-	bfFill int // bits into the current block
-	bfEps  uint64
+	bf     BlockFreq
 	bfBank []uint64
 	bfCur  int
 
-	// longest run of ones (test 4)
-	hasLR      bool
-	lrM        int
-	lrLo, lrHi int
-	lrPos      int // bits into the current block
-	lrRun      int // length of the ones run ending at the last bit
-	lrBlkMax   int
-	lrClasses  []uint64
+	// longest run of ones (test 4): in-flight block and class counters
+	hasLR     bool
+	lr        LongestRun
+	lrClasses []uint64
 
 	// shared m-bit window context for the template tests: the last m-1
 	// bits before the current word, chronological (oldest at bit 0).
@@ -139,17 +138,17 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 			return nil, fmt.Errorf("hwfast: block frequency M=%d does not divide n=%d", p.BlockFrequencyM, n)
 		}
 		st.hasBF = true
-		st.bfM = p.BlockFrequencyM
+		st.bf = NewBlockFreq(p.BlockFrequencyM)
 		st.bfBank = make([]uint64, n/p.BlockFrequencyM)
 	}
 	if has(4) {
-		lo, hi, err := nist.LongestRunClassBounds(p.LongestRunM)
+		lr, err := NewLongestRun(p.LongestRunM)
 		if err != nil {
-			return nil, fmt.Errorf("hwfast: %w", err)
+			return nil, err
 		}
+		lo, hi := lr.Bounds()
 		st.hasLR = true
-		st.lrM = p.LongestRunM
-		st.lrLo, st.lrHi = lo, hi
+		st.lr = lr
 		st.lrClasses = make([]uint64, hi-lo+1)
 	}
 	if has(7) || has(8) {
@@ -274,9 +273,9 @@ func (st *State) ExportWordStats(ws *WordStats) {
 	ws.Bits = st.bits
 	ws.S, ws.SMin, ws.SMax = st.s, st.sMin, st.sMax
 	ws.Runs, ws.Prev = st.runs, st.prev
-	ws.BFEps = st.bfEps
+	ws.BFEps = st.bf.eps
 	ws.BFBank = append(ws.BFBank[:0], st.bfBank...)
-	ws.LRRun, ws.LRBlkMax = st.lrRun, st.lrBlkMax
+	ws.LRRun, ws.LRBlkMax = st.lr.run, st.lr.blkMax
 	ws.LRClasses = append(ws.LRClasses[:0], st.lrClasses...)
 }
 
@@ -313,17 +312,16 @@ func (st *State) LoadWordStats(ws *WordStats) error {
 			return fmt.Errorf("hwfast: block-frequency bank has %d blocks, design wants %d", len(ws.BFBank), len(st.bfBank))
 		}
 		copy(st.bfBank, ws.BFBank)
-		st.bfEps = ws.BFEps
-		st.bfFill = st.bits % st.bfM
-		st.bfCur = st.bits / st.bfM
+		st.bf.eps, st.bf.fill = ws.BFEps, st.bits%st.bf.m
+		st.bfCur = st.bits / st.bf.m
 	}
 	if st.hasLR {
 		if len(ws.LRClasses) != len(st.lrClasses) {
 			return fmt.Errorf("hwfast: longest-run classes have %d entries, design wants %d", len(ws.LRClasses), len(st.lrClasses))
 		}
 		copy(st.lrClasses, ws.LRClasses)
-		st.lrRun, st.lrBlkMax = ws.LRRun, ws.LRBlkMax
-		st.lrPos = st.bits % st.lrM
+		st.lr.run, st.lr.blkMax = ws.LRRun, ws.LRBlkMax
+		st.lr.pos = st.bits % st.lr.m
 	}
 	st.external = false
 	return nil
@@ -335,9 +333,10 @@ func (st *State) Reset() {
 	st.bits, st.done = 0, false
 	st.s, st.sMin, st.sMax = 0, 0, 0
 	st.runs, st.prev = 0, 0
-	st.bfFill, st.bfEps, st.bfCur = 0, 0, 0
+	st.bf.Reset()
+	st.bfCur = 0
 	zero(st.bfBank)
-	st.lrPos, st.lrRun, st.lrBlkMax = 0, 0, 0
+	st.lr.Reset()
 	zero(st.lrClasses)
 	st.tail = 0
 	st.noPos, st.noNext, st.noW, st.noCur = 0, 0, 0, 0

@@ -63,15 +63,27 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 	// advanced by the lane group; only the residual per-stream-order
 	// engines below run here.
 	if !st.external {
-		st.ingestWalk(v, nbits)
+		d, lo, hi := Walk(v, nbits)
+		st.sMin = min(st.sMin, st.s+lo)
+		st.sMax = max(st.sMax, st.s+hi)
+		st.s += d
 		if st.hasRuns {
 			st.ingestRuns(v, nbits)
 		}
-		if st.hasBF {
-			st.ingestBlockFreq(v, nbits)
+		for off := 0; st.hasBF && off < nbits; {
+			take, eps, closed := st.bf.Feed(v>>uint(off), nbits-off)
+			if closed && st.bfCur < len(st.bfBank) {
+				st.bfBank[st.bfCur] = eps
+				st.bfCur++
+			}
+			off += take
 		}
-		if st.hasLR {
-			st.ingestLongestRun(v, nbits)
+		for off := 0; st.hasLR && off < nbits; {
+			take, class, closed := st.lr.Feed(v>>uint(off), nbits-off)
+			if closed {
+				st.lrClasses[class]++
+			}
+			off += take
 		}
 	}
 	if st.hasNO || st.hasOV {
@@ -89,33 +101,39 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 	return nil
 }
 
-// ingestWalk advances the cumulative-sums walk and its extrema, one table
-// lookup per byte, per-bit only for a trailing partial byte.
-func (st *State) ingestWalk(v uint64, nbits int) {
+// Walk folds nbits bits of v (1..64, chronological, LSB first) into the
+// ±1 random walk: it returns the net displacement and the extrema of the
+// prefix sums, lo and hi, relative to the walk value before the first bit
+// (0 included) — one table lookup per byte, per-bit only for a trailing
+// partial byte. Bits of v above nbits are ignored.
+//
+//trnglint:hotpath
+func Walk(v uint64, nbits int) (delta, lo, hi int64) {
 	i := 0
 	for ; i+8 <= nbits; i += 8 {
 		e := &walkTab[byte(v>>uint(i))]
-		if m := st.s + int64(e.min); m < st.sMin {
-			st.sMin = m
+		if m := delta + int64(e.min); m < lo {
+			lo = m
 		}
-		if m := st.s + int64(e.max); m > st.sMax {
-			st.sMax = m
+		if m := delta + int64(e.max); m > hi {
+			hi = m
 		}
-		st.s += int64(e.delta)
+		delta += int64(e.delta)
 	}
 	for ; i < nbits; i++ {
 		if v>>uint(i)&1 == 1 {
-			st.s++
+			delta++
 		} else {
-			st.s--
+			delta--
 		}
-		if st.s < st.sMin {
-			st.sMin = st.s
+		if delta < lo {
+			lo = delta
 		}
-		if st.s > st.sMax {
-			st.sMax = st.s
+		if delta > hi {
+			hi = delta
 		}
 	}
+	return delta, lo, hi
 }
 
 // ingestRuns counts runs: one seam comparison against the previous word's
@@ -128,77 +146,6 @@ func (st *State) ingestRuns(v uint64, nbits int) {
 		st.runs += uint64(bits.OnesCount64((v ^ (v >> 1)) & lowMask(nbits-1)))
 	}
 	st.prev = byte(v >> uint(nbits-1) & 1)
-}
-
-// ingestBlockFreq accumulates per-block ones counts by popcounting
-// block-aligned sub-masks of the word.
-func (st *State) ingestBlockFreq(v uint64, nbits int) {
-	off := 0
-	for off < nbits {
-		take := nbits - off
-		if rem := st.bfM - st.bfFill; take > rem {
-			take = rem
-		}
-		st.bfEps += uint64(bits.OnesCount64(v >> uint(off) & lowMask(take)))
-		st.bfFill += take
-		if st.bfFill == st.bfM {
-			if st.bfCur < len(st.bfBank) {
-				st.bfBank[st.bfCur] = st.bfEps
-				st.bfCur++
-			}
-			st.bfEps, st.bfFill = 0, 0
-		}
-		off += take
-	}
-}
-
-// ingestLongestRun merges word-sized chunks into the per-block longest
-// ones-run tracker: leading/trailing run lengths from complement zero
-// counts, interior maximum by run-length erosion. Like the hardware's run
-// counter, the run tracking restarts at every block boundary.
-func (st *State) ingestLongestRun(v uint64, nbits int) {
-	off := 0
-	for off < nbits {
-		take := nbits - off
-		if rem := st.lrM - st.lrPos; take > rem {
-			take = rem
-		}
-		seg := v >> uint(off) & lowMask(take)
-		if lead := bits.TrailingZeros64(^seg); lead >= take {
-			// Chunk is all ones: the current run extends across it.
-			st.lrRun += take
-		} else {
-			if r := st.lrRun + lead; r > st.lrBlkMax {
-				st.lrBlkMax = r
-			}
-			r := 0
-			for x := seg; x != 0; x &= x >> 1 {
-				r++
-			}
-			if r > st.lrBlkMax {
-				st.lrBlkMax = r
-			}
-			st.lrRun = bits.LeadingZeros64(^(seg << uint(64-take)))
-		}
-		if st.lrRun > st.lrBlkMax {
-			st.lrBlkMax = st.lrRun
-		}
-		st.lrPos += take
-		if st.lrPos == st.lrM {
-			class := 0
-			switch longest := st.lrBlkMax; {
-			case longest <= st.lrLo:
-				class = 0
-			case longest >= st.lrHi:
-				class = st.lrHi - st.lrLo
-			default:
-				class = longest - st.lrLo
-			}
-			st.lrClasses[class]++
-			st.lrBlkMax, st.lrRun, st.lrPos = 0, 0, 0
-		}
-		off += take
-	}
 }
 
 // ingestTemplates builds the per-word match bitmaps for both template

@@ -33,15 +33,26 @@
 //
 // # Mechanics
 //
-// Ingest is chunked: bits accumulate into 64-bit chunks, and each
-// completed chunk contributes a constant-size summary (ones, interior
-// transitions, boundary bits, walk delta and intra-chunk prefix extrema
-// from an 8-entry-per-chunk byte-table pass) to a ring of Window/64
-// summaries. Window ones and transitions update additively on chunk
-// append/evict; block statistics slide at block granularity through their
-// own rings; the window walk extrema come from monotonic deques over
-// per-chunk extrema candidates, so even the 2^20-bit designs pay O(1)
-// amortized per chunk rather than a window rescan.
+// The tracker runs internal/hwfast's per-word engines rather than copies
+// of them, so the code the netlist-equivalence suite checks is the code
+// that slides. Ingest is chunked: bits accumulate into 64-bit chunks, and
+// each completed chunk contributes a constant-size summary (ones, interior
+// transitions, boundary bits, and the walk delta and intra-chunk prefix
+// extrema from hwfast.Walk) to a ring of Window/64 summaries. Window ones
+// and transitions update additively on chunk append/evict; the window walk
+// extrema come from monotonic deques over per-chunk extrema candidates, so
+// even the 2^20-bit designs pay O(1) amortized per chunk rather than a
+// window rescan. The block tests feed hwfast.BlockFreq and
+// hwfast.LongestRun, whose Feed reports each closed block; closed blocks
+// slide at block granularity through the tracker's block rings.
+//
+// # Min-entropy
+//
+// MCV, Markov and MinEntropy give the SP800-90B min-entropy estimates over
+// the same window with no second ring: the adjacent-pair counts follow
+// from the window ones, transitions and first/last bits (entropy.go), and
+// feed sp80090b's count-to-estimate functions, so they are bit-identical
+// to the batch estimators over the window's bits.
 //
 // # Scoring and detection
 //

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"repro/internal/hwblock"
+	"repro/internal/hwfast"
 	"repro/internal/nist"
 )
 
@@ -83,33 +84,6 @@ type chunkMeta struct {
 	first, last byte
 }
 
-// walkEntry carries eight clocks of the ±1 walk: net displacement and the
-// intra-byte prefix extrema (0 included). Index bits are chronological,
-// LSB first — the same table the word-level functional model uses.
-type walkEntry struct{ delta, min, max int8 }
-
-var walkTab = func() [256]walkEntry {
-	var t [256]walkEntry
-	for b := 0; b < 256; b++ {
-		s, mn, mx := 0, 0, 0
-		for i := 0; i < 8; i++ {
-			if b>>uint(i)&1 == 1 {
-				s++
-			} else {
-				s--
-			}
-			if s < mn {
-				mn = s
-			}
-			if s > mx {
-				mx = s
-			}
-		}
-		t[b] = walkEntry{delta: int8(s), min: int8(mn), max: int8(mx)}
-	}
-	return t
-}()
-
 // minDeque is a monotonically increasing deque over (chunk sequence
 // number, candidate value) pairs: the front always holds the window
 // minimum among the candidates pushed and not yet expired. Maxima reuse
@@ -180,31 +154,25 @@ type Tracker struct {
 
 	minDq, maxDq minDeque
 
-	// block frequency: in-flight block plus a ring of the last
-	// Window/bfM completed blocks' ones counts, folded into bfD = Σ(2ε−M)².
+	// block frequency: in-flight block plus a ring of the last Window/M
+	// completed blocks' ones counts, folded into bfD = Σ(2ε−M)².
 	bfM      int
-	bfEps    uint64
-	bfFill   int
+	bf       hwfast.BlockFreq
 	bfRing   []uint32
 	bfHead   int
 	bfCount  int
 	bfD      int64
 	bfBlocks float64 // float64(len(bfRing)), cached for scoring
 
-	// longest run of ones: in-flight block tracker (identical semantics
-	// to the hardware: runs restart at block boundaries) plus a ring of
-	// class indices and the window class counters.
-	lrM        int
-	lrLo, lrHi int
-	lrRun      int
-	lrBlkMax   int
-	lrPos      int
-	lrRing     []uint8
-	lrHead     int
-	lrCount    int
-	lrClasses  []uint64
-	lrProbs    []float64 // null class probabilities, scaled at scoring
-	lrDF       float64   // degrees of freedom, cached
+	// longest run of ones: in-flight block plus a ring of class indices
+	// and the window class counters.
+	lr        hwfast.LongestRun
+	lrRing    []uint8
+	lrHead    int
+	lrCount   int
+	lrClasses []uint64
+	lrProbs   []float64 // null class probabilities, scaled at scoring
+	lrDF      float64   // degrees of freedom, cached
 
 	// scoring and detection.
 	scores     Scores
@@ -250,25 +218,26 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 		}
 		t.hasBF = true
 		t.bfM = m
+		t.bf = hwfast.NewBlockFreq(m)
 		t.bfRing = make([]uint32, cfg.Window/m)
 		t.bfBlocks = float64(cfg.Window / m)
 	}
 	if design.Has(4) {
 		m := design.Params.LongestRunM
-		lo, hi, err := nist.LongestRunClassBounds(m)
+		lr, err := hwfast.NewLongestRun(m)
 		if err != nil {
 			return nil, fmt.Errorf("online: %w", err)
 		}
 		if cfg.Window%m != 0 {
 			return nil, fmt.Errorf("online: longest run M=%d does not divide window %d", m, cfg.Window)
 		}
+		lo, hi := lr.Bounds()
 		probs, err := nist.LongestRunClassProbs(m, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("online: %w", err)
 		}
 		t.hasLR = true
-		t.lrM = m
-		t.lrLo, t.lrHi = lo, hi
+		t.lr = lr
 		t.lrRing = make([]uint8, cfg.Window/m)
 		t.lrClasses = make([]uint64, hi-lo+1)
 		t.lrProbs = probs
@@ -327,9 +296,9 @@ func (t *Tracker) Reset() {
 	t.ones, t.trans = 0, 0
 	t.minDq.reset()
 	t.maxDq.reset()
-	t.bfEps, t.bfFill = 0, 0
+	t.bf.Reset()
 	t.bfHead, t.bfCount, t.bfD = 0, 0, 0
-	t.lrRun, t.lrBlkMax, t.lrPos = 0, 0, 0
+	t.lr.Reset()
 	t.lrHead, t.lrCount = 0, 0
 	for i := range t.lrClasses {
 		t.lrClasses[i] = 0
@@ -349,22 +318,35 @@ func (t *Tracker) Push(w uint64, nbits int) {
 	if nbits < 1 || nbits > 64 {
 		panic(fmt.Sprintf("online: word size %d out of range [1,64]", nbits)) //trnglint:alloc argument-validation panic, never taken at line rate
 	}
-	v := w & lowMask(nbits)
+	v := w
+	if nbits < 64 {
+		v &= 1<<uint(nbits) - 1
+	}
 	// Segments are chunk-aligned so the block engines are never ahead of
 	// the window position when a mid-word commit scores the window.
-	off := 0
-	for off < nbits {
-		take := nbits - off
-		if rem := chunkBits - t.curBits; take > rem {
-			take = rem
-		}
-		seg := v >> uint(off) & lowMask(take)
+	for off := 0; off < nbits; {
+		take := min(nbits-off, chunkBits-t.curBits)
+		seg := v >> uint(off)
 		if t.hasBF {
-			t.ingestBF(seg, take)
+			for o := 0; o < take; {
+				n, eps, closed := t.bf.Feed(seg>>uint(o), take-o)
+				if closed {
+					t.pushBFBlock(uint32(eps))
+				}
+				o += n
+			}
 		}
 		if t.hasLR {
-			t.ingestLR(seg, take)
+			for o := 0; o < take; {
+				n, class, closed := t.lr.Feed(seg>>uint(o), take-o)
+				if closed {
+					t.pushLRBlock(uint8(class))
+				}
+				o += n
+			}
 		}
+		// Bits of seg above take are either zero (v is masked) or shift
+		// out of the chunk, which take fills exactly.
 		t.cur |= seg << uint(t.curBits)
 		t.curBits += take
 		t.bits += int64(take)
@@ -380,21 +362,10 @@ func (t *Tracker) Push(w uint64, nbits int) {
 // the window is full, advances the anomaly score.
 func (t *Tracker) commit() {
 	v := t.cur
-	// Chunk walk summary: one byte-table lookup per 8 bits, extrema over
-	// every intra-chunk prefix (chunk start included — boundary values
-	// belong to the previous chunk or to the window anchor, so keeping
-	// them as candidates is always correct).
-	var s, mn, mx int64
-	for i := 0; i < chunkBits; i += 8 {
-		e := &walkTab[byte(v>>uint(i))]
-		if m := s + int64(e.min); m < mn {
-			mn = m
-		}
-		if m := s + int64(e.max); m > mx {
-			mx = m
-		}
-		s += int64(e.delta)
-	}
+	// Chunk walk summary: extrema over every intra-chunk prefix (chunk
+	// start included — boundary values belong to the previous chunk or to
+	// the window anchor, so keeping them as candidates is always correct).
+	s, mn, mx := hwfast.Walk(v, chunkBits)
 	pre := t.walk
 	t.walk += s
 
@@ -421,7 +392,7 @@ func (t *Tracker) commit() {
 	m := &t.meta[idx]
 	m.pre, m.cmin, m.cmax = pre, pre+mn, pre+mx
 	m.ones = uint16(bits.OnesCount64(v))
-	m.trans = uint16(bits.OnesCount64((v ^ (v >> 1)) & lowMask(chunkBits-1)))
+	m.trans = uint16(bits.OnesCount64((v ^ v>>1) &^ (1 << (chunkBits - 1))))
 	m.first = byte(v & 1)
 	m.last = byte(v >> (chunkBits - 1))
 	if t.count > 0 {
@@ -449,25 +420,6 @@ func (t *Tracker) commit() {
 	}
 }
 
-// ingestBF mirrors the hardware block-frequency engine per word, pushing
-// each completed block's ones count into the sliding block ring.
-func (t *Tracker) ingestBF(v uint64, nbits int) {
-	off := 0
-	for off < nbits {
-		take := nbits - off
-		if rem := t.bfM - t.bfFill; take > rem {
-			take = rem
-		}
-		t.bfEps += uint64(bits.OnesCount64(v >> uint(off) & lowMask(take)))
-		t.bfFill += take
-		if t.bfFill == t.bfM {
-			t.pushBFBlock(uint32(t.bfEps))
-			t.bfEps, t.bfFill = 0, 0
-		}
-		off += take
-	}
-}
-
 // pushBFBlock slides the block ring and the Σ(2ε−M)² aggregate.
 func (t *Tracker) pushBFBlock(eps uint32) {
 	n := len(t.bfRing)
@@ -481,53 +433,6 @@ func (t *Tracker) pushBFBlock(eps uint32) {
 	d := 2*int64(eps) - int64(t.bfM)
 	t.bfD += d * d
 	t.bfCount++
-}
-
-// ingestLR mirrors the hardware longest-run engine per word (chunk
-// merging, block-boundary restarts), pushing each completed block's
-// class into the sliding class ring.
-func (t *Tracker) ingestLR(v uint64, nbits int) {
-	off := 0
-	for off < nbits {
-		take := nbits - off
-		if rem := t.lrM - t.lrPos; take > rem {
-			take = rem
-		}
-		seg := v >> uint(off) & lowMask(take)
-		if lead := bits.TrailingZeros64(^seg); lead >= take {
-			t.lrRun += take
-		} else {
-			if r := t.lrRun + lead; r > t.lrBlkMax {
-				t.lrBlkMax = r
-			}
-			r := 0
-			for x := seg; x != 0; x &= x >> 1 {
-				r++
-			}
-			if r > t.lrBlkMax {
-				t.lrBlkMax = r
-			}
-			t.lrRun = bits.LeadingZeros64(^(seg << uint(64-take)))
-		}
-		if t.lrRun > t.lrBlkMax {
-			t.lrBlkMax = t.lrRun
-		}
-		t.lrPos += take
-		if t.lrPos == t.lrM {
-			class := 0
-			switch longest := t.lrBlkMax; {
-			case longest <= t.lrLo:
-				class = 0
-			case longest >= t.lrHi:
-				class = t.lrHi - t.lrLo
-			default:
-				class = longest - t.lrLo
-			}
-			t.pushLRBlock(uint8(class))
-			t.lrBlkMax, t.lrRun, t.lrPos = 0, 0, 0
-		}
-		off += take
-	}
 }
 
 // pushLRBlock slides the class ring and the window class counters.
@@ -592,12 +497,4 @@ func (t *Tracker) LongestRunClasses(dst []uint64) []uint64 {
 		return nil
 	}
 	return append(dst, t.lrClasses...)
-}
-
-// lowMask returns a mask of the low n bits (n in [0, 64]).
-func lowMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
 }

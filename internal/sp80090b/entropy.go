@@ -37,14 +37,14 @@ func MostCommonValue(s *bitstream.Sequence) (*MCVEstimate, error) {
 	if n-ones > count {
 		count = n - ones
 	}
-	return mcvFromCounts(count, n), nil
+	return MCVFromCounts(count, n), nil
 }
 
-// mcvFromCounts is the shared count-to-estimate arithmetic: count is the
-// occurrence count of the most common value among n bits. Both the batch
-// and the sliding-window paths call it, which is what makes the online
-// estimate bit-identical to the batch one over the same bits.
-func mcvFromCounts(count, n int) *MCVEstimate {
+// MCVFromCounts is the count-to-estimate arithmetic of MostCommonValue:
+// count is the occurrence count of the most common value among n bits.
+// The sliding-window estimate (online.Tracker.MCV) calls it too, which is
+// what makes it bit-identical to the batch one over the same bits.
+func MCVFromCounts(count, n int) *MCVEstimate {
 	pHat := float64(count) / float64(n)
 	// z for a one-sided 99% bound.
 	const z99 = 2.5758293035489004
@@ -81,14 +81,14 @@ func Markov(s *bitstream.Sequence) (*MarkovEstimate, error) {
 	for i := 0; i+1 < n; i++ {
 		trans[s.Bit(i)][s.Bit(i+1)]++
 	}
-	return markovFromCounts(trans, float64(s.Ones()), n), nil
+	return MarkovFromCounts(trans, float64(s.Ones()), n), nil
 }
 
-// markovFromCounts is the shared count-to-estimate arithmetic: trans
+// MarkovFromCounts is the count-to-estimate arithmetic of Markov: trans
 // holds the adjacent-pair counts over n bits (n−1 pairs), ones the ones
-// count. Shared by the batch and sliding-window paths for bit-identical
-// estimates over the same bits.
-func markovFromCounts(trans [2][2]float64, ones float64, n int) *MarkovEstimate {
+// count. The sliding-window estimate (online.Tracker.Markov) calls it too,
+// for bit-identical estimates over the same bits.
+func MarkovFromCounts(trans [2][2]float64, ones float64, n int) *MarkovEstimate {
 	var from [2]float64
 	for a := 0; a < 2; a++ {
 		from[a] = trans[a][0] + trans[a][1]

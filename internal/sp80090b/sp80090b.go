@@ -13,12 +13,12 @@
 //
 // The package also implements the standard's initial-assessment side:
 // the most-common-value (MCV) and first-order Markov min-entropy
-// estimators over fixed samples (entropy.go), their structural-hardware
-// cost model (hw.go), and OnlineEstimator (online.go) — the same
-// estimators over a sliding window of the last Window bits, updated in
-// O(1) amortized per 64-bit word by the chunk-ring construction
-// internal/online uses, for continuous min-entropy alongside the online
-// anomaly score.
+// estimators over fixed samples (entropy.go) and their
+// structural-hardware cost model (hw.go). The estimators' count-to-estimate
+// arithmetic is exported (MCVFromCounts, MarkovFromCounts) so that
+// internal/online's Tracker can report the same estimates over its
+// sliding window, from counts its chunk ring already keeps, alongside the
+// online anomaly score.
 //
 // Every type here is a pure function of the bits pushed since its
 // construction or Reset — no clocks, no randomness — which is what the
