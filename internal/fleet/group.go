@@ -313,10 +313,12 @@ func (g *laneGroup) step(sh *shard) {
 		// With the monitor feed skipped, the online trackers would never
 		// see mid-sequence bits: feed them here, in the same per-lane tile
 		// order the feedMonitor loop (and the serial path) would use, so a
-		// stream's score trajectory is byte-identical either way.
-		for j := 0; j < k; j++ {
-			for l := 0; l < 64; l++ {
-				if s := g.lanes[l]; s != nil {
+		// stream's score trajectory is byte-identical either way. Lanes
+		// run outside and tiles inside, so each tracker takes its k words
+		// back to back while its window state is in cache.
+		for l := 0; l < 64; l++ {
+			if s := g.lanes[l]; s != nil {
+				for j := 0; j < k; j++ {
 					s.tracker.Push(g.lwK[j][l], 64)
 				}
 			}

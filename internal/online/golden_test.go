@@ -103,8 +103,27 @@ func TestTrajectoryGolden(t *testing.T) {
 		"n1048576-medium/w196608": "1a13a02bf2832e50",
 		"n1048576-high/w0":        "826c8f2416231bdb",
 		"n1048576-high/w196608":   "1a13a02bf2832e50",
+		"n128-lr-only/w0":         "8dcb3408283cbf6f",
+		"n128-lr-only/w192":       "92b17de726f95238",
+		"n128-walk-only/w0":       "90eb2b31e2730b36",
+		"n128-walk-only/w192":     "67cf453d4f7d4117",
 	}
-	for _, cfg := range hwblock.AllConfigs() {
+	designs := hwblock.AllConfigs()
+	// Two reduced custom designs reach the paths the paper's designs do
+	// not: a longest run without block frequency (the only block length
+	// is 8, below one chunk), and the walk statistics alone (no block
+	// test, no runs).
+	for _, c := range []struct {
+		name  string
+		tests []int
+	}{{"n128-lr-only", []int{1, 3, 4, 13}}, {"n128-walk-only", []int{1, 13}}} {
+		cfg, err := hwblock.NewCustomConfig(c.name, 128, c.tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, cfg)
+	}
+	for _, cfg := range designs {
 		for _, window := range []int{0, 3 * max(64, cfg.Params.BlockFrequencyM)} {
 			name := fmt.Sprintf("%s/w%d", cfg.Name, window)
 			got := goldenTrajectory(t, cfg, window)

@@ -11,7 +11,7 @@ import (
 )
 
 // chunkBits is the commit granularity: bits accumulate into chunks of
-// this size, and all window bookkeeping (ring summaries, extrema deques,
+// this size, and all window bookkeeping (ring summaries, block extrema,
 // scoring) advances one chunk at a time. 64 matches the ingest word width
 // of the fast path, so a full-width word commits exactly one chunk.
 const chunkBits = 64
@@ -71,56 +71,78 @@ type Scores struct {
 	Cusum float64
 }
 
-// chunkMeta is one committed chunk's constant-size window summary.
+// chunkMeta is one committed chunk's 4-byte window summary: its ones
+// count and interior transition count, and its boundary bits, used for
+// the seam transition between adjacent chunks. The chunk's walk position
+// is not kept: the window base follows from the global walk and the
+// window ones (see WindowWalk).
 type chunkMeta struct {
-	// pre is the global walk value before the chunk's first bit; cmin and
-	// cmax are the global-walk prefix extrema across the chunk (pre
-	// included, so chunk boundaries are always candidates).
-	pre, cmin, cmax int64
-	// ones and trans are the chunk's ones count and interior transition
-	// count; first and last are its boundary bits, used for the seam
-	// transition between adjacent chunks.
-	ones, trans uint16
+	ones, trans uint8
 	first, last byte
 }
 
-// minDeque is a monotonically increasing deque over (chunk sequence
-// number, candidate value) pairs: the front always holds the window
-// minimum among the candidates pushed and not yet expired. Maxima reuse
-// it with negated values. Backed by a ring sized to the window's chunk
-// count, so steady state allocates nothing.
-type minDeque struct {
-	seq  []int64
-	val  []int64
-	head int
-	n    int
+// wrap reduces a ring index i ∈ [0, 2n) into [0, n) with a compare and a
+// subtract instead of a divide.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
-func (d *minDeque) reset() { d.head, d.n = 0, 0 }
+// blockMin is the minimum over the last len(a) pushed values, kept as van
+// Herk/Gil-Werman block extrema. Pushes are grouped into blocks of len(a)
+// consecutive values, so the window spans a prefix of the current block
+// and a suffix of the previous one. a[pos:] holds the previous block's
+// suffix minima and a[:pos] the current block's raw values, whose running
+// minimum is pre. A completed block turns into suffix minima in one
+// backward pass. The candidate set is the same as a monotonic deque's,
+// without its data-dependent pops. Maxima reuse it with negated values.
+type blockMin struct {
+	a   []int64
+	pos int   // the current block's next position
+	pre int64 // minimum of the current block's values so far
+}
 
-// push appends a candidate, discarding dominated entries from the back.
-func (d *minDeque) push(seq, val int64) {
-	for d.n > 0 {
-		b := (d.head + d.n - 1) % len(d.val)
-		if d.val[b] < val {
-			break
+func (e *blockMin) reset() { e.pos = 0 }
+
+// push appends a value: one store and one compare, plus the suffix pass
+// once per len(a) pushes.
+//
+//trnglint:hotpath
+func (e *blockMin) push(v int64) {
+	p := e.pos
+	e.a[p] = v
+	if p == 0 || v < e.pre {
+		e.pre = v
+	}
+	p++
+	if p == len(e.a) {
+		// Suffix minima down to a[1]: a[0]'s would be the whole block's,
+		// which is pre, and the next push overwrites a[0] unread.
+		m := v
+		for i := p - 2; i > 0; i-- {
+			if e.a[i] < m {
+				m = e.a[i]
+			} else {
+				e.a[i] = m
+			}
 		}
-		d.n--
+		p = 0
 	}
-	i := (d.head + d.n) % len(d.val)
-	d.seq[i], d.val[i] = seq, val
-	d.n++
+	e.pos = p
 }
 
-// expire drops front entries whose chunk has left the window.
-func (d *minDeque) expire(oldest int64) {
-	for d.n > 0 && d.seq[d.head] < oldest {
-		d.head = (d.head + 1) % len(d.val)
-		d.n--
+// min returns the minimum over the last len(a) values. Until that many
+// have been pushed since reset (full false) it is the minimum over all of
+// them; it needs at least one.
+func (e *blockMin) min(full bool) int64 {
+	m := e.pre
+	if full && e.pos != 0 && e.a[e.pos] < m {
+		m = e.a[e.pos]
 	}
+	return m
 }
-
-func (d *minDeque) front() int64 { return d.val[d.head] }
 
 // Tracker is the streaming anomaly detector for one bit stream. It is
 // not safe for concurrent use; in the fleet each stream's tracker lives
@@ -128,10 +150,14 @@ func (d *minDeque) front() int64 { return d.val[d.head] }
 // read the trajectory with Score, Instant and ZScores; detection state
 // with Alarmed and DetectedAt.
 type Tracker struct {
-	cfg   Config
-	decay float64 // EWMA carry-over per chunk commit
+	cfg           Config
+	decay         float64 // EWMA carry-over per chunk commit
+	sqrtW, sqrtW1 float64 // √W and √(W−1), cached for scoring
 
 	hasBF, hasLR, hasRuns bool
+	// aligned: every enabled block length is a multiple of 64, so a
+	// chunk-aligned 64-bit word never straddles a block end.
+	aligned bool
 
 	// in-flight chunk accumulator.
 	cur     uint64
@@ -140,8 +166,7 @@ type Tracker struct {
 
 	// global random walk (never reset by the window; extrema are taken
 	// window-relative, so only differences matter).
-	walk     int64
-	chunkSeq int64 // committed chunks since Reset
+	walk int64
 
 	// chunk summary ring: meta[head..head+count) are the window's chunks,
 	// oldest first.
@@ -152,7 +177,9 @@ type Tracker struct {
 	ones  int64 // window ones
 	trans int64 // window-interior transitions (seams included)
 
-	minDq, maxDq minDeque
+	// window extrema of the global walk over every intra-chunk prefix;
+	// maxima are kept negated.
+	minEx, maxEx blockMin
 
 	// block frequency: in-flight block plus a ring of the last Window/M
 	// completed blocks' ones counts, folded into bfD = Σ(2ε−M)².
@@ -163,6 +190,7 @@ type Tracker struct {
 	bfCount  int
 	bfD      int64
 	bfBlocks float64 // float64(len(bfRing)), cached for scoring
+	bfDirty  bool    // a block closed (or Reset) since BlockFreq was last scored
 
 	// longest run of ones: in-flight block plus a ring of class indices
 	// and the window class counters.
@@ -173,6 +201,7 @@ type Tracker struct {
 	lrClasses []uint64
 	lrProbs   []float64 // null class probabilities, scaled at scoring
 	lrDF      float64   // degrees of freedom, cached
+	lrDirty   bool      // a block closed (or Reset) since LongestRun was last scored
 
 	// scoring and detection.
 	scores     Scores
@@ -206,10 +235,13 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 	t := &Tracker{
 		cfg:     cfg,
 		decay:   math.Exp2(-float64(chunkBits) / float64(cfg.HalfLifeBits)),
+		sqrtW:   math.Sqrt(float64(cfg.Window)),
+		sqrtW1:  math.Sqrt(float64(cfg.Window) - 1),
 		hasRuns: design.Has(3),
+		aligned: true,
 		meta:    make([]chunkMeta, k),
-		minDq:   minDeque{seq: make([]int64, k), val: make([]int64, k)},
-		maxDq:   minDeque{seq: make([]int64, k), val: make([]int64, k)},
+		minEx:   blockMin{a: make([]int64, k)},
+		maxEx:   blockMin{a: make([]int64, k)},
 	}
 	if design.Has(2) {
 		m := design.Params.BlockFrequencyM
@@ -221,6 +253,7 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 		t.bf = hwfast.NewBlockFreq(m)
 		t.bfRing = make([]uint32, cfg.Window/m)
 		t.bfBlocks = float64(cfg.Window / m)
+		t.aligned = m%chunkBits == 0
 	}
 	if design.Has(4) {
 		m := design.Params.LongestRunM
@@ -242,6 +275,7 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 		t.lrClasses = make([]uint64, hi-lo+1)
 		t.lrProbs = probs
 		t.lrDF = float64(hi - lo)
+		t.aligned = t.aligned && m%chunkBits == 0
 	}
 	t.Reset()
 	return t, nil
@@ -291,15 +325,17 @@ func (t *Tracker) DetectedAt() int64 {
 // The configuration (and therefore the resolved window) is preserved.
 func (t *Tracker) Reset() {
 	t.cur, t.curBits, t.bits = 0, 0, 0
-	t.walk, t.chunkSeq = 0, 0
+	t.walk = 0
 	t.head, t.count = 0, 0
 	t.ones, t.trans = 0, 0
-	t.minDq.reset()
-	t.maxDq.reset()
+	t.minEx.reset()
+	t.maxEx.reset()
 	t.bf.Reset()
 	t.bfHead, t.bfCount, t.bfD = 0, 0, 0
+	t.bfDirty = true
 	t.lr.Reset()
 	t.lrHead, t.lrCount = 0, 0
+	t.lrDirty = true
 	for i := range t.lrClasses {
 		t.lrClasses[i] = 0
 	}
@@ -317,6 +353,23 @@ func (t *Tracker) Reset() {
 func (t *Tracker) Push(w uint64, nbits int) {
 	if nbits < 1 || nbits > 64 {
 		panic(fmt.Sprintf("online: word size %d out of range [1,64]", nbits)) //trnglint:alloc argument-validation panic, never taken at line rate
+	}
+	if nbits == chunkBits && t.curBits == 0 && t.aligned {
+		// A whole chunk that closes at most one block per engine: one Feed
+		// each, then commit, with no segment loops.
+		if t.hasBF {
+			if _, eps, closed := t.bf.Feed(w, chunkBits); closed {
+				t.pushBFBlock(uint32(eps))
+			}
+		}
+		if t.hasLR {
+			if _, class, closed := t.lr.Feed(w, chunkBits); closed {
+				t.pushLRBlock(uint8(class))
+			}
+		}
+		t.bits += chunkBits
+		t.commit(w)
+		return
 	}
 	v := w
 	if nbits < 64 {
@@ -351,17 +404,16 @@ func (t *Tracker) Push(w uint64, nbits int) {
 		t.curBits += take
 		t.bits += int64(take)
 		if t.curBits == chunkBits {
-			t.commit()
+			t.commit(t.cur)
 			t.cur, t.curBits = 0, 0
 		}
 		off += take
 	}
 }
 
-// commit folds the completed in-flight chunk into the window and, once
-// the window is full, advances the anomaly score.
-func (t *Tracker) commit() {
-	v := t.cur
+// commit folds the completed chunk v into the window and, once the
+// window is full, advances the anomaly score.
+func (t *Tracker) commit(v uint64) {
 	// Chunk walk summary: extrema over every intra-chunk prefix (chunk
 	// start included — boundary values belong to the previous chunk or to
 	// the window anchor, so keeping them as candidates is always correct).
@@ -377,43 +429,30 @@ func (t *Tracker) commit() {
 		old := &t.meta[t.head]
 		t.ones -= int64(old.ones)
 		t.trans -= int64(old.trans)
-		if t.count > 1 {
-			next := &t.meta[(t.head+1)%k]
-			if old.last != next.first {
-				t.trans--
-			}
-		}
-		t.head = (t.head + 1) % k
+		t.head = wrap(t.head+1, k)
 		t.count--
+		if t.count > 0 && old.last != t.meta[t.head].first {
+			t.trans--
+		}
 	}
 
-	// Append the new chunk.
-	idx := (t.head + t.count) % k
+	// Append the new chunk. When the ring was full it takes the evicted
+	// chunk's slot, which is read above before it is overwritten here.
+	idx := wrap(t.head+t.count, k)
+	if t.count > 0 && t.meta[wrap(idx+k-1, k)].last != byte(v&1) {
+		t.trans++
+	}
 	m := &t.meta[idx]
-	m.pre, m.cmin, m.cmax = pre, pre+mn, pre+mx
-	m.ones = uint16(bits.OnesCount64(v))
-	m.trans = uint16(bits.OnesCount64((v ^ v>>1) &^ (1 << (chunkBits - 1))))
+	m.ones = uint8(bits.OnesCount64(v))
+	m.trans = uint8(bits.OnesCount64((v ^ v>>1) &^ (1 << (chunkBits - 1))))
 	m.first = byte(v & 1)
 	m.last = byte(v >> (chunkBits - 1))
-	if t.count > 0 {
-		prev := &t.meta[(idx+k-1)%k]
-		if prev.last != m.first {
-			t.trans++
-		}
-	}
 	t.ones += int64(m.ones)
 	t.trans += int64(m.trans)
 	t.count++
 
-	seq := t.chunkSeq
-	t.chunkSeq++
-	// Expire before push: the deque then never holds more than the
-	// window's chunk count, which is exactly its ring capacity.
-	oldest := t.chunkSeq - int64(t.count)
-	t.minDq.expire(oldest)
-	t.maxDq.expire(oldest)
-	t.minDq.push(seq, m.cmin)
-	t.maxDq.push(seq, -m.cmax)
+	t.minEx.push(pre + mn)
+	t.maxEx.push(-(pre + mx))
 
 	if t.count == k {
 		t.updateScore()
@@ -426,13 +465,14 @@ func (t *Tracker) pushBFBlock(eps uint32) {
 	if t.bfCount == n {
 		d := 2*int64(t.bfRing[t.bfHead]) - int64(t.bfM)
 		t.bfD -= d * d
-		t.bfHead = (t.bfHead + 1) % n
+		t.bfHead = wrap(t.bfHead+1, n)
 		t.bfCount--
 	}
-	t.bfRing[(t.bfHead+t.bfCount)%n] = eps
+	t.bfRing[wrap(t.bfHead+t.bfCount, n)] = eps
 	d := 2*int64(eps) - int64(t.bfM)
 	t.bfD += d * d
 	t.bfCount++
+	t.bfDirty = true
 }
 
 // pushLRBlock slides the class ring and the window class counters.
@@ -440,12 +480,13 @@ func (t *Tracker) pushLRBlock(class uint8) {
 	n := len(t.lrRing)
 	if t.lrCount == n {
 		t.lrClasses[t.lrRing[t.lrHead]]--
-		t.lrHead = (t.lrHead + 1) % n
+		t.lrHead = wrap(t.lrHead+1, n)
 		t.lrCount--
 	}
-	t.lrRing[(t.lrHead+t.lrCount)%n] = class
+	t.lrRing[wrap(t.lrHead+t.lrCount, n)] = class
 	t.lrClasses[class]++
 	t.lrCount++
+	t.lrDirty = true
 }
 
 // WindowOnes returns the ones count over the current window.
@@ -468,14 +509,17 @@ func (t *Tracker) WindowWalk() (final, min, max int64) {
 	if t.count == 0 {
 		return 0, 0, 0
 	}
-	base := t.meta[t.head].pre
-	final = t.walk - base
+	// The window's walk delta is Σ(2·ones − 64) over its chunks, so the
+	// global walk value before its first bit follows from the window ones.
+	final = 2*t.ones - chunkBits*int64(t.count)
+	base := t.walk - final
+	full := t.count == len(t.meta)
 	min = 0
-	if v := t.minDq.front() - base; v < 0 {
+	if v := t.minEx.min(full) - base; v < 0 {
 		min = v
 	}
 	max = 0
-	if v := -t.maxDq.front() - base; v > 0 {
+	if v := -t.maxEx.min(full) - base; v > 0 {
 		max = v
 	}
 	return final, min, max

@@ -179,6 +179,110 @@ func TestWindowSlides(t *testing.T) {
 	checkBoundary(t, "stuck-tail", cfg, tr, st)
 }
 
+// rescanWindow recomputes the window walk, ones and runs from the
+// retained chunks by an O(window) bit-by-bit scan of the last k of them.
+func rescanWindow(hist []uint64, k int) (final, mn, mx, ones, runs int64) {
+	if len(hist) > k {
+		hist = hist[len(hist)-k:]
+	}
+	var prev uint64
+	for i, w := range hist {
+		for b := 0; b < chunkBits; b++ {
+			bit := w >> uint(b) & 1
+			final += 2*int64(bit) - 1
+			mn, mx = min(mn, final), max(mx, final)
+			ones += int64(bit)
+			if (i > 0 || b > 0) && bit != prev {
+				runs++
+			}
+			prev = bit
+		}
+	}
+	if len(hist) > 0 {
+		runs++
+	}
+	return final, mn, mx, ones, runs
+}
+
+// TestWindowExtremaBruteForce checks the block-extremum window walk, and
+// the window ones and runs, against a rescan of the retained bits at every
+// chunk commit: before the window is primed, across block rollovers
+// (every k chunks), and after a Reset in the middle of a block. The
+// source drifts between ones-heavy, zeros-heavy and uniform phases so the
+// window extrema keep entering and leaving at every block position. Each
+// word is pushed whole or split in two ragged pushes, so every commit
+// lands at the end of a Push.
+func TestWindowExtremaBruteForce(t *testing.T) {
+	light128, err := hwblock.NewConfig(128, hwblock.Light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light65536, err := hwblock.NewConfig(65536, hwblock.Light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		cfg           hwblock.Config
+		window        int
+		reset, chunks int // Reset after reset chunks, then commit chunks more
+	}{
+		{"n128-light/k1", light128, 64, 5, 40},
+		{"n128-light/k3", light128, 192, 7, 40},
+		{"n65536-light/k1024", light65536, 0, 1536 + 300, 3*1024 + 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := New(tc.cfg, Config{Window: tc.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := tr.Window() / chunkBits
+			rng := rand.New(rand.NewSource(int64(k)))
+			var hist []uint64
+			mode := 0
+			run := func(chunks int) {
+				for c := 0; c < chunks; c++ {
+					if rng.Intn(max(2, k/4)) == 0 {
+						mode = rng.Intn(3)
+					}
+					w := rng.Uint64()
+					switch mode {
+					case 1:
+						w |= rng.Uint64()
+					case 2:
+						w &= rng.Uint64()
+					}
+					if a := rng.Intn(128); a < 64 && a > 0 {
+						tr.Push(w, a)
+						tr.Push(w>>uint(a), 64-a)
+					} else {
+						tr.Push(w, 64)
+					}
+					hist = append(hist, w)
+					final, mn, mx, ones, runs := rescanWindow(hist, k)
+					gf, gmn, gmx := tr.WindowWalk()
+					if gf != final || gmn != mn || gmx != mx {
+						t.Fatalf("chunk %d: walk (%d,%d,%d), rescan (%d,%d,%d)", len(hist), gf, gmn, gmx, final, mn, mx)
+					}
+					if tr.WindowOnes() != ones || tr.WindowRuns() != runs {
+						t.Fatalf("chunk %d: ones %d runs %d, rescan %d %d", len(hist), tr.WindowOnes(), tr.WindowRuns(), ones, runs)
+					}
+					if tr.Primed() != (len(hist) >= k) {
+						t.Fatalf("chunk %d: primed %v with k=%d", len(hist), tr.Primed(), k)
+					}
+				}
+			}
+			if k > 1 && tc.reset%k == 0 {
+				t.Fatalf("reset after %d chunks is not mid-block (k=%d)", tc.reset, k)
+			}
+			run(tc.reset)
+			tr.Reset()
+			hist = hist[:0]
+			run(tc.chunks)
+		})
+	}
+}
+
 // TestTrackerResetReuse proves Reset returns the tracker to a state
 // bit-identical to a freshly built one.
 func TestTrackerResetReuse(t *testing.T) {
@@ -198,16 +302,35 @@ func TestTrackerResetReuse(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		a.Push(uint64(rng.Int63()), 64)
 	}
-	a.Reset()
 	rng2 := rand.New(rand.NewSource(13))
-	for i := 0; i < 1000; i++ {
-		w := uint64(rng2.Int63())
+	words := make([]uint64, 1000)
+	for i := range words {
+		words[i] = uint64(rng2.Int63())
+	}
+	// End the pre-Reset stream on the window the fresh stream primes on
+	// (two 61-bit words and 6 bits of a third, from a chunk boundary), so
+	// any state cached across commits would be stale but equal-valued at
+	// the first post-Reset score: Reset must clear it anyway.
+	a.Push(words[0], 61)
+	a.Push(words[1], 61)
+	a.Push(words[2], 6)
+	a.Reset()
+	for n, w := range words {
 		a.Push(w, 61)
 		b.Push(w, 61)
+		za, zb := a.ZScores(), b.ZScores()
+		for i, p := range [][2]float64{
+			{a.Score(), b.Score()}, {a.Instant(), b.Instant()},
+			{za.Freq, zb.Freq}, {za.BlockFreq, zb.BlockFreq}, {za.Runs, zb.Runs},
+			{za.LongestRun, zb.LongestRun}, {za.Cusum, zb.Cusum},
+		} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				t.Fatalf("push %d: reset tracker diverged on score %d: %v vs %v", n, i, p[0], p[1])
+			}
+		}
 	}
-	if a.Score() != b.Score() || a.Instant() != b.Instant() ||
-		a.WindowOnes() != b.WindowOnes() || a.WindowRuns() != b.WindowRuns() {
-		t.Fatalf("reset tracker diverged: score %v vs %v", a.Score(), b.Score())
+	if a.WindowOnes() != b.WindowOnes() || a.WindowRuns() != b.WindowRuns() {
+		t.Fatalf("reset tracker window counts diverged")
 	}
 	af, amn, amx := a.WindowWalk()
 	bf, bmn, bmx := b.WindowWalk()
@@ -389,5 +512,42 @@ func BenchmarkTrackerPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Push(words[i&4095], 64)
+	}
+}
+
+// BenchmarkTrackerPushFleet measures the per-word tracker cost in the
+// shape the bit-sliced fleet feeds it: 64 primed n65536-light trackers,
+// one per lane, each taking a 16-word burst in turn (lanes outside, tiles
+// inside). Beside BenchmarkTrackerPush it adds the cache traffic of
+// cycling through 64 trackers' window state. One op is one word.
+func BenchmarkTrackerPushFleet(b *testing.B) {
+	const lanes, burst = 64, 16
+	cfg, err := hwblock.NewConfig(65536, hwblock.Light)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	words := make([]uint64, 4096)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	trs := make([]*Tracker, lanes)
+	for l := range trs {
+		if trs[l], err = New(cfg, Config{}); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < cfg.N/chunkBits; i++ {
+			trs[l].Push(words[(i+l*61)&4095], 64)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += lanes * burst {
+		for l, tr := range trs {
+			off := i/lanes + l*61
+			for j := 0; j < burst; j++ {
+				tr.Push(words[(off+j)&4095], 64)
+			}
+		}
 	}
 }

@@ -15,18 +15,18 @@ var (
 
 // updateScore converts the window statistics to standard scores, folds
 // the worst into the EWMA anomaly score, and runs the latch logic. Called
-// on every chunk commit once the window is full.
+// on every chunk commit once the window is full. The block tests'
+// statistics change only when a block closes, so their scores are
+// recomputed only then; an unchanged input keeps its bit-identical score.
 func (t *Tracker) updateScore() {
-	w := float64(t.cfg.Window)
-
 	// Test 1 (frequency): ones ~ Binomial(W, ½), so 2·ones − W has mean 0
 	// and variance W.
-	t.scores.Freq = float64(2*t.ones-int64(t.cfg.Window)) / math.Sqrt(w)
+	t.scores.Freq = float64(2*t.ones-int64(t.cfg.Window)) / t.sqrtW
 
 	// Test 13 (cumulative sums): window-relative walk range against the
 	// Brownian-range null.
 	_, mn, mx := t.WindowWalk()
-	r := float64(mx-mn) / math.Sqrt(w)
+	r := float64(mx-mn) / t.sqrtW
 	t.scores.Cusum = (r - cusumMean) / cusumSD
 
 	worst := math.Abs(t.scores.Freq)
@@ -36,7 +36,7 @@ func (t *Tracker) updateScore() {
 
 	// Test 3 (runs): interior transitions ~ Binomial(W−1, ½).
 	if t.hasRuns {
-		t.scores.Runs = float64(2*t.trans-int64(t.cfg.Window-1)) / math.Sqrt(w-1)
+		t.scores.Runs = float64(2*t.trans-int64(t.cfg.Window-1)) / t.sqrtW1
 		if a := math.Abs(t.scores.Runs); a > worst {
 			worst = a
 		}
@@ -45,8 +45,11 @@ func (t *Tracker) updateScore() {
 	// Test 2 (block frequency): Σ(2ε−M)²/M ~ χ² with one degree of
 	// freedom per block; standardize by the χ² mean k and SD √(2k).
 	if t.hasBF {
-		chi := float64(t.bfD) / float64(t.bfM)
-		t.scores.BlockFreq = (chi - t.bfBlocks) / math.Sqrt(2*t.bfBlocks)
+		if t.bfDirty {
+			chi := float64(t.bfD) / float64(t.bfM)
+			t.scores.BlockFreq = (chi - t.bfBlocks) / math.Sqrt(2*t.bfBlocks)
+			t.bfDirty = false
+		}
 		if a := math.Abs(t.scores.BlockFreq); a > worst {
 			worst = a
 		}
@@ -55,14 +58,17 @@ func (t *Tracker) updateScore() {
 	// Test 4 (longest run): Pearson χ² of the window class counters
 	// against k·π, standardized by its df mean and √(2·df) SD.
 	if t.hasLR {
-		k := float64(t.lrCount)
-		chi := 0.0
-		for i, c := range t.lrClasses {
-			e := k * t.lrProbs[i]
-			d := float64(c) - e
-			chi += d * d / e
+		if t.lrDirty {
+			k := float64(t.lrCount)
+			chi := 0.0
+			for i, c := range t.lrClasses {
+				e := k * t.lrProbs[i]
+				d := float64(c) - e
+				chi += d * d / e
+			}
+			t.scores.LongestRun = (chi - t.lrDF) / math.Sqrt(2*t.lrDF)
+			t.lrDirty = false
 		}
-		t.scores.LongestRun = (chi - t.lrDF) / math.Sqrt(2*t.lrDF)
 		if a := math.Abs(t.scores.LongestRun); a > worst {
 			worst = a
 		}
