@@ -1,8 +1,9 @@
 // Package guarddemo is the golden suite for the guardedby analyzer: a
 // miniature pool/stream hierarchy exercising every rule — straight-line
 // locking, deferred unlocks over early returns, branch joins, goroutine
-// and stored-closure isolation, loop conservatism, //trnglint:holds
-// preconditions, dotted mutex paths, annotation errors, and waivers.
+// and stored-closure isolation, loop conservatism, break and fallthrough
+// out of switch and select cases, //trnglint:holds preconditions, dotted
+// mutex paths, annotation errors, and waivers.
 package guarddemo
 
 import "sync"
@@ -123,6 +124,55 @@ func (p *Pool) badLoopRelock(n int) {
 	// The walker can no longer prove mu held after a loop that released
 	// it, so the tail access is a finding too:
 	_ = p.closed // want `closed is guarded by mu`
+}
+
+func (p *Pool) badBreakOutOfSwitch(k int) {
+	p.mu.Lock()
+	switch k {
+	case 1:
+		p.mu.Unlock()
+		break
+	default:
+	}
+	p.closed = true // want `closed is guarded by mu`
+	p.mu.Unlock()
+}
+
+func (p *Pool) badBreakOutOfSelect(ch chan int) {
+	p.mu.Lock()
+	select {
+	case <-ch:
+		p.mu.Unlock()
+		break
+	default:
+	}
+	p.closed = true // want `closed is guarded by mu`
+	p.mu.Unlock()
+}
+
+func (p *Pool) badFallthrough(k int) {
+	p.mu.Lock()
+	switch k {
+	case 1:
+		p.mu.Unlock()
+		fallthrough
+	case 2:
+		p.closed = true // want `closed is guarded by mu`
+	}
+	p.mu.Unlock()
+}
+
+func (p *Pool) goodBreakStillLocked(k int) {
+	p.mu.Lock()
+	switch k {
+	case 1:
+		break
+	default:
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true // the only path here breaks with mu held
+	p.mu.Unlock()
 }
 
 // flushStaged documents its precondition: callers hold pushMu.

@@ -25,7 +25,10 @@ import (
 //     release), and locks acquired inside a loop never survive it;
 //   - switch/type-switch join the surviving case exits by intersection,
 //     plus the entry set when there is no default (the tag may match no
-//     case); select joins only case exits (one always runs);
+//     case); select joins only case exits (one always runs); a break
+//     joins its set into its target statement's exit, and a fallthrough
+//     case is entered from the join of the entry set and the previous
+//     case's exit;
 //   - a function literal spawned by go or stored for later runs with an
 //     EMPTY set (the spawner's locks are not its locks), while deferred and
 //     immediately-invoked literals inherit the current set;
@@ -129,6 +132,38 @@ type lockWalker struct {
 	held       map[types.Object]token.Pos
 	terminated bool
 	frozen     bool // body contains goto: empty set, provable=false
+
+	targets []*breakTarget             // enclosing break targets, innermost last
+	label   string                     // label of the statement about to be walked
+	fall    map[types.Object]token.Pos // set carried into the next case by fallthrough
+}
+
+// breakTarget collects the sets of the paths that break out of one
+// for/range/switch/select: they rejoin the flow right after it.
+type breakTarget struct {
+	label string
+	held  map[types.Object]token.Pos
+	live  bool
+}
+
+// pushTarget opens a break target for the construct being walked.
+func (w *lockWalker) pushTarget(label string) *breakTarget {
+	t := &breakTarget{label: label}
+	w.targets = append(w.targets, t)
+	return t
+}
+
+func (w *lockWalker) popTarget() { w.targets = w.targets[:len(w.targets)-1] }
+
+// reach joins the current path's set into t, unless the path is dead.
+func (t *breakTarget) reach(w *lockWalker) {
+	switch {
+	case w.terminated:
+	case !t.live:
+		t.held, t.live = cloneLocks(w.held), true
+	default:
+		t.held = joinLocks(t.held, w.held)
+	}
 }
 
 func (w *lockWalker) set() *LockSet { return &LockSet{held: w.held} }
@@ -283,6 +318,8 @@ func (w *lockWalker) releasedIn(n ast.Node) map[types.Object]bool {
 }
 
 func (w *lockWalker) walkStmt(s ast.Stmt) {
+	label := w.label
+	w.label = ""
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		for _, st := range s.List {
@@ -353,15 +390,24 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		w.terminated = true
 
 	case *ast.BranchStmt:
-		// break/continue/goto leave this region: the path no longer reaches
-		// the statements that follow, so it drops out of joins exactly like
-		// a return. (goto additionally froze the whole walk up front.)
+		// Every branch ends the current path: the statements that follow
+		// are not reached from here. A break rejoins the flow right after
+		// its target statement and a fallthrough enters the next case, so
+		// both hand over the set they leave with; continue and goto simply
+		// drop out of joins like a return (goto froze the walk up front).
 		if !w.visit(s, w.set(), !w.frozen) {
 			return
 		}
-		if s.Tok != token.FALLTHROUGH {
-			w.terminated = true
+		switch {
+		case w.terminated:
+		case s.Tok == token.BREAK:
+			if t := w.breakTarget(s.Label); t != nil {
+				t.reach(w)
+			}
+		case s.Tok == token.FALLTHROUGH:
+			w.fall = cloneLocks(w.held)
 		}
+		w.terminated = true
 
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -393,7 +439,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		if s.Init != nil {
 			w.walkStmt(s.Init)
 		}
-		w.loopBody(s, s.Cond, nil, func() {
+		w.loopBody(s, label, s.Cond, nil, func() {
 			w.walkStmt(s.Body)
 			if s.Post != nil {
 				w.walkStmt(s.Post)
@@ -401,7 +447,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		})
 
 	case *ast.RangeStmt:
-		w.loopBody(s, s.X, []ast.Expr{s.Key, s.Value}, func() {
+		w.loopBody(s, label, s.X, []ast.Expr{s.Key, s.Value}, func() {
 			w.walkStmt(s.Body)
 		})
 
@@ -414,7 +460,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		} else {
 			w.visitTree(s)
 		}
-		w.walkCases(s.Body, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
+		w.walkCases(s.Body, label, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
 			cc := c.(*ast.CaseClause)
 			w.visitTree(cc, cc.List...)
 			return cc.Body
@@ -425,7 +471,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 			w.walkStmt(s.Init)
 		}
 		w.walkStmt(s.Assign)
-		w.walkCases(s.Body, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
+		w.walkCases(s.Body, label, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
 			cc := c.(*ast.CaseClause)
 			w.visitTree(cc)
 			return cc.Body
@@ -439,7 +485,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 			w.terminated = true
 			return
 		}
-		w.walkCases(s.Body, true, func(c ast.Stmt) []ast.Stmt {
+		w.walkCases(s.Body, label, true, func(c ast.Stmt) []ast.Stmt {
 			cc := c.(*ast.CommClause)
 			w.visitTree(cc)
 			if cc.Comm != nil {
@@ -449,49 +495,69 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		})
 
 	case *ast.LabeledStmt:
+		w.label = s.Label.Name
 		w.walkStmt(s.Stmt)
 	}
+}
+
+// breakTarget resolves the statement a break leaves: the innermost
+// enclosing for/range/switch/select, or the one carrying label.
+func (w *lockWalker) breakTarget(label *ast.Ident) *breakTarget {
+	for i := len(w.targets) - 1; i >= 0; i-- {
+		if label == nil || w.targets[i].label == label.Name {
+			return w.targets[i]
+		}
+	}
+	return nil
 }
 
 // loopBody walks one loop: entered and left with the entry set minus every
 // mutex the body may release, so no iteration (including the zeroth and
 // the post-release tail of a later one) is credited with a lock it might
-// not hold.
-func (w *lockWalker) loopBody(loop ast.Node, header ast.Expr, extra []ast.Expr, body func()) {
+// not hold. A break out of the loop needs no join: it leaves with the entry
+// set minus those releases plus whatever the body acquired, which contains
+// the exit set already.
+func (w *lockWalker) loopBody(loop ast.Node, label string, header ast.Expr, extra []ast.Expr, body func()) {
 	for obj := range w.releasedIn(loop) {
 		w.release(obj)
 	}
 	entry := cloneLocks(w.held)
 	entryTerm := w.terminated
+	w.pushTarget(label)
 	exprs := append([]ast.Expr{header}, extra...)
 	w.visitTree(loop, exprs...)
 	body()
+	w.popTarget()
 	w.held, w.terminated = entry, entryTerm
 }
 
-// walkCases walks each clause from the pre-switch set and joins the
-// surviving exits; mayFallThrough ("no default") adds the entry set to the
-// join because the construct may run no clause at all.
-func (w *lockWalker) walkCases(body *ast.BlockStmt, exhaustive bool, clause func(ast.Stmt) []ast.Stmt) {
+// walkCases walks each clause from the pre-switch set (joined with the
+// set a fallthrough carries in) and joins the surviving exits and breaks;
+// a non-exhaustive construct ("no default") adds the entry set to the join
+// because it may run no clause at all.
+func (w *lockWalker) walkCases(body *ast.BlockStmt, label string, exhaustive bool, clause func(ast.Stmt) []ast.Stmt) {
 	base := cloneLocks(w.held)
 	baseTerm := w.terminated
+	exit := w.pushTarget(label)
 	var joined map[types.Object]token.Pos
 	allTerm := true
 	for _, c := range body.List {
 		w.held, w.terminated = cloneLocks(base), baseTerm
 		stmts := clause(c)
+		if w.fall != nil {
+			// Entered by fallthrough as well as by matching.
+			w.held, w.fall = joinLocks(w.held, w.fall), nil
+		}
 		for _, st := range stmts {
 			w.walkStmt(st)
 		}
-		if !w.terminated {
+		exit.reach(w)
+		if exit.live {
 			allTerm = false
-			if joined == nil {
-				joined = cloneLocks(w.held)
-			} else {
-				joined = joinLocks(joined, w.held)
-			}
+			joined = exit.held
 		}
 	}
+	w.popTarget()
 	if !exhaustive {
 		allTerm = false
 		if joined == nil {

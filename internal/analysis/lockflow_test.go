@@ -299,6 +299,81 @@ func TestLockWalkSwitchTerminatingCases(t *testing.T) {
 	checkProbes(t, got, []string{"mu"})
 }
 
+func TestLockWalkBreakOutOfSwitchJoinsExit(t *testing.T) {
+	got := lockProbe(t, `
+	t.mu.Lock()
+	switch k {
+	case 1:
+		t.mu.Unlock()
+		break
+	default:
+	}
+	sink() // the break lands here with mu released
+	t.rw.Lock()
+	switch {
+	case cond:
+		if cond2 {
+			break
+		}
+		t.rw.Unlock()
+		return
+	default:
+	}
+	sink() // the early break still holds rw
+`)
+	checkProbes(t, got, []string{"", "rw"})
+}
+
+func TestLockWalkBreakOutOfSelectJoinsExit(t *testing.T) {
+	got := lockProbe(t, `
+	t.mu.Lock()
+	select {
+	case <-ch:
+		t.mu.Unlock()
+		break
+	default:
+	}
+	sink() // the break lands here with mu released
+`)
+	checkProbes(t, got, []string{""})
+}
+
+func TestLockWalkFallthroughEntersNextCase(t *testing.T) {
+	got := lockProbe(t, `
+	t.mu.Lock()
+	switch k {
+	case 1:
+		t.mu.Unlock()
+		fallthrough
+	case 2:
+		sink() // entered unlocked through the fallthrough
+	default:
+		t.mu.Unlock()
+		return
+	}
+	sink() // so the exit of case 2 does not hold mu either
+`)
+	checkProbes(t, got, []string{"", ""})
+}
+
+func TestLockWalkLabeledBreakTargetsOuterSwitch(t *testing.T) {
+	got := lockProbe(t, `
+	t.mu.Lock()
+outer:
+	switch {
+	case cond:
+		for range items {
+			t.mu.Unlock()
+			break outer
+		}
+		t.mu.Lock()
+	default:
+	}
+	sink() // the labeled break skips the relock after the loop
+`)
+	checkProbes(t, got, []string{""})
+}
+
 func TestLockWalkBreakLeavesLoopJoin(t *testing.T) {
 	got := lockProbe(t, `
 	for i := 0; i < k; i++ {
