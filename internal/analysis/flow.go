@@ -4,112 +4,112 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// This file is the statement half of the flow-sensitive dataflow engine:
-// a source-order walk over one function body that maintains per-variable
-// value intervals (interval.go is the expression half) and hands every
-// expression node to a visitor together with the environment current at
-// that point. Precision policy, chosen so a refinement is NEVER narrower
-// than the true value set:
+// This file is the interval analysis's half of the flow-sensitive walker
+// (walk.go): the state is a value interval per refined local variable, and
+// interval.go evaluates expressions under it. Precision policy, chosen so a
+// refinement is NEVER narrower than the true value set:
 //
 //   - straight-line assignments, compound assignments, ++/-- and var
 //     declarations refine;
-//   - if/else forks the environment and joins both exits;
+//   - a join keeps a refinement only if every path into it has one, and
+//     then the union of the intervals;
 //   - loops (for/range) invalidate everything assigned anywhere in the
 //     loop before the body is walked, and leave it invalidated after;
-//   - switch/type-switch/select likewise invalidate everything assigned
-//     in any case up front (a mid-case break could otherwise exit with a
-//     state the per-case walk no longer remembers), then walk each case
-//     on its own copy;
+//   - function literals are walked as independent bodies with fresh
+//     environments;
 //   - variables captured and assigned by a closure, or address-taken, are
 //     never refined (the mutation site is invisible to straight-line
 //     flow); a function containing goto is walked with refinement
 //     disabled entirely;
 //   - package-level variables are never refined (any call may write
 //     them).
-type flowWalker struct {
-	pkg   *types.Package
-	info  *types.Info
-	visit FlowVisitor
-
-	env      map[types.Object]Interval
-	noRefine map[types.Object]bool
-	frozen   bool // body contains goto: no refinement at all
-}
 
 // FlowVisitor receives every statement and expression node of the walked
 // body in source order. stack holds the ancestry within the current
-// statement (statement first, n last); ev evaluates expressions under the
-// environment at the statement's entry. Returning false prunes the
-// subtree below n.
+// statement (statement first, n last) and is only valid during the call;
+// ev evaluates expressions under the environment at the statement's entry.
+// Returning false prunes the subtree below n.
 type FlowVisitor func(n ast.Node, stack []ast.Node, ev *Evaluator) bool
 
 // FlowWalk walks one function body with flow-sensitive intervals.
 // Function literals encountered inside are walked as independent bodies
 // with fresh environments.
 func FlowWalk(pkg *types.Package, info *types.Info, body *ast.BlockStmt, visit FlowVisitor) {
-	w := &flowWalker{
-		pkg:      pkg,
-		info:     info,
-		visit:    visit,
-		env:      make(map[types.Object]Interval),
-		noRefine: make(map[types.Object]bool),
-	}
-	w.prescan(body)
-	w.walkStmt(body)
+	walk(info, body, newIntervals(pkg, info, body), func(n ast.Node, stack []ast.Node, st intervals) bool {
+		return visit(n, stack, &Evaluator{info: info, env: st.env})
+	})
 }
 
-// prescan blacklists variables whose value can change behind the
+// intervals is the interval analysis's flow state.
+type intervals struct {
+	env map[types.Object]Interval
+	*refinable
+}
+
+// refinable is what one body's walk may refine, fixed up front.
+type refinable struct {
+	pkg      *types.Package
+	info     *types.Info
+	noRefine map[types.Object]bool
+	frozen   bool // body contains goto: no refinement at all
+}
+
+// newIntervals starts a body's walk with an empty environment, having
+// blacklisted the variables whose value can change behind the
 // straight-line walk's back.
-func (w *flowWalker) prescan(body *ast.BlockStmt) {
+func newIntervals(pkg *types.Package, info *types.Info, body *ast.BlockStmt) intervals {
+	r := &refinable{pkg: pkg, info: info, noRefine: make(map[types.Object]bool), frozen: containsGoto(body)}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.BranchStmt:
-			if n.Tok == token.GOTO {
-				w.frozen = true
-			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-					if obj := w.info.ObjectOf(id); obj != nil {
-						w.noRefine[obj] = true
-					}
-				}
+				r.distrust(n.X)
 			}
 		case *ast.SelectorExpr:
 			// A pointer-receiver method call or method value takes the
 			// receiver's address implicitly: m.widen() can mutate m
 			// exactly like (&m).widen() would, so the receiver is as
 			// untrustworthy as an explicitly address-taken variable.
-			if sel, ok := w.info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+			if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal {
 				recv := sel.Obj().Type().(*types.Signature).Recv()
 				_, ptrRecv := recv.Type().Underlying().(*types.Pointer)
 				if ptrRecv || sel.Indirect() {
-					if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-						if obj := w.info.ObjectOf(id); obj != nil {
-							w.noRefine[obj] = true
-						}
-					}
+					r.distrust(n.X)
 				}
 			}
 		case *ast.FuncLit:
-			for obj := range w.assignedIn(n) {
-				w.noRefine[obj] = true
+			for obj := range r.assignedIn(n) {
+				r.noRefine[obj] = true
 			}
 		}
 		return true
 	})
+	return intervals{env: make(map[types.Object]Interval), refinable: r}
+}
+
+func (r *refinable) distrust(e ast.Expr) {
+	if obj := r.object(e); obj != nil {
+		r.noRefine[obj] = true
+	}
+}
+
+// object resolves a simple identifier (an assignment target).
+func (r *refinable) object(e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return r.info.ObjectOf(id)
+	}
+	return nil
 }
 
 // assignedIn collects every object assigned (in any form) within n.
-func (w *flowWalker) assignedIn(n ast.Node) map[types.Object]bool {
+func (r *refinable) assignedIn(n ast.Node) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	record := func(e ast.Expr) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if obj := w.info.ObjectOf(id); obj != nil {
-				out[obj] = true
-			}
+		if obj := r.object(e); obj != nil {
+			out[obj] = true
 		}
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -137,178 +137,63 @@ func (w *flowWalker) assignedIn(n ast.Node) map[types.Object]bool {
 	return out
 }
 
-func (w *flowWalker) evaluator() *Evaluator {
-	return &Evaluator{info: w.info, env: w.env}
+func (st intervals) clone() intervals {
+	return intervals{env: maps.Clone(st.env), refinable: st.refinable}
+}
+
+func (st intervals) join(o intervals) intervals {
+	return intervals{env: joinFacts(st.env, o.env, Interval.Join), refinable: st.refinable}
+}
+
+func (st intervals) havoc(loop ast.Stmt) {
+	for obj := range st.assignedIn(loop) {
+		delete(st.env, obj)
+	}
+}
+
+func (st intervals) enter(lit *ast.FuncLit, _ litMode) intervals {
+	return newIntervals(st.pkg, st.info, lit.Body)
 }
 
 // set records a refinement for obj, provided obj is a local variable the
 // walk can trust.
-func (w *flowWalker) set(obj types.Object, iv Interval) {
-	if obj == nil || w.frozen || w.noRefine[obj] {
+func (st intervals) set(obj types.Object, iv Interval) {
+	if obj == nil || st.frozen || st.noRefine[obj] {
 		return
 	}
 	v, ok := obj.(*types.Var)
 	if !ok || v.Name() == "_" {
 		return
 	}
-	if w.pkg != nil && obj.Parent() == w.pkg.Scope() {
+	if st.pkg != nil && obj.Parent() == st.pkg.Scope() {
 		return // package-level: any call may rewrite it
 	}
 	if typeInterval(obj.Type()).contains(iv) && iv.contains(typeInterval(obj.Type())) {
-		delete(w.env, obj) // no information beyond the type
+		delete(st.env, obj) // no information beyond the type
 		return
 	}
-	w.env[obj] = iv
+	st.env[obj] = iv
 }
 
-func (w *flowWalker) clear(obj types.Object) {
+func (st intervals) clear(obj types.Object) {
 	if obj != nil {
-		delete(w.env, obj)
+		delete(st.env, obj)
 	}
 }
 
-func (w *flowWalker) invalidate(assigned map[types.Object]bool) {
-	for obj := range assigned {
-		delete(w.env, obj)
-	}
-}
-
-func cloneEnv(env map[types.Object]Interval) map[types.Object]Interval {
-	out := make(map[types.Object]Interval, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-// joinEnv keeps only refinements present on both paths, joined. A
-// variable refined on one path but not the other is typeRange there, so
-// the join is typeRange: dropped.
-func joinEnv(a, b map[types.Object]Interval) map[types.Object]Interval {
-	out := make(map[types.Object]Interval)
-	for obj, iva := range a {
-		if ivb, ok := b[obj]; ok {
-			out[obj] = iva.Join(ivb)
-		}
-	}
-	return out
-}
-
-// lhsObject resolves a simple identifier assignment target.
-func (w *flowWalker) lhsObject(e ast.Expr) types.Object {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return w.info.ObjectOf(id)
-	}
-	return nil
-}
-
-// visitTree delivers parent and the expression trees under it to the
-// visitor, with the environment as it stands NOW (before the statement's
-// own effects).
-func (w *flowWalker) visitTree(parent ast.Node, exprs ...ast.Expr) {
-	stack := []ast.Node{parent}
-	if !w.visit(parent, stack, w.evaluator()) {
-		return
-	}
-	for _, e := range exprs {
-		if e != nil {
-			w.walkExpr(e, stack)
-		}
-	}
-}
-
-// walkExpr visits e and its subexpressions. Function literals start an
-// independent flow walk of their own body.
-func (w *flowWalker) walkExpr(e ast.Expr, stack []ast.Node) {
-	if lit, ok := e.(*ast.FuncLit); ok {
-		FlowWalk(w.pkg, w.info, lit.Body, w.visit)
-		return
-	}
-	stack = append(stack, e)
-	if !w.visit(e, stack, w.evaluator()) {
-		return
-	}
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		w.walkExpr(e.X, stack)
-	case *ast.UnaryExpr:
-		w.walkExpr(e.X, stack)
-	case *ast.StarExpr:
-		w.walkExpr(e.X, stack)
-	case *ast.BinaryExpr:
-		w.walkExpr(e.X, stack)
-		w.walkExpr(e.Y, stack)
-	case *ast.CallExpr:
-		w.walkExpr(e.Fun, stack)
-		for _, a := range e.Args {
-			w.walkExpr(a, stack)
-		}
-	case *ast.IndexExpr:
-		w.walkExpr(e.X, stack)
-		w.walkExpr(e.Index, stack)
-	case *ast.IndexListExpr:
-		w.walkExpr(e.X, stack)
-		for _, ix := range e.Indices {
-			w.walkExpr(ix, stack)
-		}
-	case *ast.SliceExpr:
-		w.walkExpr(e.X, stack)
-		for _, ix := range []ast.Expr{e.Low, e.High, e.Max} {
-			if ix != nil {
-				w.walkExpr(ix, stack)
-			}
-		}
-	case *ast.SelectorExpr:
-		w.walkExpr(e.X, stack)
-	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, stack)
-	case *ast.KeyValueExpr:
-		w.walkExpr(e.Key, stack)
-		w.walkExpr(e.Value, stack)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.walkExpr(el, stack)
-		}
-	}
-}
-
-func (w *flowWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			w.walkStmt(st)
-		}
-
-	case *ast.ExprStmt:
-		w.visitTree(s, s.X)
-
-	case *ast.SendStmt:
-		w.visitTree(s, s.Chan, s.Value)
-
-	case *ast.GoStmt:
-		w.visitTree(s, s.Call)
-
-	case *ast.DeferStmt:
-		w.visitTree(s, s.Call)
-
-	case *ast.ReturnStmt:
-		w.visitTree(s, s.Results...)
-
+func (st intervals) transfer(n ast.Node) {
+	ev := Evaluator{info: st.info, env: st.env}
+	switch s := n.(type) {
 	case *ast.IncDecStmt:
-		w.visitTree(s, s.X)
-		if obj := w.lhsObject(s.X); obj != nil {
+		if obj := st.object(s.X); obj != nil {
 			op := token.ADD
 			if s.Tok == token.DEC {
 				op = token.SUB
 			}
-			ev := w.evaluator()
-			w.set(obj, ev.evalBinary(op, ev.Eval(s.X), Interval{1, 1}, obj.Type()))
+			st.set(obj, ev.evalBinary(op, ev.Eval(s.X), Interval{1, 1}, obj.Type()))
 		}
 
 	case *ast.AssignStmt:
-		exprs := append(append([]ast.Expr{}, s.Rhs...), s.Lhs...)
-		w.visitTree(s, exprs...)
-		ev := w.evaluator()
 		switch s.Tok {
 		case token.ASSIGN, token.DEFINE:
 			if len(s.Lhs) == len(s.Rhs) {
@@ -319,164 +204,50 @@ func (w *flowWalker) walkStmt(s ast.Stmt) {
 					vals[i] = ev.Eval(r)
 				}
 				for i, lhs := range s.Lhs {
-					if obj := w.lhsObject(lhs); obj != nil {
-						w.set(obj, fitToType(vals[i], obj.Type()))
+					if obj := st.object(lhs); obj != nil {
+						st.set(obj, fitToType(vals[i], obj.Type()))
 					}
 				}
 			} else {
 				for _, lhs := range s.Lhs {
-					w.clear(w.lhsObject(lhs))
+					st.clear(st.object(lhs))
 				}
 			}
 		default: // op=
 			if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-				if obj := w.lhsObject(s.Lhs[0]); obj != nil {
+				if obj := st.object(s.Lhs[0]); obj != nil {
 					op := compoundOp(s.Tok)
 					if op == token.ILLEGAL {
-						w.clear(obj)
+						st.clear(obj)
 					} else {
-						w.set(obj, ev.evalBinary(op, ev.Eval(s.Lhs[0]), ev.Eval(s.Rhs[0]), obj.Type()))
+						st.set(obj, ev.evalBinary(op, ev.Eval(s.Lhs[0]), ev.Eval(s.Rhs[0]), obj.Type()))
 					}
 				}
 			}
 		}
 
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
+	case *ast.ValueSpec:
+		switch {
+		case len(s.Values) == len(s.Names):
+			for i, name := range s.Names {
+				if obj := st.info.ObjectOf(name); obj != nil {
+					st.set(obj, fitToType(ev.Eval(s.Values[i]), obj.Type()))
+				}
 			}
-			w.visitTree(s, vs.Values...)
-			ev := w.evaluator()
-			switch {
-			case len(vs.Values) == len(vs.Names):
-				for i, name := range vs.Names {
-					if obj := w.info.ObjectOf(name); obj != nil {
-						w.set(obj, fitToType(ev.Eval(vs.Values[i]), obj.Type()))
+		case len(s.Values) == 0:
+			// Declared without initializer: the zero value.
+			for _, name := range s.Names {
+				if obj := st.info.ObjectOf(name); obj != nil {
+					if typeInterval(obj.Type()).contains(Interval{0, 0}) {
+						st.set(obj, Interval{0, 0})
 					}
 				}
-			case len(vs.Values) == 0:
-				// Declared without initializer: the zero value.
-				for _, name := range vs.Names {
-					if obj := w.info.ObjectOf(name); obj != nil {
-						if typeInterval(obj.Type()).contains(Interval{0, 0}) {
-							w.set(obj, Interval{0, 0})
-						}
-					}
-				}
-			default:
-				for _, name := range vs.Names {
-					w.clear(w.info.ObjectOf(name))
-				}
+			}
+		default:
+			for _, name := range s.Names {
+				st.clear(st.info.ObjectOf(name))
 			}
 		}
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.visitTree(s, s.Cond)
-		base := w.env
-		w.env = cloneEnv(base)
-		w.walkStmt(s.Body)
-		thenOut := w.env
-		w.env = cloneEnv(base)
-		if s.Else != nil {
-			w.walkStmt(s.Else)
-		}
-		w.env = joinEnv(thenOut, w.env)
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		// Everything assigned anywhere in the loop is unknown on entry to
-		// any iteration — and stays unknown after the loop, whose body may
-		// have run zero or many times.
-		w.invalidate(w.assignedIn(s))
-		base := cloneEnv(w.env)
-		if s.Cond != nil {
-			w.visitTree(s, s.Cond)
-		}
-		w.walkStmt(s.Body)
-		if s.Post != nil {
-			w.walkStmt(s.Post)
-		}
-		w.env = base
-
-	case *ast.RangeStmt:
-		w.visitTree(s, s.X, s.Key, s.Value)
-		w.invalidate(w.assignedIn(s))
-		base := cloneEnv(w.env)
-		w.walkStmt(s.Body)
-		w.env = base
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.visitTree(s, s.Tag)
-		}
-		w.invalidate(w.assignedIn(s.Body))
-		base := w.env
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			w.env = cloneEnv(base)
-			w.visitTree(cc, cc.List...)
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-		}
-		w.env = base
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkStmt(s.Assign)
-		w.invalidate(w.assignedIn(s.Body))
-		base := w.env
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			w.env = cloneEnv(base)
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-		}
-		w.env = base
-
-	case *ast.SelectStmt:
-		w.invalidate(w.assignedIn(s.Body))
-		base := w.env
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			w.env = cloneEnv(base)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm)
-			}
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-		}
-		w.env = base
-
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
 	}
 }
 

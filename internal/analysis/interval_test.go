@@ -250,6 +250,80 @@ func TestFlowBranchesAndLoops(t *testing.T) {
 	}
 }
 
+// checkIntervals compares sinkIntervals output against want.
+func checkIntervals(t *testing.T, got, want []Interval) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d sinks, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sink %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestFlowReturningBranchDropsFromJoin(t *testing.T) {
+	got := sinkIntervals(t, `
+	m := 0xFF
+	if cond {
+		m = 0xFFF
+		return
+	}
+	sink(int64(m)) // the returning branch doesn't reach here
+
+	n := 1
+	if cond {
+		n = 2
+	} else {
+		n = 300
+		panic("no")
+	}
+	sink(int64(n)) // nor does the panicking one
+`)
+	checkIntervals(t, got, []Interval{{0xFF, 0xFF}, {2, 2}})
+}
+
+func TestFlowBreakOutOfSwitchJoinsExit(t *testing.T) {
+	got := sinkIntervals(t, `
+	r := 3
+	switch k {
+	case 0:
+		sink(int64(r)) // no case assigns before this: still the entry value
+		r = 100
+		break
+	case 1:
+		r = 7
+		if cond {
+			break
+		}
+		return
+	default:
+		r = 4
+	}
+	sink(int64(r)) // both breaks carry their value out
+`)
+	checkIntervals(t, got, []Interval{{3, 3}, {4, 100}})
+}
+
+func TestFlowFallthroughEntersNextCase(t *testing.T) {
+	got := sinkIntervals(t, `
+	f := 1
+	switch k {
+	case 0:
+		f = 50
+		fallthrough
+	case 1:
+		sink(int64(f)) // matched (1) or fallen into (50)
+		f++
+	default:
+		f = 2
+	}
+	sink(int64(f)) // case 0 leaves only through case 1
+`)
+	checkIntervals(t, got, []Interval{{1, 50}, {2, 51}})
+}
+
 func TestFlowInvalidation(t *testing.T) {
 	got := sinkIntervals(t, `
 	x := 5

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -103,486 +104,80 @@ type LockVisitor func(n ast.Node, held *LockSet, provable bool) bool
 // set. assumed seeds the set (the //trnglint:holds precondition); its
 // members carry token.NoPos.
 func LockWalk(info *types.Info, body *ast.BlockStmt, assumed []types.Object, visit LockVisitor) {
-	w := &lockWalker{
-		info:  info,
-		visit: visit,
-		held:  make(map[types.Object]token.Pos),
-	}
+	st := lockState{info: info, held: make(map[types.Object]token.Pos), frozen: containsGoto(body)}
 	for _, obj := range assumed {
-		if obj != nil {
-			w.held[obj] = token.NoPos
+		if obj != nil && !st.frozen {
+			st.held[obj] = token.NoPos
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
-			w.frozen = true
-		}
-		return true
+	walk(info, body, st, func(n ast.Node, _ []ast.Node, st lockState) bool {
+		return visit(n, &LockSet{held: st.held}, !st.frozen)
 	})
-	if w.frozen {
-		w.held = make(map[types.Object]token.Pos)
-	}
-	w.walkStmt(body)
 }
 
-type lockWalker struct {
-	info  *types.Info
-	visit LockVisitor
-
-	held       map[types.Object]token.Pos
-	terminated bool
-	frozen     bool // body contains goto: empty set, provable=false
-
-	targets []*breakTarget             // enclosing break targets, innermost last
-	label   string                     // label of the statement about to be walked
-	fall    map[types.Object]token.Pos // set carried into the next case by fallthrough
+// lockState is the lock analysis's flow state: each held mutex with the
+// position of its acquisition.
+type lockState struct {
+	held   map[types.Object]token.Pos
+	info   *types.Info
+	frozen bool // body contains goto: empty set, provable=false
 }
 
-// breakTarget collects the sets of the paths that break out of one
-// for/range/switch/select: they rejoin the flow right after it.
-type breakTarget struct {
-	label string
-	held  map[types.Object]token.Pos
-	live  bool
+func (st lockState) clone() lockState {
+	st.held = maps.Clone(st.held)
+	return st
 }
 
-// pushTarget opens a break target for the construct being walked.
-func (w *lockWalker) pushTarget(label string) *breakTarget {
-	t := &breakTarget{label: label}
-	w.targets = append(w.targets, t)
-	return t
+// join keeps the mutexes held on both paths, at this path's acquisition.
+func (st lockState) join(o lockState) lockState {
+	st.held = joinFacts(st.held, o.held, func(p, _ token.Pos) token.Pos { return p })
+	return st
 }
 
-func (w *lockWalker) popTarget() { w.targets = w.targets[:len(w.targets)-1] }
-
-// reach joins the current path's set into t, unless the path is dead.
-func (t *breakTarget) reach(w *lockWalker) {
-	switch {
-	case w.terminated:
-	case !t.live:
-		t.held, t.live = cloneLocks(w.held), true
-	default:
-		t.held = joinLocks(t.held, w.held)
-	}
-}
-
-func (w *lockWalker) set() *LockSet { return &LockSet{held: w.held} }
-
-func (w *lockWalker) acquire(obj types.Object, pos token.Pos) {
-	if obj != nil && !w.frozen {
-		w.held[obj] = pos
-	}
-}
-
-func (w *lockWalker) release(obj types.Object) {
-	if obj != nil {
-		delete(w.held, obj)
-	}
-}
-
-func cloneLocks(m map[types.Object]token.Pos) map[types.Object]token.Pos {
-	out := make(map[types.Object]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// joinLocks keeps only mutexes held on both paths.
-func joinLocks(a, b map[types.Object]token.Pos) map[types.Object]token.Pos {
-	out := make(map[types.Object]token.Pos)
-	for obj, pos := range a {
-		if _, ok := b[obj]; ok {
-			out[obj] = pos
-		}
-	}
-	return out
-}
-
-// visitTree delivers parent and the expression trees under it to the
-// visitor with the set as it stands NOW (before the statement's own lock
-// effects are applied).
-func (w *lockWalker) visitTree(parent ast.Node, exprs ...ast.Expr) {
-	if !w.visit(parent, w.set(), !w.frozen) {
+func (st lockState) transfer(n ast.Node) {
+	s, ok := n.(*ast.ExprStmt)
+	if !ok || st.frozen {
 		return
 	}
-	for _, e := range exprs {
-		if e != nil {
-			w.walkExpr(e, exprLater)
-		}
-	}
-}
-
-// How a function literal encountered in expression position will run,
-// which decides the lock set its body is walked with.
-type litMode int
-
-const (
-	exprLater litMode = iota // stored/passed: runs at an unknown time — empty set
-	exprNow                  // immediately invoked or deferred: inherits the current set
-	exprGo                   // spawned: a different goroutine — empty set
-)
-
-// walkExpr visits e and its subexpressions. Function literals are walked
-// as independent bodies whose entry set depends on how they run.
-func (w *lockWalker) walkExpr(e ast.Expr, mode litMode) {
-	if lit, ok := e.(*ast.FuncLit); ok {
-		inner := &lockWalker{info: w.info, visit: w.visit, frozen: w.frozen,
-			held: make(map[types.Object]token.Pos)}
-		if mode == exprNow {
-			inner.held = cloneLocks(w.held)
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
-				inner.frozen = true
-			}
-			return true
-		})
-		if inner.frozen {
-			inner.held = make(map[types.Object]token.Pos)
-		}
-		if !w.visit(lit, w.set(), !w.frozen) {
-			return
-		}
-		inner.walkStmt(lit.Body)
-		return
-	}
-	if !w.visit(e, w.set(), !w.frozen) {
-		return
-	}
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		w.walkExpr(e.X, mode)
-	case *ast.UnaryExpr:
-		w.walkExpr(e.X, exprLater)
-	case *ast.StarExpr:
-		w.walkExpr(e.X, exprLater)
-	case *ast.BinaryExpr:
-		w.walkExpr(e.X, exprLater)
-		w.walkExpr(e.Y, exprLater)
-	case *ast.CallExpr:
-		// An immediately-invoked literal runs here and now, with the
-		// caller's locks.
-		w.walkExpr(e.Fun, exprNow)
-		for _, a := range e.Args {
-			w.walkExpr(a, exprLater)
-		}
-	case *ast.IndexExpr:
-		w.walkExpr(e.X, exprLater)
-		w.walkExpr(e.Index, exprLater)
-	case *ast.IndexListExpr:
-		w.walkExpr(e.X, exprLater)
-		for _, ix := range e.Indices {
-			w.walkExpr(ix, exprLater)
-		}
-	case *ast.SliceExpr:
-		w.walkExpr(e.X, exprLater)
-		for _, ix := range []ast.Expr{e.Low, e.High, e.Max} {
-			if ix != nil {
-				w.walkExpr(ix, exprLater)
+	if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+		if obj, acquire, ok := LockOpOf(st.info, call); ok {
+			if acquire {
+				st.held[obj] = call.Pos()
+			} else {
+				delete(st.held, obj)
 			}
 		}
-	case *ast.SelectorExpr:
-		w.walkExpr(e.X, exprLater)
-	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, exprLater)
-	case *ast.KeyValueExpr:
-		w.walkExpr(e.Key, exprLater)
-		w.walkExpr(e.Value, exprLater)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.walkExpr(el, exprLater)
-		}
 	}
 }
 
-// releasedIn collects every mutex released by a non-deferred Unlock
-// anywhere in n, excluding nested function literals (their releases happen
-// on their own activation, not the enclosing loop's iterations).
-func (w *lockWalker) releasedIn(n ast.Node) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	ast.Inspect(n, func(n ast.Node) bool {
+// havoc releases every mutex a non-deferred Unlock anywhere in the loop
+// may release, so no iteration (including the zeroth and the post-release
+// tail of a later one) is credited with a lock it might not hold. Nested
+// function literals are skipped: their releases happen on their own
+// activation, not the loop's iterations.
+func (st lockState) havoc(loop ast.Stmt) {
+	ast.Inspect(loop, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
+		case *ast.FuncLit, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			if obj, acquire, ok := LockOpOf(w.info, n); ok && !acquire {
-				out[obj] = true
+			if obj, acquire, ok := LockOpOf(st.info, n); ok && !acquire {
+				delete(st.held, obj)
 			}
 		}
 		return true
 	})
-	return out
 }
 
-func (w *lockWalker) walkStmt(s ast.Stmt) {
-	label := w.label
-	w.label = ""
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			w.walkStmt(st)
-		}
-
-	case *ast.ExprStmt:
-		w.visitTree(s, s.X)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if obj, acquire, ok := LockOpOf(w.info, call); ok {
-				if acquire {
-					w.acquire(obj, call.Pos())
-				} else {
-					w.release(obj)
-				}
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isBuiltin := w.info.ObjectOf(id).(*types.Builtin); isBuiltin {
-					w.terminated = true
-				}
-			}
-		}
-
-	case *ast.DeferStmt:
-		// A deferred literal runs at return time; on the paths that matter
-		// to a deferred unlock the locks of this point are still held, so
-		// it inherits the current set. A deferred Unlock itself is NOT a
-		// release here — that is precisely what keeps the lock held through
-		// early returns.
-		if !w.visit(s, w.set(), !w.frozen) {
-			return
-		}
-		w.walkExpr(s.Call.Fun, exprNow)
-		for _, a := range s.Call.Args {
-			w.walkExpr(a, exprLater)
-		}
-
-	case *ast.GoStmt:
-		if !w.visit(s, w.set(), !w.frozen) {
-			return
-		}
-		w.walkExpr(s.Call.Fun, exprGo)
-		for _, a := range s.Call.Args {
-			w.walkExpr(a, exprLater)
-		}
-
-	case *ast.SendStmt:
-		w.visitTree(s, s.Chan, s.Value)
-
-	case *ast.IncDecStmt:
-		w.visitTree(s, s.X)
-
-	case *ast.AssignStmt:
-		exprs := append(append([]ast.Expr{}, s.Rhs...), s.Lhs...)
-		w.visitTree(s, exprs...)
-
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.visitTree(s, vs.Values...)
-				}
-			}
-		}
-
-	case *ast.ReturnStmt:
-		w.visitTree(s, s.Results...)
-		w.terminated = true
-
-	case *ast.BranchStmt:
-		// Every branch ends the current path: the statements that follow
-		// are not reached from here. A break rejoins the flow right after
-		// its target statement and a fallthrough enters the next case, so
-		// both hand over the set they leave with; continue and goto simply
-		// drop out of joins like a return (goto froze the walk up front).
-		if !w.visit(s, w.set(), !w.frozen) {
-			return
-		}
-		switch {
-		case w.terminated:
-		case s.Tok == token.BREAK:
-			if t := w.breakTarget(s.Label); t != nil {
-				t.reach(w)
-			}
-		case s.Tok == token.FALLTHROUGH:
-			w.fall = cloneLocks(w.held)
-		}
-		w.terminated = true
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.visitTree(s, s.Cond)
-		base := w.held
-		baseTerm := w.terminated
-		w.held = cloneLocks(base)
-		w.walkStmt(s.Body)
-		thenHeld, thenTerm := w.held, w.terminated
-		w.held, w.terminated = cloneLocks(base), baseTerm
-		if s.Else != nil {
-			w.walkStmt(s.Else)
-		}
-		elseHeld, elseTerm := w.held, w.terminated
-		switch {
-		case thenTerm && elseTerm:
-			w.held, w.terminated = elseHeld, true
-		case thenTerm:
-			w.held, w.terminated = elseHeld, baseTerm
-		case elseTerm:
-			w.held, w.terminated = thenHeld, baseTerm
-		default:
-			w.held, w.terminated = joinLocks(thenHeld, elseHeld), baseTerm
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.loopBody(s, label, s.Cond, nil, func() {
-			w.walkStmt(s.Body)
-			if s.Post != nil {
-				w.walkStmt(s.Post)
-			}
-		})
-
-	case *ast.RangeStmt:
-		w.loopBody(s, label, s.X, []ast.Expr{s.Key, s.Value}, func() {
-			w.walkStmt(s.Body)
-		})
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.visitTree(s, s.Tag)
-		} else {
-			w.visitTree(s)
-		}
-		w.walkCases(s.Body, label, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
-			cc := c.(*ast.CaseClause)
-			w.visitTree(cc, cc.List...)
-			return cc.Body
-		})
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkStmt(s.Assign)
-		w.walkCases(s.Body, label, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
-			cc := c.(*ast.CaseClause)
-			w.visitTree(cc)
-			return cc.Body
-		})
-
-	case *ast.SelectStmt:
-		// A select always runs exactly one of its cases (an empty select
-		// blocks forever), so the join covers only case exits.
-		w.visitTree(s)
-		if len(s.Body.List) == 0 {
-			w.terminated = true
-			return
-		}
-		w.walkCases(s.Body, label, true, func(c ast.Stmt) []ast.Stmt {
-			cc := c.(*ast.CommClause)
-			w.visitTree(cc)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm)
-			}
-			return cc.Body
-		})
-
-	case *ast.LabeledStmt:
-		w.label = s.Label.Name
-		w.walkStmt(s.Stmt)
+// enter starts a literal run here and now (immediate call, defer) with the
+// current set; a stored or spawned one runs at another time or on another
+// goroutine, and starts empty.
+func (st lockState) enter(lit *ast.FuncLit, mode litMode) lockState {
+	inner := lockState{info: st.info, held: make(map[types.Object]token.Pos), frozen: st.frozen || containsGoto(lit.Body)}
+	if mode == exprNow && !inner.frozen {
+		inner.held = maps.Clone(st.held)
 	}
-}
-
-// breakTarget resolves the statement a break leaves: the innermost
-// enclosing for/range/switch/select, or the one carrying label.
-func (w *lockWalker) breakTarget(label *ast.Ident) *breakTarget {
-	for i := len(w.targets) - 1; i >= 0; i-- {
-		if label == nil || w.targets[i].label == label.Name {
-			return w.targets[i]
-		}
-	}
-	return nil
-}
-
-// loopBody walks one loop: entered and left with the entry set minus every
-// mutex the body may release, so no iteration (including the zeroth and
-// the post-release tail of a later one) is credited with a lock it might
-// not hold. A break out of the loop needs no join: it leaves with the entry
-// set minus those releases plus whatever the body acquired, which contains
-// the exit set already.
-func (w *lockWalker) loopBody(loop ast.Node, label string, header ast.Expr, extra []ast.Expr, body func()) {
-	for obj := range w.releasedIn(loop) {
-		w.release(obj)
-	}
-	entry := cloneLocks(w.held)
-	entryTerm := w.terminated
-	w.pushTarget(label)
-	exprs := append([]ast.Expr{header}, extra...)
-	w.visitTree(loop, exprs...)
-	body()
-	w.popTarget()
-	w.held, w.terminated = entry, entryTerm
-}
-
-// walkCases walks each clause from the pre-switch set (joined with the
-// set a fallthrough carries in) and joins the surviving exits and breaks;
-// a non-exhaustive construct ("no default") adds the entry set to the join
-// because it may run no clause at all.
-func (w *lockWalker) walkCases(body *ast.BlockStmt, label string, exhaustive bool, clause func(ast.Stmt) []ast.Stmt) {
-	base := cloneLocks(w.held)
-	baseTerm := w.terminated
-	exit := w.pushTarget(label)
-	var joined map[types.Object]token.Pos
-	allTerm := true
-	for _, c := range body.List {
-		w.held, w.terminated = cloneLocks(base), baseTerm
-		stmts := clause(c)
-		if w.fall != nil {
-			// Entered by fallthrough as well as by matching.
-			w.held, w.fall = joinLocks(w.held, w.fall), nil
-		}
-		for _, st := range stmts {
-			w.walkStmt(st)
-		}
-		exit.reach(w)
-		if exit.live {
-			allTerm = false
-			joined = exit.held
-		}
-	}
-	w.popTarget()
-	if !exhaustive {
-		allTerm = false
-		if joined == nil {
-			joined = cloneLocks(base)
-		} else {
-			joined = joinLocks(joined, base)
-		}
-	}
-	switch {
-	case len(body.List) == 0 && exhaustive:
-		w.held, w.terminated = base, baseTerm
-	case allTerm:
-		w.held, w.terminated = make(map[types.Object]token.Pos), true
-	default:
-		w.held, w.terminated = joined, baseTerm
-	}
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
+	return inner
 }
 
 // ---- lock identity ----

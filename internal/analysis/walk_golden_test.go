@@ -24,7 +24,7 @@ var walkDump = flag.String("walkdump", "", "write TestWalkGolden's records to th
 // nodes or carries another state to them: re-record only after checking
 // the record-level difference (-walkdump before and after) is intended.
 const (
-	flowWalkGolden = "67ce748c3042746c922818a72179960324b33f4efddfd6068f5a241443a05321"
+	flowWalkGolden = "966db95fdeb609ac3540b6a40c5ed05e1570e69d8c26f1d869f26848b5b4c672"
 	lockWalkGolden = "2e94e8442bdcb70fdb248e3cdd3acd162c33fa7391bf59ef828a376dcd30029d"
 )
 
