@@ -54,9 +54,9 @@ type Pool struct {
 // shard workers.
 func New(cfg Config) (*Pool, error) { return newPool(cfg, true) }
 
-// newPool is New with the shard workers optionally not started — the
-// Replayer runs streams synchronously on the caller's goroutine and must
-// not race a worker for them.
+// newPool is New with the shard workers optionally not started —
+// ReplaySerial runs its stream synchronously on the caller's goroutine
+// and must not race a worker for it.
 func newPool(cfg Config, start bool) (*Pool, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {

@@ -39,82 +39,46 @@ func (op Op) Apply(s *Stream) error {
 	}
 }
 
-// Replayer runs one stream's operations synchronously on the caller's
+// ReplaySerial runs one stream's op list synchronously on the caller's
 // goroutine, through the exact same shard-side code path a pooled stream
 // runs — same ingest, same fault handling, same breaker, same report. It
 // is the serial reference the chaos suite compares fleet output against:
 // if the fleet sheds nothing, stream verdicts must be byte-identical to
-// the replay.
-type Replayer struct {
-	s *Stream
-}
-
-// NewReplayer builds a single-stream serial pool. The configuration's
-// shard/queue fields are ignored (there are no workers and no queues);
-// policy, verification, breaker and report settings apply exactly as in a
-// live pool.
-func NewReplayer(cfg Config, tenant string) (*Replayer, error) {
+// the replay. The configuration's shard/queue fields are ignored (there
+// are no workers and no queues); policy, verification, breaker and report
+// settings apply exactly as in a live pool.
+func ReplaySerial(cfg Config, tenant string, ops []Op) (StreamReport, error) {
 	cfg.Shards = 1
 	p, err := newPool(cfg, false)
 	if err != nil {
-		return nil, err
+		return StreamReport{}, err
 	}
 	s, err := p.Register(tenant)
-	if err != nil {
-		return nil, err
-	}
-	return &Replayer{s: s}, nil
-}
-
-// Word ingests one batch synchronously.
-func (r *Replayer) Word(w uint64, nbits int) error {
-	if nbits < 1 || nbits > 64 {
-		return fmt.Errorf("fleet: word size %d out of range [1,64]", nbits)
-	}
-	r.s.offered.Add(1)
-	r.s.ingestWord(w, nbits)
-	return nil
-}
-
-// Fault applies one fault event synchronously.
-func (r *Replayer) Fault(err error) {
-	if err == nil {
-		return
-	}
-	r.s.applyFault(err)
-}
-
-// Finish flushes the stream and returns its report. Idempotent.
-func (r *Replayer) Finish() StreamReport {
-	if r.s.mon != nil {
-		r.s.detached.Store(true)
-		r.s.finalize()
-	}
-	return r.s.final
-}
-
-// ReplaySerial runs a full op list through a fresh Replayer — the serial
-// single-stream reference run for one tenant.
-func ReplaySerial(cfg Config, tenant string, ops []Op) (StreamReport, error) {
-	r, err := NewReplayer(cfg, tenant)
 	if err != nil {
 		return StreamReport{}, err
 	}
 	for _, op := range ops {
 		switch op.Kind {
 		case OpFault:
-			r.Fault(op.Err)
+			if op.Err != nil {
+				s.applyFault(op.Err)
+			}
 		case OpRun:
 			for _, w := range op.Ws {
-				if err := r.Word(w, 64); err != nil {
-					return StreamReport{}, err
-				}
+				s.offered.Add(1)
+				s.ingestWord(w, 64)
 			}
 		default:
-			if err := r.Word(op.W, op.N); err != nil {
-				return StreamReport{}, err
+			if op.N < 1 || op.N > 64 {
+				return StreamReport{}, fmt.Errorf("fleet: word size %d out of range [1,64]", op.N)
 			}
+			s.offered.Add(1)
+			s.ingestWord(op.W, op.N)
 		}
 	}
-	return r.Finish(), nil
+	if s.mon != nil {
+		s.detached.Store(true)
+		s.finalize()
+	}
+	return s.final, nil
 }

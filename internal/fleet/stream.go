@@ -650,7 +650,7 @@ func (s *Stream) event(kind core.EventKind, detail string) {
 
 // finalize flushes the stream's results into its final report, recycles
 // the monitor, unlinks the stream and publishes the report by closing
-// done. Runs on the shard goroutine (or the Replayer's caller).
+// done. Runs on the shard goroutine (or ReplaySerial's caller).
 func (s *Stream) finalize() {
 	r := StreamReport{
 		Tenant:            s.tenant,
