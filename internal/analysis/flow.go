@@ -28,10 +28,12 @@ import (
 //     them).
 
 // FlowVisitor receives every statement and expression node of the walked
-// body in source order. stack holds the ancestry within the current
-// statement (statement first, n last) and is only valid during the call;
-// ev evaluates expressions under the environment at the statement's entry.
-// Returning false prunes the subtree below n.
+// body in source order, except the call of a go or defer statement, which
+// runs elsewhere (its function and arguments are visited). stack holds
+// the ancestry within the current statement (statement first, n last) and
+// is only valid during the call; ev evaluates expressions under the
+// environment at the statement's entry. Returning false prunes the
+// subtree below n.
 type FlowVisitor func(n ast.Node, stack []ast.Node, ev *Evaluator) bool
 
 // FlowWalk walks one function body with flow-sensitive intervals.

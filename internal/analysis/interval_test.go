@@ -191,14 +191,7 @@ func TestFlowStraightLine(t *testing.T) {
 	want := []Interval{
 		{10, 10}, {30, 30}, {32, 32}, {33, 33}, {0, 0}, {1, 65536}, {0, 255},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d sinks, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sink %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
+	checkIntervals(t, got, want)
 }
 
 func TestFlowBranchesAndLoops(t *testing.T) {
@@ -240,14 +233,7 @@ func TestFlowBranchesAndLoops(t *testing.T) {
 	want := []Interval{
 		{0xFF, 0xFFF}, {-4, 2}, intRange, {9, 9}, intRange,
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d sinks, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sink %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
+	checkIntervals(t, got, want)
 }
 
 // checkIntervals compares sinkIntervals output against want.
@@ -342,14 +328,7 @@ func TestFlowInvalidation(t *testing.T) {
 `)
 	intRange := typeInterval(types.Typ[types.Int])
 	want := []Interval{intRange, intRange, intRange}
-	if len(got) != len(want) {
-		t.Fatalf("got %d sinks, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sink %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
+	checkIntervals(t, got, want)
 }
 
 func TestFlowPointerReceiverInvalidates(t *testing.T) {
@@ -373,14 +352,7 @@ func TestFlowPointerReceiverInvalidates(t *testing.T) {
 `)
 	intRange := typeInterval(types.Typ[types.Int])
 	want := []Interval{intRange, intRange, {255, 255}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d sinks, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sink %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
+	checkIntervals(t, got, want)
 }
 
 func TestEvaluatorFloatExpressionsUnrefined(t *testing.T) {

@@ -8,28 +8,18 @@ import (
 	"sort"
 )
 
-// This file is the lock half of the flow-sensitive engine: where flow.go
-// tracks per-variable value intervals, the lock walker tracks the set of
-// mutexes provably held at each program point. The two walkers share the
-// same precision philosophy — a fact is recorded only when it is true on
-// EVERY path reaching the point:
+// This file is the lock-set analysis's half of the flow-sensitive walker
+// (walk.go): the state is the set of mutexes provably held at each program
+// point, and the walker's joins keep a mutex only if every path into the
+// join holds it. What is particular to locks:
 //
 //   - x.mu.Lock() / RLock() adds the mutex to the set; Unlock() / RUnlock()
 //     removes it; defer x.mu.Unlock() keeps it held through every return
-//     (including early ones);
-//   - if/else forks the set and joins both exits by intersection; a branch
-//     that provably terminates (return, panic, break/continue, Fatal-style
-//     call) drops out of the join, which is what makes the
-//     lock/check/unlock-and-return idiom prove clean;
+//     (including early ones), so the lock/check/unlock-and-return idiom
+//     proves clean;
 //   - loops are entered and left with the entry set minus every mutex
 //     released anywhere in the body (a later iteration may begin after that
 //     release), and locks acquired inside a loop never survive it;
-//   - switch/type-switch join the surviving case exits by intersection,
-//     plus the entry set when there is no default (the tag may match no
-//     case); select joins only case exits (one always runs); a break
-//     joins its set into its target statement's exit, and a fallthrough
-//     case is entered from the join of the entry set and the previous
-//     case's exit;
 //   - a function literal spawned by go or stored for later runs with an
 //     EMPTY set (the spawner's locks are not its locks), while deferred and
 //     immediately-invoked literals inherit the current set;
@@ -93,7 +83,9 @@ func (s *LockSet) AcquiredAt(obj types.Object) token.Pos {
 }
 
 // LockVisitor receives every node of the walked body in source order with
-// the lock set current at that point. The set it sees at a Lock() call is
+// the lock set current at that point, except the call of a go or defer
+// statement, which runs elsewhere (its function and arguments are
+// visited). The set it sees at a Lock() call is
 // the PRE-acquire set (what lockorder needs for graph edges). provable is
 // false when the enclosing function contains goto — the set is then always
 // empty and analyzers should not report on it. Returning false prunes the

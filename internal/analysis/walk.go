@@ -253,21 +253,20 @@ func (w *walker[S]) stmt(s ast.Stmt) {
 			}
 		}
 
-	case *ast.GoStmt, *ast.DeferStmt:
-		// The call itself runs later: a spawned literal on another
-		// goroutine, a deferred one at return with (on the paths that
-		// matter) the state of this point. Only its function and
-		// arguments are evaluated here, so the CallExpr is not visited;
-		// and a deferred Unlock is not a release, which is what keeps a
-		// lock held through early returns.
-		stack := w.root(s)
-		if stack == nil {
-			return
+	// The call of a go or defer statement runs later: a spawned literal on
+	// another goroutine, a deferred one at return with (on the paths that
+	// matter) the state of this point. Only its function and arguments are
+	// evaluated here, so the CallExpr is not visited; and a deferred Unlock
+	// is not a release, which is what keeps a lock held through early
+	// returns.
+	case *ast.GoStmt:
+		if stack := w.root(s); stack != nil {
+			w.call(s.Call, stack, exprGo)
 		}
-		if g, ok := s.(*ast.GoStmt); ok {
-			w.call(g.Call, stack, exprGo)
-		} else {
-			w.call(s.(*ast.DeferStmt).Call, stack, exprNow)
+
+	case *ast.DeferStmt:
+		if stack := w.root(s); stack != nil {
+			w.call(s.Call, stack, exprNow)
 		}
 
 	case *ast.ReturnStmt:
