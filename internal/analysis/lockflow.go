@@ -85,11 +85,10 @@ func (s *LockSet) AcquiredAt(obj types.Object) token.Pos {
 // LockVisitor receives every node of the walked body in source order with
 // the lock set current at that point, except the call of a go or defer
 // statement, which runs elsewhere (its function and arguments are
-// visited). The set it sees at a Lock() call is
-// the PRE-acquire set (what lockorder needs for graph edges). provable is
-// false when the enclosing function contains goto — the set is then always
-// empty and analyzers should not report on it. Returning false prunes the
-// subtree below n.
+// visited). The set it sees at a Lock() call is the PRE-acquire set (what
+// lockorder needs for graph edges). provable is false when the enclosing
+// function contains goto — the set is then always empty and analyzers
+// should not report on it. Returning false prunes the subtree below n.
 type LockVisitor func(n ast.Node, held *LockSet, provable bool) bool
 
 // LockWalk walks one function body maintaining the flow-sensitive lock
