@@ -4,7 +4,7 @@
 // slot counter, per-stream accounting) are correct only because every
 // access goes through sync/atomic — one plain load of a flag that is
 // atomically stored elsewhere is exactly the unsynchronized fast-path
-// read that made the PR 6 detach race. Three rules:
+// read behind the fleet's original detach race. Two rules:
 //
 //  1. A field of an atomic.* type (atomic.Bool, atomic.Int64, ...) may
 //     only be accessed by calling its methods or taking its address;
@@ -18,12 +18,14 @@
 //     add-atomically-then-read-after-join worker-counter idiom is
 //     correct and common.
 //
-//  3. A struct (transitively) containing atomic fields must not be
-//     copied: dereference copies, value assignments from an existing
-//     variable, by-value parameters, and by-value call arguments are
-//     findings. Checking the argument rather than the parameter type is
-//     what sees copies that enter through interface{} parameters, where
-//     vet -copylocks goes blind.
+// Copies of structs that contain atomics are go vet -copylocks's finding,
+// not this package's: vet sees dereference copies, assignments, by-value
+// parameters and receivers, returns, range variables and by-value call
+// arguments, including arguments boxed into interface{} parameters. vet
+// keys on the noCopy marker, which atomic.Value lacks, so a copy of a
+// struct whose only atomic is an atomic.Value goes unreported; the module
+// uses no atomic.Value. vet also overlaps rule 1's field copies, but not
+// its overwrite (s.flag = atomic.Bool{}) or rule 2.
 //
 // Intentional exceptions are waived in place with
 // //trnglint:allow atomicmix <reason>.
@@ -37,12 +39,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer flags plain access to atomic locations and copies of
-// atomic-bearing structs.
+// Analyzer flags plain access to atomic locations.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicmix",
 	Doc: "flag plain loads/stores of fields accessed via sync/atomic (or of " +
-		"atomic.* type) and copies of structs containing atomics",
+		"atomic.* type)",
 	Run: run,
 }
 
@@ -50,28 +51,8 @@ func run(pass *analysis.Pass) (any, error) {
 	mixed := collectAtomicFields(pass)
 	for _, f := range pass.Files {
 		analysis.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				checkFieldAccess(pass, mixed, n, stack)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkCopy(pass, rhs)
-				}
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					checkCopy(pass, v)
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					checkCopy(pass, arg)
-				}
-			case *ast.FuncDecl:
-				checkParams(pass, n.Recv)
-				checkParams(pass, n.Type.Params)
-			case *ast.ReturnStmt:
-				for _, r := range n.Results {
-					checkCopy(pass, r)
-				}
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				checkFieldAccess(pass, mixed, sel, stack)
 			}
 			return true
 		})
@@ -157,50 +138,6 @@ func checkFieldAccess(pass *analysis.Pass, mixed map[types.Object]bool, sel *ast
 		field.Name())
 }
 
-// checkCopy applies rule 3 to one value-context expression: an
-// identifier, field selection, dereference, or index of an atomic-bearing
-// struct type in copy position. Fresh values (composite literals, call
-// results) and pointers are fine.
-func checkCopy(pass *analysis.Pass, e ast.Expr) {
-	switch un := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.StarExpr, *ast.IndexExpr:
-	case *ast.SelectorExpr:
-		// A copy of an atomic-typed FIELD is rule 1's finding; don't
-		// report the same expression twice.
-		if analysis.FieldObjectOf(pass.TypesInfo, un) != nil && isAtomicType(pass.TypeOf(e)) {
-			return
-		}
-	default:
-		return
-	}
-	t := pass.TypeOf(e)
-	if t == nil || !structContainsAtomic(t, nil) {
-		return
-	}
-	pass.Reportf(e.Pos(),
-		"copy of %s, which contains atomic fields: the copy severs them from their publishers — "+
-			"pass a pointer, or waive with //trnglint:allow atomicmix <reason>",
-		typeShortName(t))
-}
-
-// checkParams flags by-value parameters and receivers of atomic-bearing
-// struct types: every call would copy the atomics.
-func checkParams(pass *analysis.Pass, fields *ast.FieldList) {
-	if fields == nil {
-		return
-	}
-	for _, f := range fields.List {
-		t := pass.TypeOf(f.Type)
-		if t == nil || !structContainsAtomic(t, nil) {
-			continue
-		}
-		pass.Reportf(f.Type.Pos(),
-			"by-value parameter of %s, which contains atomic fields: every call copies them — "+
-				"take a pointer, or waive with //trnglint:allow atomicmix <reason>",
-			typeShortName(t))
-	}
-}
-
 // isAtomicType reports whether t is one of the sync/atomic value types
 // (Bool, Int32, Int64, Uint32, Uint64, Uintptr, Pointer[T], Value).
 func isAtomicType(t types.Type) bool {
@@ -210,33 +147,6 @@ func isAtomicType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// structContainsAtomic reports whether t is an atomic.* type or a struct
-// (or array of structs) transitively holding one. Pointers, slices, and
-// maps stop the walk: copying a pointer to atomics is fine.
-func structContainsAtomic(t types.Type, seen map[types.Type]bool) bool {
-	if isAtomicType(t) {
-		return true
-	}
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if structContainsAtomic(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return structContainsAtomic(u.Elem(), seen)
-	}
-	return false
 }
 
 func typeShortName(t types.Type) string {

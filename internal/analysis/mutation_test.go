@@ -1,7 +1,9 @@
 package analysis_test
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -160,21 +162,72 @@ func (s *S) read() int64 { return atomic.LoadInt64(&s.hits) }
 		"accessed via sync/atomic elsewhere in this package")
 }
 
+// vetCopylocks writes src as the single file of a scratch module and
+// returns what go vet -copylocks reports on it: atomicmix leaves copies of
+// atomic-bearing structs to vet, so vet is the analyzer these mutations
+// must trip.
+func vetCopylocks(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module mut\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "mut.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "-copylocks", ".")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("go vet did not run: %v\n%s", err, out)
+	}
+	return string(out)
+}
+
+// TestMutationAtomicStructCopied plants one copy of an atomic-bearing
+// struct per shape and demands go vet -copylocks report it. The
+// interface-boxed argument is the shape a parameter-type check cannot
+// see; vet checks the argument.
 func TestMutationAtomicStructCopied(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool not in PATH")
+	}
 	const clean = `package mut
 
 import "sync/atomic"
 
 type S struct{ flag atomic.Bool }
 
+type wrapper struct{ inner S }
+
+func sink(v any) { _ = v }
+
 func snapshot(s *S) bool { return s.flag.Load() }
 `
-	assertClean(t, runAnalyzer(t, atomicmix.Analyzer, "mut", clean))
-	mutant := mustReplace(t, clean,
-		"func snapshot(s *S) bool { return s.flag.Load() }",
-		"func snapshot(s *S) bool { c := *s; return c.flag.Load() }")
-	assertKilled(t, runAnalyzer(t, atomicmix.Analyzer, "mut", mutant),
-		"contains atomic fields")
+	if out := vetCopylocks(t, clean); out != "" {
+		t.Fatalf("clean baseline has findings:\n%s", out)
+	}
+	const site = "func snapshot(s *S) bool { return s.flag.Load() }"
+	for _, m := range []struct{ name, mutant, want string }{
+		{"deref copy", "func snapshot(s *S) bool { c := *s; return c.flag.Load() }",
+			"assignment copies lock value to c"},
+		{"by-value param", "func snapshot(s S) bool { return s.flag.Load() }",
+			"snapshot passes lock by value"},
+		{"assignment copy", "func snapshot(s *S) bool { var a S; b := a; return b.flag.Load() }",
+			"assignment copies lock value to b"},
+		{"nested-struct return", site + "\n\nfunc unwrap(w *wrapper) wrapper { return *w }",
+			"return copies lock value: mut.wrapper contains mut.S"},
+		{"interface-boxed argument", "func snapshot(s *S) bool { sink(*s); return s.flag.Load() }",
+			"call of sink copies lock value"},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			out := vetCopylocks(t, mustReplace(t, clean, site, m.mutant))
+			if !strings.Contains(out, m.want) {
+				t.Errorf("mutation survived: go vet -copylocks output lacks %q:\n%s", m.want, out)
+			}
+		})
+	}
 }
 
 func TestMutationLockOrderInverted(t *testing.T) {
