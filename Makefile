@@ -35,21 +35,23 @@ test:
 	go -C bench vet ./...
 	go -C bench test -short ./...
 
-# lint is the static gate: formatting, go vet, the repository's own
-# trnglint analyzers (16-bit bus masking, determinism, error-contract and
-# monitor-reset invariants, the conclint concurrency family — guardedby,
-# atomicmix, lockorder, gorolife — and the perflint hot-path family —
-# noalloc, hotcall, nodefer over the //trnglint:hotpath closure; see
-# internal/analysis), designlint (the design-space checker: counter
-# widths, register-map integrity, resource sharing and accounting over all
-# eight variants — see internal/analysis/designlint), and escapecheck
-# (the compiler cross-check: go build -gcflags=-m=2 escape diagnostics
-# correlated against the hot closure, so a heap escape the syntactic
-# analyzers cannot see still fails the gate). The linters are built once
-# into a cached bin dir so repeated `make lint` runs pay one link, not one
-# per invocation, and trnglint runs with -time so per-analyzer wall time
-# shows up in the log — a slow analyzer is a regression too. govulncheck
-# runs when installed; the offline dev container does not ship it.
+# lint is the static gate: formatting, go vet (whose copylocks check is
+# also the rule against copying a struct that holds atomics), the
+# repository's own trnglint analyzers (16-bit bus masking, determinism,
+# error-contract and monitor-reset invariants, the conclint concurrency
+# family — guardedby, atomicmix, lockorder, gorolife — and the perflint
+# hot-path family — noalloc, hotcall, nodefer over the //trnglint:hotpath
+# closure; see internal/analysis), and escapecheck (the compiler
+# cross-check: go build -gcflags=-m=2 escape diagnostics correlated
+# against the hot closure, so a heap escape the syntactic analyzers
+# cannot see still fails the gate). The design-space checker
+# (internal/analysis/designlint) has no step here: its
+# TestShippedDesignsClean runs in `make test`, as in CI's check job. The
+# linters are built once into a cached bin dir so repeated `make lint`
+# runs pay one link, not one per invocation, and trnglint runs with -time
+# so per-analyzer wall time shows up in the log — a slow analyzer is a
+# regression too. govulncheck runs when installed; the offline dev
+# container does not ship it.
 LINTBIN := .cache/lintbin
 
 lint: vet
@@ -57,10 +59,8 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@mkdir -p $(LINTBIN)
 	go build -o $(LINTBIN)/trnglint ./cmd/trnglint
-	go build -o $(LINTBIN)/designlint ./cmd/designlint
 	go build -o $(LINTBIN)/escapecheck ./cmd/escapecheck
 	./$(LINTBIN)/trnglint -time ./...
-	./$(LINTBIN)/designlint
 	./$(LINTBIN)/escapecheck ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \

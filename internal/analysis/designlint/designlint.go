@@ -55,7 +55,7 @@ func (f Finding) String() string {
 
 // Rule is one verification pass over a design model.
 type Rule struct {
-	// Name identifies the rule (for -only selection).
+	// Name identifies the rule in findings.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -67,16 +67,6 @@ type Rule struct {
 // Rules returns all rules in execution order.
 func Rules() []*Rule {
 	return []*Rule{ruleCounterWidth, ruleRegMap, ruleSharing, ruleResources, ruleReset}
-}
-
-// RuleByName resolves a rule name, for -only selection.
-func RuleByName(name string) (*Rule, error) {
-	for _, r := range Rules() {
-		if r.Name == name {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("designlint: unknown rule %q", name)
 }
 
 // Check runs the given rules (all of them when none are given) over one
@@ -98,16 +88,16 @@ func Check(d *design.Design, rules ...*Rule) []Finding {
 	return out
 }
 
-// CheckShipped extracts and checks the paper's eight shipped design
-// points.
-func CheckShipped(rules ...*Rule) ([]Finding, error) {
+// CheckShipped extracts the paper's eight shipped design points and runs
+// every rule over each.
+func CheckShipped() ([]Finding, error) {
 	designs, err := design.All()
 	if err != nil {
 		return nil, err
 	}
 	var out []Finding
 	for _, d := range designs {
-		out = append(out, Check(d, rules...)...)
+		out = append(out, Check(d)...)
 	}
 	return out, nil
 }
