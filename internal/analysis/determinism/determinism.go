@@ -70,7 +70,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -151,18 +151,4 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	b, ok := pass.ObjectOf(id).(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// calleeFunc resolves the called function object, if it is a plain
-// function or method (not a builtin or a function-typed variable).
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

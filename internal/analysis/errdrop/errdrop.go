@@ -102,7 +102,7 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 // contractCall classifies the callee; the returned display name is empty
 // when the call is outside the enforced contract.
 func contractCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	fn := calleeFunc(pass, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return ""
 	}
@@ -178,16 +178,4 @@ func pkgBase(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

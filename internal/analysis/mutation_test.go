@@ -486,10 +486,11 @@ func (s *S) bump() {
 }
 
 // TestMutationFleetStagingAllocation replays a perflint regression against
-// the real module: a heap allocation planted into the lock-free staging
-// fast path of Stream.Push — the exact code the FleetBitSliced 0 allocs/op
-// benchmark gate measures — must be re-flagged by noalloc in a scratch
-// copy of the repository.
+// the real module: a heap allocation planted into Stream.stage, the
+// lock-free staging routine behind both Push and PushWords on bit-sliced
+// pools — the exact code the FleetBitSliced 0 allocs/op benchmark gate
+// measures — must be re-flagged by noalloc in a scratch copy of the
+// repository.
 func TestMutationFleetStagingAllocation(t *testing.T) {
 	root := copyModule(t)
 	streamGo := filepath.Join(root, "internal", "fleet", "stream.go")
@@ -498,8 +499,8 @@ func TestMutationFleetStagingAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutant := mustReplace(t, string(data),
-		"\t\ts.stg.words[idx][n] = w\n",
-		"\t\tstaged := make([]uint64, 1)\n\t\tstaged[0] = w\n\t\ts.stg.words[idx][n] = staged[0]\n")
+		"\t\tcopy(s.stg.words[idx][n:n+k], ws)\n",
+		"\t\tstaged := make([]uint64, k)\n\t\tcopy(staged, ws)\n\t\tcopy(s.stg.words[idx][n:n+k], staged)\n")
 	if err := os.WriteFile(streamGo, []byte(mutant), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -525,5 +526,5 @@ func TestMutationFleetStagingAllocation(t *testing.T) {
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)
 	}
-	assertKilled(t, msgs, "hot path Stream.Push: make allocates")
+	assertKilled(t, msgs, "hot path Stream.stage: make allocates")
 }

@@ -113,9 +113,11 @@ func BenchmarkFleetSteadyState(b *testing.B) {
 // staged batches (PushWords, the batched producer API: one atomic publish
 // per staging fill instead of one per word) into the transposed
 // lane-group engines. One op is one 64-bit batch, like the serial
-// benchmark. The acceptance gate is ≥4x the serial fleet's ns/op at zero
-// allocs/op; the staging credit protocol keeps the producer and shard
-// sides pipelined.
+// benchmark. It measures ≥4x faster than the serial fleet's ns/op (about
+// 5.5x in BENCH_latest.json); that ratio is a measured figure, not a
+// gate. make bench-diff gates this row on its own: ns/op against the
+// archive, and 0 allocs/op. The staging credit protocol keeps the
+// producer and shard sides pipelined.
 func BenchmarkFleetBitSliced(b *testing.B) {
 	cfg := Config{
 		Design:     design65536(b),

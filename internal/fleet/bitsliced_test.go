@@ -294,65 +294,85 @@ func TestBitSlicedPushZeroAllocMidSequence(t *testing.T) {
 	p.Shutdown()
 }
 
-// TestPushWordsDetachRace drives the batched producer API into concurrent
-// Detach calls: the multi-slot publish and the detach flush race, and the
-// resolution contract is that every word of a nil-returning PushWords was
+// TestPushWordsDetachRace drives both producer APIs into concurrent
+// Detach calls: the staging publish and the detach flush race, and the
+// resolution contract is that every word of a nil-returning push was
 // drained and accounted, while an ErrDetached call delivers at most a
 // prefix — so a report can never show fewer offered batches than its
 // producer believes were delivered, and the accounting identity holds
-// through every interleaving.
+// through every interleaving. PushWords publishes multi-slot runs across
+// stage boundaries; single-word Push publishes one ragged batch (1–64
+// bits) per call.
 func TestPushWordsDetachRace(t *testing.T) {
-	cfg := Config{
-		Design:     design128(t),
-		Alpha:      0.01,
-		Shards:     2,
-		QueueDepth: 4,
-		Policy:     Block,
-		BitSliced:  true,
-	}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 200
-	if testing.Short() {
-		rounds = 40
-	}
-	for i := 0; i < rounds; i++ {
-		s, err := p.Register(fmt.Sprintf("race-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var believed atomic.Int64
-		done := make(chan struct{})
-		go func(seed int64) {
-			defer close(done)
-			rng := rand.New(rand.NewSource(seed))
-			run := make([]uint64, 3*stageBatches)
-			for {
-				n := 1 + rng.Intn(len(run))
-				for j := 0; j < n; j++ {
-					run[j] = rng.Uint64()
-				}
-				if s.PushWords(run[:n]) != nil {
-					return
-				}
-				believed.Add(int64(n))
+	producers := []struct {
+		name string
+		// push offers one randomly sized run and returns how many batches
+		// it carried.
+		push func(s *Stream, rng *rand.Rand, run []uint64) (int, error)
+	}{
+		{"PushWords", func(s *Stream, rng *rand.Rand, run []uint64) (int, error) {
+			n := 1 + rng.Intn(len(run))
+			for j := 0; j < n; j++ {
+				run[j] = rng.Uint64()
 			}
-		}(int64(9_000_000 + i))
-		if i%8 != 0 {
-			time.Sleep(time.Duration(i%5) * 10 * time.Microsecond)
-		}
-		rep := s.Detach()
-		<-done
-		if rep.OfferedBatches < believed.Load() {
-			t.Fatalf("round %d: offered %d < %d words the producer believes delivered",
-				i, rep.OfferedBatches, believed.Load())
-		}
-		if rep.OfferedBatches != rep.AcceptedBatches+rep.DiscardedBatches {
-			t.Fatalf("round %d: offered %d != accepted %d + discarded %d",
-				i, rep.OfferedBatches, rep.AcceptedBatches, rep.DiscardedBatches)
-		}
+			return n, s.PushWords(run[:n])
+		}},
+		{"Push", func(s *Stream, rng *rand.Rand, _ []uint64) (int, error) {
+			return 1, s.Push(rng.Uint64(), 1+rng.Intn(64))
+		}},
 	}
-	p.Shutdown()
+	for _, prod := range producers {
+		t.Run(prod.name, func(t *testing.T) {
+			cfg := Config{
+				Design:     design128(t),
+				Alpha:      0.01,
+				Shards:     2,
+				QueueDepth: 4,
+				Policy:     Block,
+				BitSliced:  true,
+			}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 200
+			if testing.Short() {
+				rounds = 40
+			}
+			for i := 0; i < rounds; i++ {
+				s, err := p.Register(fmt.Sprintf("race-%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var believed atomic.Int64
+				done := make(chan struct{})
+				go func(seed int64) {
+					defer close(done)
+					rng := rand.New(rand.NewSource(seed))
+					run := make([]uint64, 3*stageBatches)
+					for {
+						n, err := prod.push(s, rng, run)
+						if err != nil {
+							return
+						}
+						believed.Add(int64(n))
+					}
+				}(int64(9_000_000 + i))
+				if i%8 != 0 {
+					time.Sleep(time.Duration(i%5) * 10 * time.Microsecond)
+				}
+				rep := s.Detach()
+				<-done
+				if rep.OfferedBatches < believed.Load() {
+					t.Fatalf("round %d: offered %d < %d batches the producer believes delivered",
+						i, rep.OfferedBatches, believed.Load())
+				}
+				if rep.OfferedBatches != rep.AcceptedBatches+rep.DiscardedBatches {
+					t.Fatalf("round %d: offered %d != accepted %d + discarded %d",
+						i, rep.OfferedBatches, rep.AcceptedBatches, rep.DiscardedBatches)
+				}
+			}
+			p.Shutdown()
+		})
+	}
 }

@@ -223,102 +223,133 @@ func TestFaultIsolationAndBreaker(t *testing.T) {
 	}
 }
 
+// ingestModes runs a producer-side test once per ingest path: on a
+// serial pool a congested offer drops one batch, on a bit-sliced pool it
+// drops one whole staged buffer (stageBatches batches, one error).
+var ingestModes = []struct {
+	name      string
+	bitSliced bool
+	perDrop   int64
+}{
+	{"serial", false, 1},
+	{"bitsliced", true, stageBatches},
+}
+
+// assertDropAccounting checks a congested stream's report and counters:
+// drops come in whole units of perDrop batches per error the producer
+// saw, offered = accepted + dropped, and the aggregate and per-tenant
+// dropped counters agree with the report.
+func assertDropAccounting(t *testing.T, reg *obs.Registry, r StreamReport, outcome string, dropped, errs, perDrop int64) {
+	t.Helper()
+	if dropped != errs*perDrop {
+		t.Fatalf("report drops %d batches, producer saw %d drops of %d", dropped, errs, perDrop)
+	}
+	if r.AcceptedBatches+dropped != r.OfferedBatches {
+		t.Fatalf("offered %d != accepted %d + dropped %d",
+			r.OfferedBatches, r.AcceptedBatches, dropped)
+	}
+	if v := reg.Counter("fleet_batches_total", "", "outcome", outcome).Value(); v != uint64(dropped) {
+		t.Fatalf("aggregate %s counter = %d, want %d", outcome, v, dropped)
+	}
+	if v := reg.Counter("fleet_tenant_dropped_batches_total", "", "tenant", r.Tenant).Value(); v != uint64(dropped) {
+		t.Fatalf("per-tenant dropped counter = %d, want %d", v, dropped)
+	}
+}
+
 func TestShedNewestAccounting(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Shards = 1
-	cfg.QueueDepth = 1
-	cfg.Policy = ShedNewest
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	cfg.PerTenantObs = true
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range ingestModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Shards = 1
+			cfg.QueueDepth = 1
+			cfg.Policy = ShedNewest
+			cfg.BitSliced = mode.bitSliced
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			cfg.PerTenantObs = true
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.Register("burst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			shed := int64(0)
+			const offered = 4096
+			for i := 0; i < offered; i++ {
+				err := s.Push(rng.Uint64(), 64)
+				if errors.Is(err, ErrShed) {
+					shed++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := s.Detach()
+			if r.OfferedBatches != offered {
+				t.Fatalf("offered = %d, want %d", r.OfferedBatches, offered)
+			}
+			assertDropAccounting(t, reg, r, "shed", r.ShedBatches, shed, mode.perDrop)
+			if r.ShedBatches > 0 {
+				if !r.Shed() || r.Condition != core.Degraded {
+					t.Fatalf("shed stream: Shed()=%v condition=%v, want true/degraded", r.Shed(), r.Condition)
+				}
+			}
+			p.Shutdown()
+		})
 	}
-	s, err := p.Register("burst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	shed := int64(0)
-	const offered = 4096
-	for i := 0; i < offered; i++ {
-		err := s.Push(rng.Uint64(), 64)
-		if errors.Is(err, ErrShed) {
-			shed++
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.Detach()
-	if r.OfferedBatches != offered {
-		t.Fatalf("offered = %d, want %d", r.OfferedBatches, offered)
-	}
-	if r.ShedBatches != shed {
-		t.Fatalf("report sheds %d, producer saw %d", r.ShedBatches, shed)
-	}
-	if r.AcceptedBatches+r.ShedBatches != r.OfferedBatches {
-		t.Fatalf("offered %d != accepted %d + shed %d",
-			r.OfferedBatches, r.AcceptedBatches, r.ShedBatches)
-	}
-	if r.ShedBatches > 0 {
-		if !r.Shed() || r.Condition != core.Degraded {
-			t.Fatalf("shed stream: Shed()=%v condition=%v, want true/degraded", r.Shed(), r.Condition)
-		}
-	}
-	if v := reg.Counter("fleet_batches_total", "", "outcome", "shed").Value(); v != uint64(shed) {
-		t.Fatalf("aggregate shed counter = %d, want %d", v, shed)
-	}
-	if v := reg.Counter("fleet_tenant_dropped_batches_total", "", "tenant", "burst").Value(); v != uint64(shed) {
-		t.Fatalf("per-tenant dropped counter = %d, want %d", v, shed)
-	}
-	p.Shutdown()
 }
 
 func TestDegradeSampleKeepsSampledFraction(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Shards = 1
-	cfg.QueueDepth = 1
-	cfg.Policy = DegradeSample
-	cfg.SampleEvery = 4
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range ingestModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Shards = 1
+			cfg.QueueDepth = 1
+			cfg.Policy = DegradeSample
+			cfg.SampleEvery = 4
+			cfg.BitSliced = mode.bitSliced
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			cfg.PerTenantObs = true
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.Register("hot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			sampledOut := int64(0)
+			const offered = 2048
+			for i := 0; i < offered; i++ {
+				err := s.Push(rng.Uint64(), 64)
+				if errors.Is(err, ErrSampledOut) {
+					sampledOut++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := s.Detach()
+			if sampledOut == 0 {
+				t.Fatal("expected congestion with a depth-1 queue")
+			}
+			if r.OfferedBatches != offered {
+				t.Fatalf("offered = %d, want %d", r.OfferedBatches, offered)
+			}
+			assertDropAccounting(t, reg, r, "sampled-out", r.SampledOutBatches, sampledOut, mode.perDrop)
+			// Degraded, not starved: the sampled fraction still flows.
+			if r.AcceptedBatches == 0 {
+				t.Fatal("degraded stream was starved — sampled batches must still be delivered")
+			}
+			if r.Condition != core.Degraded {
+				t.Fatalf("condition = %v, want degraded", r.Condition)
+			}
+			p.Shutdown()
+		})
 	}
-	s, err := p.Register("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	sampledOut := int64(0)
-	const offered = 2048
-	for i := 0; i < offered; i++ {
-		err := s.Push(rng.Uint64(), 64)
-		if errors.Is(err, ErrSampledOut) {
-			sampledOut++
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.Detach()
-	if sampledOut == 0 {
-		t.Fatal("expected congestion with a depth-1 queue")
-	}
-	if r.SampledOutBatches != sampledOut {
-		t.Fatalf("report sampled-out %d, producer saw %d", r.SampledOutBatches, sampledOut)
-	}
-	if r.AcceptedBatches+r.SampledOutBatches != r.OfferedBatches {
-		t.Fatalf("offered %d != accepted %d + sampled-out %d",
-			r.OfferedBatches, r.AcceptedBatches, r.SampledOutBatches)
-	}
-	// Degraded, not starved: the sampled fraction still flows.
-	if r.AcceptedBatches == 0 {
-		t.Fatal("degraded stream was starved — sampled batches must still be delivered")
-	}
-	if r.Condition != core.Degraded {
-		t.Fatalf("condition = %v, want degraded", r.Condition)
-	}
-	p.Shutdown()
 }
 
 func TestSweepStalled(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hwfast"
-	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/trng"
 )
@@ -16,7 +15,7 @@ import (
 // stageBuf is one bit-sliced stream's double-buffered producer staging
 // area: the producer fills one buffer while the shard drains the other.
 // It hangs off the Stream behind a pointer so serial pools don't pay its
-// footprint on every registration.
+// 2,304 B on every registration.
 type stageBuf struct {
 	words [2][stageBatches]uint64
 	lens  [2][stageBatches]uint8
@@ -43,7 +42,7 @@ type Stream struct {
 	// detached check could land behind the detach item — processed against
 	// a finalized stream — or behind the shutdown stop item, blocking the
 	// producer forever on a queue nothing drains. The bit-sliced staging
-	// fast path deliberately does NOT take it (see Push); every flush and
+	// fast path deliberately does NOT take it (see stage); every flush and
 	// control operation does. It sits with the fields the Push fast path
 	// touches (detached, staging cursor, stamp) so one cold stream costs
 	// one producer-side cache line, not four.
@@ -57,20 +56,22 @@ type Stream struct {
 	// consistent, which is what makes the Detach race resolvable: a push
 	// whose post-publish detached check still reads false is ordered
 	// before Detach's flush capture, so the flush provably includes it; a
-	// push that reads true resolves through raceDetached.
+	// push that reads true resolves against drained.
 	stCnt atomic.Uint32
-	// drained records, under pushMu, the batch count the most recent flush
-	// captured; raceDetached compares it against a raced push's stage
-	// index to decide whether Detach's flush carried the batch out.
+	// drained records, under pushMu, the stCnt word (generation and count)
+	// the most recent flush captured. A push that raced Detach was carried
+	// out by Detach's flush exactly when drained equals the word its own
+	// publish stored: a capture before the publish holds a smaller count
+	// or, if it flipped the generation, the other generation.
 	//trnglint:guardedby pushMu
-	drained int32
+	drained uint32
 	// stamp caches cfg.StreamDeadline > 0 so the push fast path decides
 	// whether to take a clock reading without chasing pool.cfg.
 	stamp    bool
 	lastPush atomic.Int64 // Clock() stamp; only when StreamDeadline > 0
 
 	// Bit-sliced producer staging (Config.BitSliced pools only; credits
-	// and stg are nil otherwise — the staging buffers are ~1.2KB, so
+	// and stg are nil otherwise — the staging buffers are 2,304 B, so
 	// serial pools must not carry them in every Stream). Push accumulates
 	// batches and hands them to the shard stageBatches at a time as one
 	// queue item carrying only the buffer index — the shard reads the
@@ -121,7 +122,7 @@ type Stream struct {
 
 	// Bit-sliced shard-side state: the stream's lane group and lane index
 	// while sliced (grp nil on the serial path), its lane fifo (like stg,
-	// ~1.2KB allocated only for bit-sliced pools), and a reusable scratch
+	// 2,352 B allocated only for bit-sliced pools), and a reusable scratch
 	// for the sliceable-state hand-back.
 	grp  *laneGroup
 	lane int
@@ -147,47 +148,11 @@ func (s *Stream) Push(w uint64, nbits int) error {
 		return fmt.Errorf("fleet: word size %d out of range [1,64]", nbits) //trnglint:alloc argument-validation error path, never taken at line rate
 	}
 	if s.credits != nil {
-		// Bit-sliced pool: stage the batch lock-free; a full stage flushes
-		// as one queue item, amortizing the handoff across stageBatches
-		// pushes. The fast path is one plain slot write plus one atomic
-		// publish — no mutex, no per-push offered add (flushes account for
-		// every staged batch, kept or dropped). Only the stream's single
-		// producer goroutine writes the slot and the publish word;
-		// Detach's flush reads them through the stCnt acquire/release
-		// edge, and the post-publish detached re-check resolves the one
-		// racy interleaving (see raceDetached).
 		if nbits != 64 {
 			w &= lowMask(nbits)
 		}
-		if s.detached.Load() {
-			return ErrDetached
-		}
-		v := s.stCnt.Load()
-		idx, n := v>>16, v&0xffff
-		s.stg.words[idx][n] = w
-		s.stg.lens[idx][n] = uint8(nbits)
-		if s.stamp {
-			s.lastPush.Store(s.pool.cfg.Clock()) //trnglint:alloc injected clock, one indirect call per stamped push
-		}
-		s.stCnt.Store(v + 1)
-		if n+1 < stageBatches {
-			if s.detached.Load() {
-				return s.raceDetached(int(n))
-			}
-			return nil
-		}
-		s.pushMu.Lock()
-		if s.detached.Load() {
-			carried := s.drained > int32(n)
-			s.pushMu.Unlock()
-			if carried {
-				return nil
-			}
-			return ErrDetached
-		}
-		err := s.flushStaged(false) //trnglint:alloc amortized handoff: one flush per staged buffer, blocking is the backpressure policy
-		s.pushMu.Unlock()
-		return err
+		one := [1]uint64{w}
+		return s.stage(one[:], uint8(nbits))
 	}
 	s.pushMu.Lock()
 	err := s.pushSerial(w, nbits)
@@ -195,9 +160,9 @@ func (s *Stream) Push(w uint64, nbits int) error {
 	return err
 }
 
-// pushSerial is Push's serial branch: one queue item per word, shed or
-// sampled per the congestion policy. It is a separate function so the
-// hot path schedules no defer — the caller brackets it with an explicit
+// pushSerial is Push's serial branch: one queue item per word, offered
+// under the pool's shed policy. It is a separate function so the hot path
+// schedules no defer — the caller brackets it with an explicit
 // Lock/Unlock pair.
 //
 //trnglint:holds pushMu
@@ -209,48 +174,16 @@ func (s *Stream) pushSerial(w uint64, nbits int) error {
 		s.lastPush.Store(s.pool.cfg.Clock()) //trnglint:alloc injected clock, one indirect call per stamped push
 	}
 	s.offered.Add(1)
-	it := item{s: s, w: w, nbits: uint8(nbits), kind: itemWord}
-	switch s.pool.cfg.Policy {
-	case ShedNewest:
-		select { //trnglint:alloc shed policy decides between enqueue and drop
-		case s.sh.queue <- it:
-		default:
-			s.shedCount.Add(1)
-			s.pool.fobs.batchesShed.Inc()
-			s.tobs.dropped.Inc()
-			return ErrShed
-		}
-	case DegradeSample:
-		select { //trnglint:alloc shed policy decides between enqueue and drop
-		case s.sh.queue <- it:
-		default:
-			c := s.congested.Add(1)
-			if (c-1)%int64(s.pool.cfg.SampleEvery) != 0 {
-				s.sampledOut.Add(1)
-				s.pool.fobs.batchesSampledOut.Inc()
-				s.tobs.dropped.Inc()
-				return ErrSampledOut
-			}
-			// The sampled batch takes backpressure for its slot.
-			s.sh.queue <- it //trnglint:alloc sampled batch takes backpressure for its queue slot
-		}
-	default: // Block
-		s.sh.queue <- it //trnglint:alloc Block policy: bounded-queue handoff is the backpressure contract
-	}
-	return nil
+	return s.offer(item{s: s, w: w, nbits: uint8(nbits), kind: itemWord}, 1, s.pool.cfg.Policy)
 }
 
 // PushWords offers a run of full 64-bit batches, equivalent to calling
 // Push(w, 64) for each word in order but with the producer-side cost
 // amortized across the run: on a bit-sliced pool the whole run is written
 // into the staging buffer with a single atomic publish per staging fill
-// instead of one per word, which is most of a word push's cost. The
-// publish protocol is unchanged — plain slot writes, then one
-// sequentially-consistent count store covering all of them, then the
-// detached re-check — so the Detach race resolves exactly as for Push: a
-// run whose publish is ordered before Detach's flush capture is provably
-// drained. Returns the first error; an error means that word and every
-// word after it were not delivered (earlier words in the run were).
+// instead of one per word, which is most of a word push's cost. Returns
+// the first error; an error means that word and every word after it were
+// not delivered (earlier words in the run were).
 //
 //trnglint:hotpath
 func (s *Stream) PushWords(ws []uint64) error {
@@ -262,49 +195,60 @@ func (s *Stream) PushWords(ws []uint64) error {
 		}
 		return nil
 	}
+	return s.stage(ws, 64)
+}
+
+// stage is the bit-sliced producer path behind Push and PushWords: it
+// writes ws (nbits bits each) into the staging buffer lock-free, and a
+// full stage flushes as one queue item, amortizing the handoff across
+// stageBatches batches. Each fill is plain slot writes, then one
+// sequentially-consistent stCnt store covering all of them, then the
+// detached re-check — no mutex, no per-batch offered add (flushes account
+// for every staged batch, kept or dropped). Only the stream's single
+// producer goroutine writes the slots and the publish word; Detach's
+// flush reads them through the stCnt acquire/release edge. A fill whose
+// re-check still reads false is ordered before Detach's flush capture, so
+// it is provably drained; one that reads true resolves against drained.
+func (s *Stream) stage(ws []uint64, nbits uint8) error {
 	for len(ws) > 0 {
 		if s.detached.Load() {
 			return ErrDetached
 		}
 		v := s.stCnt.Load()
 		idx, n := v>>16, int(v&0xffff)
-		k := stageBatches - n
-		if k > len(ws) {
-			k = len(ws)
-		}
-		copy(s.stg.words[idx][n:n+k], ws[:k])
+		k := min(stageBatches-n, len(ws))
+		copy(s.stg.words[idx][n:n+k], ws)
 		lens := s.stg.lens[idx][n : n+k]
 		for i := range lens {
-			lens[i] = 64
+			lens[i] = nbits
 		}
 		if s.stamp {
-			s.lastPush.Store(s.pool.cfg.Clock()) //trnglint:alloc injected clock, one indirect call per stamped push
+			s.lastPush.Store(s.pool.cfg.Clock()) //trnglint:alloc injected clock, one indirect call per stamped fill
 		}
-		s.stCnt.Store(v + uint32(k))
-		if n+k < stageBatches {
-			// The stage has room left, so this fill consumed the whole
-			// run (k == len(ws)); on a raced detach, carried means every
-			// slot through n+k−1 was drained — the full run.
-			if s.detached.Load() {
-				return s.raceDetached(n + k - 1)
-			}
-			return nil
+		end := v + uint32(k)
+		s.stCnt.Store(end)
+		ws = ws[k:]
+		if n+k < stageBatches && !s.detached.Load() {
+			return nil // the stage has room left, so this fill took the whole run
 		}
+		// Taking pushMu waits out a racing Detach body; detached never
+		// clears, so a raced fill resolves here and never flushes.
 		s.pushMu.Lock()
 		if s.detached.Load() {
-			carried := s.drained >= int32(n+k)
+			// Delivered only if Detach's flush captured this very publish
+			// and the run ended with it; an orphaned slot is never read.
+			carried := len(ws) == 0 && s.drained == end
 			s.pushMu.Unlock()
-			if carried && len(ws) == k {
+			if carried {
 				return nil
 			}
 			return ErrDetached
 		}
-		err := s.flushStaged(false) //trnglint:alloc amortized handoff: one flush per staged buffer, blocking is the backpressure policy
+		err := s.flushStaged(s.pool.cfg.Policy) //trnglint:alloc amortized handoff: one flush per staged buffer, blocking is the backpressure policy
 		s.pushMu.Unlock()
 		if err != nil {
 			return err
 		}
-		ws = ws[k:]
 	}
 	return nil
 }
@@ -321,88 +265,36 @@ func (s *Stream) PushFault(err error) error {
 	if s.detached.Load() {
 		return ErrDetached
 	}
-	if s.pool.cfg.StreamDeadline > 0 {
+	if s.stamp {
 		s.lastPush.Store(s.pool.cfg.Clock())
 	}
 	if s.credits != nil {
-		s.flushStaged(true) // staged batches precede the fault, in order
+		s.flushStaged(Block) // staged batches precede the fault, in order
 	}
 	s.sh.queue <- item{s: s, err: err, kind: itemFault}
 	return nil
 }
 
-// raceDetached resolves a push that published its batch concurrently with
-// Detach: taking pushMu waits out the detach body, after which drained
-// says whether Detach's flush captured the batch (processed — the push
-// succeeded) or missed it (report ErrDetached, exactly as if the push had
-// arrived after the detach; the orphaned slot is never read again).
-func (s *Stream) raceDetached(n int) error {
-	s.pushMu.Lock()
-	carried := s.drained > int32(n)
-	s.pushMu.Unlock()
-	if carried {
-		return nil
-	}
-	return ErrDetached
-}
-
-// flushStaged hands the staged batches to the shard, under pushMu. The
-// control form (fault and detach flushes) always blocks for its slot; data
-// flushes honor the pool's shed policy at stage granularity — when a
-// congested flush is dropped, all of its staged batches are shed (or
-// sampled out) together and accounted per batch.
+// flushStaged hands the staged batches to the shard as one queue item,
+// under pushMu, offered under policy: control flushes (fault and detach)
+// pass Block and always wait for their slot; a data flush passes the
+// pool's shed policy, so a congested stage is shed or sampled out whole,
+// accounted per batch.
 //
 //trnglint:holds pushMu
-func (s *Stream) flushStaged(control bool) error {
+func (s *Stream) flushStaged(policy ShedPolicy) error {
 	v := s.stCnt.Load()
+	s.drained = v
 	idx, cnt := v>>16, v&0xffff
-	s.drained = int32(cnt)
 	if cnt == 0 {
 		return nil
 	}
 	s.offered.Add(int64(cnt))
-	it := item{s: s, kind: itemBatch, w: uint64(idx)<<16 | uint64(cnt)}
-	fo := &s.pool.fobs
-	switch {
-	case control || s.pool.cfg.Policy == Block:
-		<-s.credits
-		s.sh.queue <- it
-	case s.pool.cfg.Policy == ShedNewest:
-		select {
-		case <-s.credits:
-		default:
-			s.dropStaged(v, &s.shedCount, fo.batchesShed)
-			return ErrShed
-		}
-		select {
-		case s.sh.queue <- it:
-		default:
-			s.credits <- struct{}{}
-			s.dropStaged(v, &s.shedCount, fo.batchesShed)
-			return ErrShed
-		}
-	default: // DegradeSample
-		sent := false
-		select {
-		case <-s.credits:
-			select {
-			case s.sh.queue <- it:
-				sent = true
-			default:
-				s.credits <- struct{}{}
-			}
-		default:
-		}
-		if !sent {
-			c := s.congested.Add(1)
-			if (c-1)%int64(s.pool.cfg.SampleEvery) != 0 {
-				s.dropStaged(v, &s.sampledOut, fo.batchesSampledOut)
-				return ErrSampledOut
-			}
-			// The sampled stage takes backpressure for its slot.
-			<-s.credits
-			s.sh.queue <- it
-		}
+	if err := s.offer(item{s: s, kind: itemBatch, w: uint64(idx)<<16 | uint64(cnt)}, int64(cnt), policy); err != nil {
+		// The buffer was never handed off, so the generation stays put and
+		// only the published count resets.
+		s.stCnt.Store(idx << 16)
+		return err
 	}
 	// The buffer is in flight: flip the generation so the producer stages
 	// into the other one until the credit returns.
@@ -410,15 +302,61 @@ func (s *Stream) flushStaged(control bool) error {
 	return nil
 }
 
-// dropStaged sheds the whole staged buffer, accounting every batch in it.
-// The buffer was never handed off, so the generation stays put and only
-// the published count resets.
-func (s *Stream) dropStaged(v uint32, streamCounter *atomic.Int64, poolCounter *obs.Counter) {
-	n := uint64(v & 0xffff)
-	streamCounter.Add(int64(n))
-	poolCounter.Add(n)
-	s.tobs.dropped.Add(n)
-	s.stCnt.Store(v >> 16 << 16)
+// offer enqueues it, which carries n batches, under policy: Block waits
+// for the slot, ShedNewest drops a congested offer with ErrShed, and
+// DegradeSample drops all but one in SampleEvery congested offers with
+// ErrSampledOut. A drop is accounted per batch. On a bit-sliced stream
+// the staging credit is taken before the queue slot; the caller resets
+// the staging count after a drop.
+//
+//trnglint:holds pushMu
+func (s *Stream) offer(it item, n int64, policy ShedPolicy) error {
+	if policy != Block && s.tryEnqueue(it) {
+		return nil
+	}
+	fo := &s.pool.fobs
+	switch policy {
+	case ShedNewest:
+		s.shedCount.Add(n)
+		fo.batchesShed.Add(uint64(n))
+		s.tobs.dropped.Add(uint64(n))
+		return ErrShed
+	case DegradeSample:
+		if c := s.congested.Add(1); (c-1)%int64(s.pool.cfg.SampleEvery) != 0 {
+			s.sampledOut.Add(n)
+			fo.batchesSampledOut.Add(uint64(n))
+			s.tobs.dropped.Add(uint64(n))
+			return ErrSampledOut
+		}
+		// The sampled offer takes backpressure for its slot.
+	}
+	if s.credits != nil {
+		<-s.credits //trnglint:alloc staging credit: at most one flushed buffer in flight
+	}
+	s.sh.queue <- it //trnglint:alloc blocking handoff (Block, or the sampled offer) is the backpressure contract
+	return nil
+}
+
+// tryEnqueue is offer's congestion probe: it takes the staging credit (if
+// the stream stages) and then a queue slot without blocking, and reports
+// false — the credit returned — when either is unavailable.
+func (s *Stream) tryEnqueue(it item) bool {
+	if s.credits != nil {
+		select { //trnglint:alloc shed policy decides between enqueue and drop
+		case <-s.credits:
+		default:
+			return false
+		}
+	}
+	select { //trnglint:alloc shed policy decides between enqueue and drop
+	case s.sh.queue <- it:
+		return true
+	default:
+	}
+	if s.credits != nil {
+		s.credits <- struct{}{} //trnglint:alloc returns the credit just taken, so it never blocks
+	}
+	return false
 }
 
 // Detach removes the stream from the fleet: queued batches are still
@@ -438,7 +376,7 @@ func (s *Stream) Detach() StreamReport {
 		// lets the lock-free staging path report those as delivered.
 		s.detached.Store(true)
 		if s.credits != nil {
-			s.flushStaged(true) // drain, not discard: staged batches land first
+			s.flushStaged(Block) // drain, not discard: staged batches land first
 		}
 		s.sh.queue <- item{s: s, kind: itemDetach}
 		s.pushMu.Unlock()
