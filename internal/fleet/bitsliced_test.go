@@ -376,3 +376,116 @@ func TestPushWordsDetachRace(t *testing.T) {
 		})
 	}
 }
+
+// TestBitSlicedBurstyProducers pins sliced ingest under the bursty
+// traffic shape, where lane groups run nearly empty: tenants push
+// 512-word PushWords bursts in turn on an n=65536 high design (so the
+// residual template and serial engines are live), and each one's second
+// staged flush trips the pressure gate before anyone else has flushed, so
+// every group absorbs with a single lane. A latecomer joins a rolled-over
+// group beside its first tenant, the two absorb together, and the first
+// tenant then detaches mid-sequence, leaving the latecomer's lane 1 above
+// an empty lane 0 for the rest of its two sequences. Every report must
+// equal its serial replay.
+func TestBitSlicedBurstyProducers(t *testing.T) {
+	design, err := hwblock.NewConfig(65536, hwblock.High)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := Config{
+		Design:     design,
+		Alpha:      0.01,
+		Shards:     1,
+		QueueDepth: 64,
+		Policy:     Block,
+		BitSliced:  true,
+		Obs:        reg,
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 512
+	seqWords := design.N / 64
+	streams := map[string]*Stream{}
+	ops := map[string][]Op{}
+	rngs := map[string]*rand.Rand{}
+	register := func(name string) {
+		s, err := p.Register(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[name] = s
+		rngs[name] = rand.New(rand.NewSource(int64(len(streams))))
+	}
+	push := func(name string, words int) {
+		ws := make([]uint64, words)
+		for i := range ws {
+			ws[i] = rngs[name].Uint64()
+		}
+		if err := streams[name].PushWords(ws); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ops[name] = append(ops[name], Op{Kind: OpRun, Ws: ws})
+	}
+	reports := map[string]StreamReport{}
+	detach := func(name string) { reports[name] = streams[name].Detach() }
+
+	// One sequence each for a, b and c: every group holds one lane and
+	// ends rolled over, at offset zero.
+	for _, name := range []string{"a", "b", "c"} {
+		register(name)
+	}
+	for i := 0; i < seqWords/burst; i++ {
+		for _, name := range []string{"a", "b", "c"} {
+			push(name, burst)
+		}
+	}
+	// d joins a's group at lane 1. Once both lanes hold a stage and d a
+	// second, the pressure gate opens and the pair absorbs 128 tiles;
+	// then a leaves mid-sequence.
+	register("d")
+	push("d", stageBatches)
+	push("a", stageBatches)
+	push("d", stageBatches)
+	detach("a")
+	// a's Detach waited for the shard to process everything before it, so
+	// the group is safe to inspect here.
+	g := streams["d"].grp
+	if g == nil || streams["d"].lane != 1 || g.lanes[0] != nil || g.nLanes != 1 || g.eng.Off() != stageBatches*64 {
+		t.Fatalf("want d alone on lane 1 of a group at bit %d after a's detach", stageBatches*64)
+	}
+	// d finishes its two sequences in bursts, b and c their second.
+	for _, n := range []int{burst, burst, burst, 2*seqWords - 2*stageBatches - 3*burst} {
+		push("d", n)
+		for _, name := range []string{"b", "c"} {
+			if len(ops[name])*burst < 2*seqWords {
+				push(name, burst)
+			}
+		}
+	}
+	for _, name := range []string{"b", "c", "d"} {
+		detach(name)
+	}
+	p.Shutdown()
+
+	serialCfg := Config{Design: design, Alpha: 0.01}
+	wantSeqs := map[string]int{"a": 1, "b": 2, "c": 2, "d": 2}
+	for name, r := range reports {
+		if r.Sequences != wantSeqs[name] {
+			t.Fatalf("%s evaluated %d sequences, want %d", name, r.Sequences, wantSeqs[name])
+		}
+		want, err := ReplaySerial(serialCfg, r.Tenant, ops[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertReportsIdentical(t, r, want)
+	}
+	if v := reg.Counter("fleet_sliced_tiles_total", "").Value(); v == 0 {
+		t.Fatal("no tile was absorbed")
+	}
+	if v := reg.Counter("fleet_sliced_evictions_total", "", "reason", "overflow").Value(); v != 0 {
+		t.Fatalf("%d overflow evictions: a lane left its group before its tenant detached", v)
+	}
+}

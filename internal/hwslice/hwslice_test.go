@@ -1,6 +1,7 @@
 package hwslice_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,6 +155,89 @@ func TestGroupMatchesHWFastPerTile(t *testing.T) {
 				t.Fatal("no burst crossed a block-frequency boundary")
 			}
 		})
+	}
+}
+
+// TestGroupSparseLanes runs groups that hold a few lanes, anywhere in the
+// 64 columns, against hwfast: every non-megabit variant, bursts of 1, 2,
+// 3, 5 and 16 tiles (pair loop, odd tail, sub-tile blocks and long-block
+// boundaries), and random words in the unattached columns, which must
+// never leak into an attached lane. Halfway through the first sequence
+// the highest lane detaches, so the group runs on with fewer columns
+// above its lowest lane; after Rollover that lane re-attaches beside one
+// further up, and both must start the second sequence clean.
+func TestGroupSparseLanes(t *testing.T) {
+	bursts := []int{1, 2, 3, 5, 16}
+	sets := []struct {
+		name  string
+		lanes []int
+	}{
+		{"0", []int{0}},
+		{"37", []int{37}},
+		{"62-63", []int{62, 63}},
+		{"0-7", []int{0, 1, 2, 3, 4, 5, 6, 7}},
+	}
+	for _, tc := range variants {
+		if tc.n > 65536 {
+			continue
+		}
+		for _, set := range sets {
+			tc, set := tc, set
+			t.Run(tc.name+"/lanes="+set.name, func(t *testing.T) {
+				g, shadows := newPair(t, tc.n, tc.tests, params(tc.n, tc.p))
+				for _, l := range set.lanes {
+					if err := g.Attach(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				top := set.lanes[len(set.lanes)-1]
+				rng := rand.New(rand.NewSource(int64(tc.n) ^ int64(top)))
+				tiles := tc.n / 64
+				buf := make([][64]uint64, 16)
+				runSequence := func(seq int, mid func()) {
+					for k, b := 0, 0; k < tiles; b++ {
+						burst := buf[:min(bursts[b%len(bursts)], tiles-k)]
+						for j := range burst {
+							for l := range burst[j] {
+								burst[j][l] = rng.Uint64()
+							}
+						}
+						absorb(t, g, &shadows, burst)
+						k += len(burst)
+						for l := 0; l < 64; l++ {
+							if g.Active()>>uint(l)&1 != 0 {
+								compareLane(t, g, shadows[l], l, fmt.Sprintf("sequence %d tile %d", seq, k))
+							}
+						}
+						if mid != nil && k >= tiles/2 && k < tiles {
+							mid()
+							mid = nil
+						}
+					}
+					if mid != nil {
+						mid() // a one-tile design has no mid-sequence boundary
+					}
+				}
+				runSequence(0, func() { g.Detach(top) })
+				if g.Active()>>uint(top)&1 != 0 {
+					t.Fatalf("lane %d still attached after Detach", top)
+				}
+
+				g.Rollover()
+				for l := range shadows {
+					shadows[l].Reset()
+				}
+				if err := g.Attach(top); err != nil {
+					t.Fatalf("reattach lane %d: %v", top, err)
+				}
+				if above := top + 8; above < 64 {
+					if err := g.Attach(above); err != nil {
+						t.Fatalf("attach lane %d: %v", above, err)
+					}
+				}
+				runSequence(1, nil)
+			})
+		}
 	}
 }
 
@@ -426,19 +510,29 @@ func TestGroupValidation(t *testing.T) {
 	}
 }
 
-// FuzzSliceEquivalence drives a ragged lane population over an n=128
-// design from fuzz-chosen bytes and cross-checks every attached lane
-// against internal hwfast ingest at both tile boundaries.
+// FuzzSliceEquivalence drives a ragged lane population over one of the
+// small designs from fuzz-chosen bytes, absorbing fuzz-sized bursts of 1
+// to 16 tiles (the pair-unrolled loop, the odd tail and sub-tile blocks),
+// and cross-checks every attached lane against internal hwfast ingest
+// after each burst.
 func FuzzSliceEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint64(0xFFFFFFFFFFFFFFFF), int64(1))
-	f.Add(uint8(1), uint64(0x8000000000000001), int64(2))
-	f.Add(uint8(1), uint64(0), int64(3))
-	f.Fuzz(func(t *testing.T, variant uint8, laneMask uint64, seed int64) {
-		tc := variants[int(variant)%2]
+	f.Add(uint8(0), uint64(0xFFFFFFFFFFFFFFFF), int64(1), uint8(0))
+	f.Add(uint8(1), uint64(0x8000000000000001), int64(2), uint8(1))
+	f.Add(uint8(1), uint64(0), int64(3), uint8(2))
+	f.Add(uint8(5), uint64(1<<63), int64(4), uint8(15))
+	var small []int // the designs of at most 16 tiles, n=128 first
+	for i, tc := range variants {
+		if tc.n <= 1024 {
+			small = append(small, i)
+		}
+	}
+	f.Fuzz(func(t *testing.T, variant uint8, laneMask uint64, seed int64, burst uint8) {
+		tc := variants[small[int(variant)%len(small)]]
+		p := params(tc.n, tc.p)
 		if laneMask == 0 {
 			laneMask = 1
 		}
-		g, err := hwslice.New(tc.n, tc.tests, nist.RecommendedParams(tc.n))
+		g, err := hwslice.New(tc.n, tc.tests, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,30 +544,34 @@ func FuzzSliceEquivalence(f *testing.F) {
 			if err := g.Attach(l); err != nil {
 				t.Fatal(err)
 			}
-			st, err := hwfast.New(tc.n, tc.tests, nist.RecommendedParams(tc.n))
+			st, err := hwfast.New(tc.n, tc.tests, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			shadows[l] = st
 		}
 		rng := rand.New(rand.NewSource(seed))
+		tiles := make([][64]uint64, 1+int(burst)%16)
 		var ws1, ws2 hwfast.WordStats
-		for k := 0; k < tc.n/64; k++ {
-			var tile [1][64]uint64
-			for l := range tile[0] {
-				tile[0][l] = rng.Uint64()
-			}
-			for l := 0; l < 64; l++ {
-				if shadows[l] == nil {
-					continue
+		for k := 0; k < tc.n/64; {
+			b := tiles[:min(len(tiles), tc.n/64-k)]
+			for j := range b {
+				for l := range b[j] {
+					b[j][l] = rng.Uint64()
 				}
-				if err := shadows[l].ClockWord(tile[0][l], 64); err != nil {
-					t.Fatal(err)
+				for l := 0; l < 64; l++ {
+					if shadows[l] == nil {
+						continue
+					}
+					if err := shadows[l].ClockWord(b[j][l], 64); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			if err := g.AbsorbTiles(tile[:]); err != nil {
+			if err := g.AbsorbTiles(b); err != nil {
 				t.Fatal(err)
 			}
+			k += len(b)
 			for l := 0; l < 64; l++ {
 				if shadows[l] == nil {
 					continue
