@@ -253,7 +253,10 @@ func (g *laneGroup) step(sh *shard) {
 	if k > tileBurst {
 		k = tileBurst
 	}
-	for _, s := range g.lanes {
+	// Lanes above the highest attached one are empty, and the engine
+	// skips their columns too, so every per-lane loop stops there.
+	nl := bits.Len64(eng.Active())
+	for _, s := range g.lanes[:nl] {
 		if s == nil {
 			continue
 		}
@@ -262,7 +265,7 @@ func (g *laneGroup) step(sh *shard) {
 		}
 	}
 	acc := 0
-	for l := 0; l < 64; l++ {
+	for l := 0; l < nl; l++ {
 		s := g.lanes[l]
 		if s == nil {
 			continue
@@ -303,7 +306,7 @@ func (g *laneGroup) step(sh *shard) {
 	// between boundaries.
 	if !sh.pool.skipFeed {
 		for j := 0; j < k; j++ {
-			for l := 0; l < 64; l++ {
+			for l := 0; l < nl; l++ {
 				if s := g.lanes[l]; s != nil {
 					s.feedMonitor(g.lwK[j][l], 64)
 				}
@@ -316,7 +319,7 @@ func (g *laneGroup) step(sh *shard) {
 		// stream's score trajectory is byte-identical either way. Lanes
 		// run outside and tiles inside, so each tracker takes its k words
 		// back to back while its window state is in cache.
-		for l := 0; l < 64; l++ {
+		for l := 0; l < nl; l++ {
 			if s := g.lanes[l]; s != nil {
 				for j := 0; j < k; j++ {
 					s.tracker.Push(g.lwK[j][l], 64)

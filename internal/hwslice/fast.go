@@ -68,6 +68,7 @@ func init() {
 // bit-exactness.
 func (g *Group) absorbChunk(tiles [][64]uint64) {
 	hasRuns, hasBF, hasLR := g.hasRuns, g.bfLong, g.lrLong
+	nl := bits.Len64(g.active) // lanes 0 … nl-1; none above is attached
 	off := g.off
 	first := uint64(0)
 	if off == 0 {
@@ -104,7 +105,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 			}
 		}
 		var pt uint64
-		for l := 0; l < 64; l++ {
+		for l := 0; l < nl; l++ {
 			w0, w1 := ta[l], tb[l]
 			runsv := g.runs[l]
 			bf := g.bfEps[l]
@@ -325,7 +326,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 	for ; j < len(tiles); j++ {
 		lanes := &tiles[j]
 		var pt uint64
-		for l := 0; l < 64; l++ {
+		for l := 0; l < nl; l++ {
 			w := lanes[l]
 			pc := int(bits.OnesCount64(w))
 			if hasRuns {
@@ -418,7 +419,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 		if hasLR {
 			cnt--
 			if cnt == 0 {
-				for l := 0; l < 64; l++ {
+				for l := 0; l < nl; l++ {
 					c := min(max(int(g.lrMax[l]), lo), hi) - lo
 					g.lrCls[l<<3|c]++
 					g.lrMax[l], g.lrRun[l] = 0, 0
@@ -446,13 +447,14 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 // threshold; differences of consecutive counts are the class counts.
 func (g *Group) absorbSubBlocks(tiles [][64]uint64) {
 	bfM, lrM := g.bfM, g.lrM
+	nl := bits.Len64(g.active)
 	lo, hi := g.lrLo, g.lrHi
 	var top uint64 // the top bit of every longest-run block
 	if lrM > 0 && lrM < 64 {
 		top = ^uint64(0) / (1<<uint(lrM) - 1) << uint(lrM-1)
 	}
 	for j := range tiles {
-		lanes := &tiles[j]
+		lanes := tiles[j][:nl]
 		if bfM > 0 && bfM < 64 {
 			mask := uint64(1)<<uint(bfM) - 1
 			base := (g.off + 64*j) / bfM * 64
