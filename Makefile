@@ -4,9 +4,9 @@
 # BENCH_latest.json, an archive recorded on another host, so a local run
 # measures the host difference more than the change. Run it by hand with
 # `make bench-diff`.
-.PHONY: check vet build test bench-smoke bench bench-diff lint docs docs-check soak ttd
+.PHONY: check vet build test bench-smoke bench bench-diff lint docs docs-check soak ttd fuzz-smoke
 
-check: build lint docs-check test bench-smoke soak
+check: build lint docs-check test bench-smoke soak fuzz-smoke
 
 # docs regenerates every generated document (REGISTERS.md is produced from
 # the live hardware definitions). CI runs docs-check to fail on drift.
@@ -74,6 +74,17 @@ lint: vet
 
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
+
+# fuzz-smoke runs each native fuzz target for 10 s past its seed corpus,
+# which `make test` already replays: the differential targets (the
+# bit-sliced tile engine and the word-level fast path, both against their
+# references, with fuzz-chosen lane sets and burst lengths) and the
+# directive parser. A failing input lands in the package's
+# testdata/fuzz/ as a reproducer to commit with the fix.
+fuzz-smoke:
+	go test ./internal/hwslice -run='^$$' -fuzz='^FuzzSliceEquivalence$$' -fuzztime=10s
+	go test ./internal/hwfast -run='^$$' -fuzz='^FuzzFastPathEquivalence$$' -fuzztime=10s
+	go test ./internal/analysis -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=10s
 
 # ttd reproduces the time-to-detect tables of EXPERIMENTS.md ("Time to
 # detect"): the online anomaly detector swept across the defect zoo.

@@ -32,13 +32,16 @@ const (
 	// staged flush lands a whole stage's worth of tiles on a lane at once.
 	tileBurst = 16
 	// pressureBits lets a partially-populated group start absorbing tiles:
-	// a group at offset zero normally waits for 64 lanes (a tile shared by
-	// fewer streams amortizes worse, and once absorption starts no lane
-	// can join until rollover), but a lane buffering this much is starving
-	// and the group advances with the lanes it has. It must exceed one
-	// full staged flush (stageBatches * 64 bits), or a single producer's
-	// first flush would trip the gate and strand the group under-populated
-	// for a whole sequence.
+	// a group at offset zero normally waits for 64 lanes, because once
+	// absorption starts no lane can join until rollover and latecomers
+	// open groups of their own. The wait buys no cheaper tiles: the engine
+	// works only up to the highest attached lane, so its absorb cost per
+	// lane-word is about the same at any occupancy (BenchmarkHWSliceAbsorb
+	// on n65536-light: about 24 ns at 1 lane, 44 at 8, 51 at 64). A lane
+	// buffering this much is starving, and the group advances with the
+	// lanes it has. It must exceed one full staged flush (stageBatches *
+	// 64 bits), or a single producer's first flush would trip the gate and
+	// strand the group under-populated for a whole sequence.
 	pressureBits = stageBatches*64 + stageBatches*32
 )
 
@@ -149,6 +152,10 @@ func (sh *shard) adopt(s *Stream) {
 		g = &laneGroup{eng: eng}
 		sh.groups = append(sh.groups, g)
 	}
+	// The lowest free lane keeps the group packed from lane 0 up: a tile
+	// costs the engine, and step's per-lane loops, one lane's work for
+	// every lane up to the highest attached one, so a hole left by an
+	// eviction is refilled before the group grows upward.
 	lane := bits.TrailingZeros64(^g.eng.Active())
 	if err := g.eng.Attach(lane); err != nil {
 		return
@@ -254,7 +261,7 @@ func (g *laneGroup) step(sh *shard) {
 		k = tileBurst
 	}
 	// Lanes above the highest attached one are empty, and the engine
-	// skips their columns too, so every per-lane loop stops there.
+	// skips their columns too, so the per-lane loops below stop there.
 	nl := bits.Len64(eng.Active())
 	for _, s := range g.lanes[:nl] {
 		if s == nil {

@@ -3,8 +3,8 @@ package hwslice
 import "math/bits"
 
 // The tile-rate kernels behind Group compute the four sliceable
-// statistics horizontally: one pass over the 64 lane-major words per
-// tile, with no per-bit state transitions at all.
+// statistics horizontally: one pass over a tile's lane-major words, up
+// to the highest attached lane, with no per-bit state transitions at all.
 //
 //   - The cumulative-sums walk is per-lane, per-word. The reflected walk
 //     obeys the Lindley recursion: over any 64-bit span the floor hits
@@ -65,7 +65,8 @@ func init() {
 // slower — the widened loop spilled registers — so the pair is the
 // sweet spot. The per-word statistic updates are hwfast's, restated
 // per lane; the differential suite against hwfast holds them to
-// bit-exactness.
+// bit-exactness. Every lane loop stops after the highest attached lane
+// (see Group), so a sparse group pays for the lanes it holds.
 func (g *Group) absorbChunk(tiles [][64]uint64) {
 	hasRuns, hasBF, hasLR := g.hasRuns, g.bfLong, g.lrLong
 	nl := bits.Len64(g.active) // lanes 0 … nl-1; none above is attached

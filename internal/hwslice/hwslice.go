@@ -44,13 +44,17 @@ import (
 // shared design (n bits, test subset, parameters). Lanes attach at a
 // sequence boundary (offset zero) and may detach at any tile boundary.
 //
-// Inactive lanes are not masked out: a stale slot updates independently
-// and is never read (ExtractLane is only called for attached lanes), and
-// every bound below holds for arbitrary bit patterns — the distances grow
-// at most 2n and the extrema counters at most n per sequence, run lengths
-// are capped by lrM — so stale lanes can neither overflow a counter nor
-// perturb a live one.
-// Rollover clears them.
+// The engine works on lanes 0 … h, h the highest attached lane, so a
+// tile costs h+1 lanes' work, not 64: a group holding only lane 0 pays
+// for one lane. Columns above h are never read or written; a lane can
+// only attach at offset zero, after New, Rollover or Reset, which all
+// clear every column, so a lane above the old bound starts clean.
+// Detached lanes below h are not masked out: a stale slot updates
+// independently and is never read (ExtractLane is only called for
+// attached lanes), and every bound below holds for arbitrary bit
+// patterns — the distances grow at most 2n and the extrema counters at
+// most n per sequence, run lengths are capped by lrM — so stale lanes can
+// neither overflow a counter nor perturb a live one. Rollover clears them.
 type Group struct {
 	n      int
 	off    int    // bits absorbed in the current sequence (multiple of 64)
@@ -159,6 +163,8 @@ func (g *Group) N() int { return g.n }
 func (g *Group) Off() int { return g.off }
 
 // Active returns the mask of attached lanes.
+//
+//trnglint:hotpath
 func (g *Group) Active() uint64 { return g.active }
 
 // Lanes returns the number of attached lanes.
@@ -191,6 +197,9 @@ func (g *Group) Detach(lane int) {
 // AbsorbTiles advances every lane by len(tiles)·64 bits. tiles[j][l]
 // carries lane l's j-th next 64 chronological bits, LSB first — the words
 // exactly as each stream produced them; inactive lanes' bits are ignored.
+// The work is proportional to len(tiles) × (highest attached lane + 1):
+// columns above the highest attached lane are skipped, so callers keep
+// groups packed from lane 0 up.
 // The burst is split only at long block-frequency boundaries (blocks of
 // many tiles, so the split is rare and chunks stay long); longest-run
 // blocks can be as short as one tile, so their boundary work happens

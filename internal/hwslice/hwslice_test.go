@@ -585,3 +585,53 @@ func FuzzSliceEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkHWSliceAbsorb is the lane-occupancy scaling curve of the tile
+// engine: n=65536 light and high designs with 1, 8, 32 and 64 lanes
+// attached (lanes 0 … L−1, as the fleet's lowest-free-lane adoption packs
+// them), absorbing random tiles in bursts of 16 as the fleet does. One op
+// is one lane-word, so ns/op is the absorb cost per lane-word: with the
+// engine's work proportional to the highest attached lane, the curve
+// should stay roughly flat from 1 lane to 64.
+func BenchmarkHWSliceAbsorb(b *testing.B) {
+	for _, v := range []struct {
+		name    string
+		variant hwblock.Variant
+	}{{"light", hwblock.Light}, {"high", hwblock.High}} {
+		cfg, err := hwblock.NewConfig(65536, v.variant)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		tiles := make([][64]uint64, cfg.N/64)
+		for j := range tiles {
+			for l := range tiles[j] {
+				tiles[j][l] = rng.Uint64()
+			}
+		}
+		for _, lanes := range []int{1, 8, 32, 64} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", v.name, lanes), func(b *testing.B) {
+				g, err := hwslice.New(cfg.N, cfg.Tests, cfg.Params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for l := 0; l < lanes; l++ {
+					if err := g.Attach(l); err != nil {
+						b.Fatal(err)
+					}
+				}
+				const burst = 16
+				b.ResetTimer()
+				for fed := 0; fed < b.N; fed += burst * lanes {
+					if g.Off() == g.N() {
+						g.Rollover()
+					}
+					j := g.Off() / 64
+					if err := g.AbsorbTiles(tiles[j : j+burst]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
