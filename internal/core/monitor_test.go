@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/hwblock"
 	"repro/internal/sweval"
 	"repro/internal/trng"
@@ -164,6 +166,52 @@ func TestMonitorSetAlpha(t *testing.T) {
 	// The monitor must keep working after the change.
 	if _, err := m.Watch(trng.NewIdeal(6), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMonitorSetAlphaThenEvaluate swaps the critical values after the
+// monitor's evaluator has bound to its block: the next sequences must be
+// judged at the new alpha, exactly as a fresh block and evaluator judge
+// the same bits.
+func TestMonitorSetAlphaThenEvaluate(t *testing.T) {
+	m := newMonitor(t, 128, hwblock.Medium, 0.01)
+	cfg := m.Config()
+	src := trng.NewBiased(0.56, 8)
+	if _, err := m.Watch(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetAlpha(0.001); err != nil {
+		t.Fatal(err)
+	}
+	cv, err := sweval.NewCriticalValues(cfg, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		seq := trng.Read(src, cfg.N)
+		var got *SequenceReport
+		for j := 0; j < seq.Len(); j++ {
+			if got, err = m.Feed(seq.Bit(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got == nil {
+			t.Fatalf("sequence %d: no report at the boundary", i)
+		}
+		b, err := hwblock.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Run(bitstream.NewReader(seq)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := sweval.NewEvaluator(cv).Evaluate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Report, want) {
+			t.Errorf("sequence %d after SetAlpha: report %+v, want %+v", i, got.Report.Verdicts, want.Verdicts)
+		}
 	}
 }
 

@@ -115,25 +115,40 @@ func (rf *RegFile) SetObs(r *obs.Registry) {
 // transaction the microcontroller performs. Reading an unmapped address
 // returns 0, like a real bus with a default mux leg.
 func (rf *RegFile) ReadWord(addr int) uint16 {
-	if rf.prepare != nil {
-		rf.prepare()
-	}
-	rf.busReads++
-	rf.obsReads.Inc()
-	var w uint16
 	if addr >= 0 && addr < rf.words {
 		// Binary search over entries by address.
 		i := sort.Search(len(rf.entries), func(i int) bool {
 			return rf.entries[i].Addr+rf.entries[i].Words > addr
 		})
-		e := rf.entries[i]
-		shift := uint((addr - e.Addr) * WordBits)
-		w = uint16(e.read() >> shift)
+		e := &rf.entries[i]
+		return rf.busWord(e, addr-e.Addr)
 	}
+	rf.transact()
 	if rf.readFault != nil {
-		w = rf.readFault(addr, w)
+		return rf.readFault(addr, 0)
 	}
-	return w
+	return 0
+}
+
+// transact accounts one bus transaction: the prepare hook runs ahead of
+// the value sampling, then the lifetime and exposition counters advance.
+func (rf *RegFile) transact() {
+	if rf.prepare != nil {
+		rf.prepare()
+	}
+	rf.busReads++
+	rf.obsReads.Inc()
+}
+
+// busWord performs the bus transaction for word w of entry e, passing the
+// word through the read-fault hook at its real address.
+func (rf *RegFile) busWord(e *Entry, w int) uint16 {
+	rf.transact()
+	word := uint16(e.read() >> uint(w*WordBits))
+	if rf.readFault != nil {
+		word = rf.readFault(e.Addr+w, word)
+	}
+	return word
 }
 
 // Lookup finds an entry by name.
@@ -145,22 +160,39 @@ func (rf *RegFile) Lookup(name string) (Entry, bool) {
 	return rf.entries[i], true
 }
 
+// Index returns the position of the named entry in Entries, for callers
+// that resolve names once and then read with ReadIndex.
+func (rf *RegFile) Index(name string) (int, bool) {
+	i, ok := rf.byName[name]
+	return i, ok
+}
+
 // ReadValue reads a full named value by issuing one bus read per word and
 // reassembling, returning the value and the number of bus reads performed
 // (the quantity the paper's READ instruction count measures).
 func (rf *RegFile) ReadValue(name string) (value uint64, busReads int, err error) {
-	e, ok := rf.Lookup(name)
+	i, ok := rf.byName[name]
 	if !ok {
 		return 0, 0, fmt.Errorf("hwblock: no register named %q", name)
 	}
+	value, busReads = rf.ReadIndex(i)
+	return value, busReads, nil
+}
+
+// ReadIndex is ReadValue for the entry at position i of Entries: one bus
+// read per word, each through the read-fault hook at its own address, and
+// the returned count is what the READ category meters. It panics when i is
+// out of range.
+func (rf *RegFile) ReadIndex(i int) (value uint64, busReads int) {
+	e := &rf.entries[i]
 	for w := 0; w < e.Words; w++ {
 		//trnglint:widen word-by-word readout reassembly: every operand is one 16-bit bus word, shifted to its word lane; interval [0, +inf] (the lane shift is loop-carried)
-		value |= uint64(rf.ReadWord(e.Addr+w)) << uint(w*WordBits)
+		value |= uint64(rf.busWord(e, w)) << uint(w*WordBits)
 	}
 	if e.Width < 64 {
 		value &= 1<<uint(e.Width) - 1
 	}
-	return value, e.Words, nil
+	return value, e.Words
 }
 
 // Image dumps the full register file as one bus read per word — the

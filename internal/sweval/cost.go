@@ -8,7 +8,10 @@
 // paper's Table III.
 package sweval
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Op is one instruction category of the paper's 16-bit cost model.
 type Op int
@@ -111,11 +114,7 @@ const (
 
 // widthOf returns the bit width of v (minimum 1).
 func widthOf(v uint64) int {
-	w := 1
-	for v>>uint(w) != 0 {
-		w++
-	}
-	return w
+	return max(bits.Len64(v), 1)
 }
 
 // add computes a+b, charging one ADD per limb of the wider operand.

@@ -2,6 +2,7 @@ package sweval
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hwblock"
 )
@@ -21,6 +22,10 @@ type Verdict struct {
 	Threshold int64
 	// Note carries auxiliary detail (e.g. which serial statistic failed).
 	Note string
+	// Cost is the instruction count this test's routine spent. The shared
+	// random-walk reads (S_MAX, S_MIN, S_FINAL) are charged to test 13,
+	// their home in the paper's unified register map.
+	Cost Cost
 }
 
 // Report is the result of one full software evaluation pass over the
@@ -29,11 +34,8 @@ type Report struct {
 	// Verdicts holds one entry per implemented test, ascending by TestID.
 	Verdicts []Verdict
 	// Cost is the total instruction count of the pass, in the paper's
-	// Table III categories.
+	// Table III categories: the sum of the verdicts' costs.
 	Cost Cost
-	// PerTest breaks the cost down by test (shared reads are charged to
-	// the first consumer, mirroring the paper's shared-counter account).
-	PerTest map[int]Cost
 }
 
 // Pass reports whether every implemented test accepted.
@@ -57,33 +59,55 @@ func (r *Report) Failed() []int {
 	return out
 }
 
+// TestCost returns the cost charged to test id in this pass, or a zero
+// cost when the pass did not run the test.
+func (r *Report) TestCost(id int) Cost {
+	for i := range r.Verdicts {
+		if r.Verdicts[i].TestID == id {
+			return r.Verdicts[i].Cost
+		}
+	}
+	return Cost{}
+}
+
+// add appends a verdict carrying the cost its routine metered.
+func (r *Report) add(m *meter, v Verdict) {
+	v.Cost = m.cost
+	r.Verdicts = append(r.Verdicts, v)
+	r.Cost.Add(m.cost)
+}
+
 // Evaluator runs the embedded software routine: it reads raw counters from
 // a block's register file and turns them into pass/fail verdicts using only
 // metered integer operations against the precomputed critical values. The
 // default word size is 16 bits (the paper's platform); a wider word size
 // meters the same routine on a 32- or 64-bit core. Bus READs always count
 // 16-bit words — the register-file interface width is a hardware property.
+//
+// An Evaluator resolves the design's register names to register-file
+// entries on its first pass over a block and reads by index after that,
+// resolving again only when it meets a different block. It is not safe for
+// concurrent use: each core.Monitor owns its own, and one-off callers
+// (internal/tables) build a fresh one per call.
 type Evaluator struct {
 	cv       *CriticalValues
 	wordBits int
+	regs     regMap
+}
 
-	// Register names are fixed by the design, so they are formatted once
-	// here instead of once per sequence: a fleet evaluating thousands of
-	// sequences per second would otherwise spend a visible fraction of its
-	// time in fmt.Sprintf building the same strings.
-	bfNames     []string         // BF_EPS_i, test 2
-	lrNames     []string         // LR_NU_i, test 4
-	noNames     []string         // NO_W_i, test 7
-	ovNames     []string         // OV_NU_i, test 8
-	serialNames map[int][]string // SERIAL_NUw_pattern by width, tests 11/12
+// regMap holds the register-file entry indices one pass reads, resolved
+// against the register file rf.
+type regMap struct {
+	rf                     *hwblock.RegFile
+	sMax, sMin, sFin, runs int32
+	bf, lr, no, ov         []int32    // BF_EPS_i, LR_NU_i, NO_W_i, OV_NU_i
+	serial                 [3][]int32 // SERIAL_NUw_pattern for w = SerialM − k at [k]
 }
 
 // NewEvaluator returns an evaluator bound to one set of critical values,
 // metering at the paper's 16-bit word size.
 func NewEvaluator(cv *CriticalValues) *Evaluator {
-	ev := &Evaluator{cv: cv, wordBits: WordSize16}
-	ev.buildNames()
-	return ev
+	return &Evaluator{cv: cv, wordBits: WordSize16}
 }
 
 // NewEvaluatorWordSize returns an evaluator metering at the given word size
@@ -91,80 +115,74 @@ func NewEvaluator(cv *CriticalValues) *Evaluator {
 func NewEvaluatorWordSize(cv *CriticalValues, wordBits int) (*Evaluator, error) {
 	switch wordBits {
 	case WordSize16, WordSize32, WordSize64:
-		ev := &Evaluator{cv: cv, wordBits: wordBits}
-		ev.buildNames()
-		return ev, nil
+		return &Evaluator{cv: cv, wordBits: wordBits}, nil
 	}
 	return nil, fmt.Errorf("sweval: unsupported word size %d", wordBits)
 }
 
-// buildNames precomputes the per-counter register names the configured
-// tests will read.
-func (ev *Evaluator) buildNames() {
-	cfg := ev.cv.cfg
+// resolve looks up every register the block's tests read in its register
+// file, unless the evaluator already holds that file's indices. A missing
+// register is an error and leaves the previous resolution in place.
+func (ev *Evaluator) resolve(b *hwblock.Block) error {
+	rf := b.RegFile()
+	if ev.regs.rf == rf {
+		return nil
+	}
+	var missing string
+	index := func(name string) int32 {
+		i, ok := rf.Index(name)
+		if !ok && missing == "" {
+			missing = name
+		}
+		return int32(i)
+	}
+	bank := func(count int, format string) []int32 {
+		out := make([]int32, count)
+		for i := range out {
+			out[i] = index(fmt.Sprintf(format, i))
+		}
+		return out
+	}
+	cfg := b.Config()
+	r := regMap{rf: rf, sMax: index("S_MAX"), sMin: index("S_MIN"), sFin: index("S_FINAL")}
 	for _, id := range cfg.Tests {
 		switch id {
 		case 2:
-			if cfg.Params.BlockFrequencyM > 0 {
-				nBlocks := cfg.N / cfg.Params.BlockFrequencyM
-				ev.bfNames = make([]string, nBlocks)
-				for i := range ev.bfNames {
-					ev.bfNames[i] = fmt.Sprintf("BF_EPS_%d", i)
-				}
-			}
+			r.bf = bank(cfg.N/cfg.Params.BlockFrequencyM, "BF_EPS_%d")
+		case 3:
+			r.runs = index("N_RUNS")
 		case 4:
-			ev.lrNames = make([]string, len(ev.cv.longestRunQ16))
-			for i := range ev.lrNames {
-				ev.lrNames[i] = fmt.Sprintf("LR_NU_%d", i)
-			}
+			r.lr = bank(len(ev.cv.longestRunQ16), "LR_NU_%d")
 		case 7:
-			ev.noNames = make([]string, cfg.Params.NonOverlappingN)
-			for i := range ev.noNames {
-				ev.noNames[i] = fmt.Sprintf("NO_W_%d", i)
-			}
+			r.no = bank(cfg.Params.NonOverlappingN, "NO_W_%d")
 		case 8:
-			ev.ovNames = make([]string, len(ev.cv.overlapQ16))
-			for i := range ev.ovNames {
-				ev.ovNames[i] = fmt.Sprintf("OV_NU_%d", i)
-			}
+			r.ov = bank(len(ev.cv.overlapQ16), "OV_NU_%d")
 		case 11, 12:
-			for w := cfg.Params.SerialM; w >= cfg.Params.SerialM-2 && w >= 1; w-- {
-				if ev.serialNames == nil {
-					ev.serialNames = make(map[int][]string)
+			widths := 2 // test 12 reads the m and m−1 banks
+			if id == 11 {
+				widths = 3
+			}
+			for k := 0; k < widths; k++ {
+				if w := cfg.Params.SerialM - k; r.serial[k] == nil && w >= 0 {
+					r.serial[k] = bank(1<<w, fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
 				}
-				if _, ok := ev.serialNames[w]; ok {
-					continue
-				}
-				names := make([]string, 1<<uint(w))
-				for pat := range names {
-					names[pat] = fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat)
-				}
-				ev.serialNames[w] = names
 			}
 		}
 	}
-}
-
-// cachedName returns names[i] when cached, formatting the name only when
-// the index is outside the precomputed range.
-func cachedName(names []string, prefix string, i int) string {
-	if i < len(names) {
-		return names[i]
+	if missing != "" {
+		return fmt.Errorf("sweval: design %s has no register %q", cfg.Name, missing)
 	}
-	return fmt.Sprintf("%s%d", prefix, i)
+	ev.regs = r
+	return nil
 }
 
-// serialName returns the cached SERIAL_NUw_pattern register name, falling
-// back to formatting for widths outside the precomputed set.
-func (ev *Evaluator) serialName(w, pat int) string {
-	if names := ev.serialNames[w]; pat < len(names) {
-		return names[pat]
-	}
-	return fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat)
+// read issues the bus reads of the register at entry index i and charges
+// them to m.
+func (ev *Evaluator) read(m *meter, i int32) int64 {
+	v, busReads := ev.regs.rf.ReadIndex(int(i))
+	m.read(busReads)
+	return int64(v)
 }
-
-// newMeter builds a meter at the evaluator's word size.
-func (ev *Evaluator) newMeter() *meter { return &meter{wordBits: ev.wordBits} }
 
 // Evaluate performs one software pass over the block's register file. The
 // block must have absorbed a full sequence.
@@ -175,35 +193,20 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 	if b.Config().Name != ev.cv.cfg.Name {
 		return nil, fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Config().Name)
 	}
-	cfg := b.Config()
-	rf := b.RegFile()
-	rep := &Report{PerTest: make(map[int]Cost)}
-	n := int64(cfg.N)
-
-	readVal := func(m *meter, name string) (int64, error) {
-		v, busReads, err := rf.ReadValue(name)
-		if err != nil {
-			return 0, err
-		}
-		m.read(busReads)
-		return int64(v), nil
+	if err := ev.resolve(b); err != nil {
+		return nil, err
 	}
+	cfg := b.Config()
+	regs := &ev.regs
+	rep := &Report{Verdicts: make([]Verdict, 0, len(cfg.Tests))}
+	n := int64(cfg.N)
 
 	// Shared walk values, charged to test 13 (their home) as in the
 	// paper's unified register map.
-	mWalk := ev.newMeter()
-	sMaxRaw, err := readVal(mWalk, "S_MAX")
-	if err != nil {
-		return nil, err
-	}
-	sMinRaw, err := readVal(mWalk, "S_MIN")
-	if err != nil {
-		return nil, err
-	}
-	sFinRaw, err := readVal(mWalk, "S_FINAL")
-	if err != nil {
-		return nil, err
-	}
+	mWalk := meter{wordBits: ev.wordBits}
+	sMaxRaw := ev.read(&mWalk, regs.sMax)
+	sMinRaw := ev.read(&mWalk, regs.sMin)
+	sFinRaw := ev.read(&mWalk, regs.sFin)
 	// Recenter the offset-binary values: S = raw − n.
 	sMax := mWalk.sub(sMaxRaw, n)
 	sMin := mWalk.sub(sMinRaw, n)
@@ -212,108 +215,68 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 	ones := mWalk.shr(sFinRaw, 1)
 	zeros := mWalk.sub(n, ones)
 
-	addVerdict := func(m *meter, v Verdict) {
-		rep.Verdicts = append(rep.Verdicts, v)
-		rep.PerTest[v.TestID] = m.cost
-		rep.Cost.Add(m.cost)
-	}
-
 	for _, id := range cfg.Tests {
+		m := meter{wordBits: ev.wordBits}
 		switch id {
 		case 1:
-			m := ev.newMeter()
 			absS := sFin
 			if m.cmpGreater(0, absS) {
 				absS = m.sub(0, absS)
 			}
 			pass := !m.cmpGreater(absS, ev.cv.monobitSMax)
-			addVerdict(m, Verdict{TestID: 1, Pass: pass, Statistic: absS, Threshold: ev.cv.monobitSMax})
+			rep.add(&m, Verdict{TestID: 1, Pass: pass, Statistic: absS, Threshold: ev.cv.monobitSMax})
 
 		case 2:
-			m := ev.newMeter()
 			bigM := int64(cfg.Params.BlockFrequencyM)
-			nBlocks := cfg.N / cfg.Params.BlockFrequencyM
 			var d int64
-			for i := 0; i < nBlocks; i++ {
-				eps, err := readVal(m, cachedName(ev.bfNames, "BF_EPS_", i))
-				if err != nil {
-					return nil, err
-				}
+			for _, i := range regs.bf {
+				eps := ev.read(&m, i)
 				dev := m.sub(m.shl(eps, 1), bigM) // 2ε − M
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.blockFreqMax)
-			addVerdict(m, Verdict{TestID: 2, Pass: pass, Statistic: d, Threshold: ev.cv.blockFreqMax})
+			rep.add(&m, Verdict{TestID: 2, Pass: pass, Statistic: d, Threshold: ev.cv.blockFreqMax})
 
 		case 3:
-			m := ev.newMeter()
-			v, err := readVal(m, "N_RUNS")
-			if err != nil {
-				return nil, err
-			}
-			verdict := ev.evalRuns(m, n, sFin, ones, zeros, v)
-			addVerdict(m, verdict)
+			v := ev.read(&m, regs.runs)
+			rep.add(&m, ev.evalRuns(&m, n, sFin, ones, zeros, v))
 
 		case 4:
-			m := ev.newMeter()
-			nBlocks := int64(cfg.N / cfg.Params.LongestRunM)
 			var sum int64
-			for i := range ev.cv.longestRunQ16 {
-				nu, err := readVal(m, cachedName(ev.lrNames, "LR_NU_", i))
-				if err != nil {
-					return nil, err
-				}
-				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.longestRunQ16[i]))
+			for k, i := range regs.lr {
+				nu := ev.read(&m, i)
+				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.longestRunQ16[k]))
 			}
-			_ = nBlocks
 			pass := !m.cmpGreater(sum, ev.cv.longestRunMax)
-			addVerdict(m, Verdict{TestID: 4, Pass: pass, Statistic: sum, Threshold: ev.cv.longestRunMax})
+			rep.add(&m, Verdict{TestID: 4, Pass: pass, Statistic: sum, Threshold: ev.cv.longestRunMax})
 
 		case 7:
-			m := ev.newMeter()
 			tm := cfg.Params.TemplateM
 			blockLen := int64(cfg.N / cfg.Params.NonOverlappingN)
 			muScaled := m.sub(blockLen, int64(tm-1)) // μ·2^m = M − m + 1
 			var d int64
-			for i := 0; i < cfg.Params.NonOverlappingN; i++ {
-				w, err := readVal(m, cachedName(ev.noNames, "NO_W_", i))
-				if err != nil {
-					return nil, err
-				}
+			for _, i := range regs.no {
+				w := ev.read(&m, i)
 				dev := m.sub(m.shl(w, uint(tm)), muScaled)
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.nonOvMax)
-			addVerdict(m, Verdict{TestID: 7, Pass: pass, Statistic: d, Threshold: ev.cv.nonOvMax})
+			rep.add(&m, Verdict{TestID: 7, Pass: pass, Statistic: d, Threshold: ev.cv.nonOvMax})
 
 		case 8:
-			m := ev.newMeter()
 			var sum int64
-			for i := range ev.cv.overlapQ16 {
-				nu, err := readVal(m, cachedName(ev.ovNames, "OV_NU_", i))
-				if err != nil {
-					return nil, err
-				}
-				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.overlapQ16[i]))
+			for k, i := range regs.ov {
+				nu := ev.read(&m, i)
+				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.overlapQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.overlapMax)
-			addVerdict(m, Verdict{TestID: 8, Pass: pass, Statistic: sum, Threshold: ev.cv.overlapMax})
+			rep.add(&m, Verdict{TestID: 8, Pass: pass, Statistic: sum, Threshold: ev.cv.overlapMax})
 
 		case 11:
-			m := ev.newMeter()
 			sm := cfg.Params.SerialM
-			a, err := ev.sumSquares(m, sm, readVal)
-			if err != nil {
-				return nil, err
-			}
-			a1, err := ev.sumSquares(m, sm-1, readVal)
-			if err != nil {
-				return nil, err
-			}
-			a2, err := ev.sumSquares(m, sm-2, readVal)
-			if err != nil {
-				return nil, err
-			}
+			a := ev.sumSquares(&m, regs.serial[0])
+			a1 := ev.sumSquares(&m, regs.serial[1])
+			a2 := ev.sumSquares(&m, regs.serial[2])
 			// n·∇ψ² = 2^m·A_m − 2^{m−1}·A_{m−1}
 			x1 := m.sub(m.shl(a, uint(sm)), m.shl(a1, uint(sm-1)))
 			// n·∇²ψ² = 2^m·A_m − 2^m·A_{m−1} + 2^{m−2}·A_{m−2}
@@ -321,33 +284,27 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			fail1 := m.cmpGreater(x1, ev.cv.serialMax1)
 			fail2 := m.cmpGreater(x2, ev.cv.serialMax2)
 			note := ""
-			if fail1 {
+			switch {
+			case fail1 && fail2:
+				note = "del-psi2 del2-psi2"
+			case fail1:
 				note = "del-psi2"
+			case fail2:
+				note = " del2-psi2"
 			}
-			if fail2 {
-				note += " del2-psi2"
-			}
-			addVerdict(m, Verdict{TestID: 11, Pass: !fail1 && !fail2, Statistic: x1, Threshold: ev.cv.serialMax1, Note: note})
+			rep.add(&m, Verdict{TestID: 11, Pass: !fail1 && !fail2, Statistic: x1, Threshold: ev.cv.serialMax1, Note: note})
 
 		case 12:
-			m := ev.newMeter()
-			sm := cfg.Params.SerialM
 			// φ_m in Q16 via the PWL table, reusing the serial counters
 			// (m−1 = 3-bit and m = 4-bit banks for SerialM = 4).
-			phi4, err := ev.phiQ16(m, cfg, sm, readVal)
-			if err != nil {
-				return nil, err
-			}
-			phi3, err := ev.phiQ16(m, cfg, sm-1, readVal)
-			if err != nil {
-				return nil, err
-			}
+			phi4 := ev.phiQ16(&m, cfg.N, regs.serial[0])
+			phi3 := ev.phiQ16(&m, cfg.N, regs.serial[1])
 			apen := m.sub(phi3, phi4)
 			pass := !m.cmpGreater(ev.cv.apenMinQ16, apen)
-			addVerdict(m, Verdict{TestID: 12, Pass: pass, Statistic: apen, Threshold: ev.cv.apenMinQ16})
+			rep.add(&m, Verdict{TestID: 12, Pass: pass, Statistic: apen, Threshold: ev.cv.apenMinQ16})
 
 		case 13:
-			m := mWalk // inherits the shared walk reads
+			m := &mWalk // inherits the shared walk reads
 			// Forward: z = max(S_max, −S_min).
 			zf := sMax
 			negMin := m.sub(0, sMin)
@@ -363,17 +320,19 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			failF := !m.cmpGreater(ev.cv.cusumZMin, zf) // zf ≥ zMin
 			failB := !m.cmpGreater(ev.cv.cusumZMin, zb)
 			note := ""
-			if failF {
+			switch {
+			case failF && failB:
+				note = "forward backward"
+			case failF:
 				note = "forward"
-			}
-			if failB {
-				note += " backward"
+			case failB:
+				note = " backward"
 			}
 			z := zf
 			if zb > z {
 				z = zb
 			}
-			addVerdict(m, Verdict{TestID: 13, Pass: !failF && !failB, Statistic: z, Threshold: ev.cv.cusumZMin, Note: note})
+			rep.add(m, Verdict{TestID: 13, Pass: !failF && !failB, Statistic: z, Threshold: ev.cv.cusumZMin, Note: note})
 
 		default:
 			return nil, fmt.Errorf("sweval: no software routine for test %d", id)
@@ -417,32 +376,23 @@ func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) Verdict {
 	}
 }
 
-// sumSquares reads every w-bit serial pattern counter and accumulates Σν².
-func (ev *Evaluator) sumSquares(m *meter, w int, readVal func(*meter, string) (int64, error)) (int64, error) {
+// sumSquares reads every pattern counter of one serial bank and
+// accumulates Σν².
+func (ev *Evaluator) sumSquares(m *meter, bank []int32) int64 {
 	var sum int64
-	for pat := 0; pat < 1<<uint(w); pat++ {
-		v, err := readVal(m, ev.serialName(w, pat))
-		if err != nil {
-			return 0, err
-		}
-		sum = m.add(sum, m.sqr(v))
+	for _, i := range bank {
+		sum = m.add(sum, m.sqr(ev.read(m, i)))
 	}
-	return sum, nil
+	return sum
 }
 
-// phiQ16 computes φ_w = Σ (ν/n)·ln(ν/n) in Q16 through the PWL table.
-// n is a power of two, so ν/n in Q16 is a single shift.
-func (ev *Evaluator) phiQ16(m *meter, cfg hwblock.Config, w int, readVal func(*meter, string) (int64, error)) (int64, error) {
-	logN := uint(0)
-	for 1<<logN < cfg.N {
-		logN++
-	}
+// phiQ16 computes φ_w = Σ (ν/n)·ln(ν/n) in Q16 through the PWL table over
+// one serial bank. n is a power of two, so ν/n in Q16 is a single shift.
+func (ev *Evaluator) phiQ16(m *meter, n int, bank []int32) int64 {
+	logN := uint(bits.Len(uint(n - 1)))
 	var phi int64
-	for pat := 0; pat < 1<<uint(w); pat++ {
-		nu, err := readVal(m, ev.serialName(w, pat))
-		if err != nil {
-			return 0, err
-		}
+	for _, i := range bank {
+		nu := ev.read(m, i)
 		if nu == 0 {
 			continue
 		}
@@ -454,5 +404,5 @@ func (ev *Evaluator) phiQ16(m *meter, cfg hwblock.Config, w int, readVal func(*m
 		}
 		phi = m.add(phi, ev.cv.pwl.evalQ16(m, xQ16))
 	}
-	return phi, nil
+	return phi
 }

@@ -1,0 +1,101 @@
+package sweval
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/bitstream"
+	"repro/internal/hwblock"
+	"repro/internal/trng"
+)
+
+// TestEvaluatorRebinding alternates one evaluator between two blocks of
+// the same design and checks every pass against a fresh evaluator's
+// report on the same block.
+func TestEvaluatorRebinding(t *testing.T) {
+	for _, cfg := range hwblock.AllConfigs() {
+		if cfg.N > 65536 {
+			continue
+		}
+		cv, err := NewCriticalValues(cfg, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := []*hwblock.Block{
+			runBlock(t, cfg, trng.Read(trng.NewIdeal(41), cfg.N)),
+			runBlock(t, cfg, trng.Read(trng.NewBiased(0.6, 42), cfg.N)),
+		}
+		ev := NewEvaluator(cv)
+		for i := 0; i < 4; i++ {
+			b := blocks[i%2]
+			got, err := ev.Evaluate(b)
+			if err != nil {
+				t.Fatalf("%s pass %d: %v", cfg.Name, i, err)
+			}
+			want, err := NewEvaluator(cv).Evaluate(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s pass %d: rebound evaluator's report differs from a fresh one's", cfg.Name, i)
+			}
+		}
+		// A bound evaluator still checks that the block is done.
+		blocks[0].Reset()
+		if _, err := ev.Evaluate(blocks[0]); err == nil {
+			t.Errorf("%s: evaluation of a reset block accepted", cfg.Name)
+		}
+	}
+}
+
+// TestEvaluateRejectsMissingRegister gives the evaluator critical values
+// that expect one more longest-run counter than the block exposes: the
+// pass must fail with an error naming the register, on every attempt.
+func TestEvaluateRejectsMissingRegister(t *testing.T) {
+	cfg := mustConfig(t, 128, hwblock.Light)
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := *cv
+	wide.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
+	b := runBlock(t, cfg, trng.Read(trng.NewIdeal(43), cfg.N))
+	ev := NewEvaluator(&wide)
+	for i := 0; i < 2; i++ {
+		_, err := ev.Evaluate(b)
+		if err == nil || !strings.Contains(err.Error(), "LR_NU_4") {
+			t.Fatalf("attempt %d: err = %v, want a missing LR_NU_4 register", i, err)
+		}
+	}
+	if _, err := NewEvaluator(cv).Evaluate(b); err != nil {
+		t.Fatalf("matching critical values: %v", err)
+	}
+}
+
+// TestEvaluateAllocs gates the per-sequence allocations of a pass: the
+// Report and its Verdicts, nothing else, on every shipped design.
+func TestEvaluateAllocs(t *testing.T) {
+	for _, cfg := range hwblock.AllConfigs() {
+		b, err := hwblock.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Run(bitstream.NewReader(trng.Read(trng.NewBiased(0.6, 44), cfg.N))); err != nil {
+			t.Fatal(err)
+		}
+		cv, err := NewCriticalValues(cfg, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(cv)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ev.Evaluate(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: Evaluate makes %.0f allocations, want at most 2", cfg.Name, allocs)
+		}
+	}
+}

@@ -45,7 +45,7 @@ func reportDigest(h hash.Hash, rep *Report, busReads int64) {
 		put(v.Threshold)
 		put(int64(len(v.Note)))
 		io.WriteString(h, v.Note)
-		putCost(rep.PerTest[v.TestID])
+		putCost(rep.TestCost(v.TestID))
 	}
 	putCost(rep.Cost)
 	put(busReads)

@@ -311,7 +311,7 @@ func TestApEnLUTCountMatchesPaper(t *testing.T) {
 	cfg := mustConfig(t, 128, hwblock.Medium)
 	s := trng.Read(trng.NewIdeal(11), cfg.N)
 	rep := evaluate(t, cfg, s, 0.01)
-	if got := rep.PerTest[12].Get(OpLUT); got != 24 {
+	if got := rep.TestCost(12).Get(OpLUT); got != 24 {
 		t.Errorf("ApEn LUT accesses = %d, want 24 (paper Table III)", got)
 	}
 	// Designs without test 12 must not touch the LUT.
@@ -469,8 +469,8 @@ func TestPerTestCostsSumToTotal(t *testing.T) {
 	s := trng.Read(trng.NewIdeal(23), cfg.N)
 	rep := evaluate(t, cfg, s, 0.01)
 	var sum Cost
-	for _, c := range rep.PerTest {
-		sum.Add(c)
+	for _, v := range rep.Verdicts {
+		sum.Add(v.Cost)
 	}
 	if sum != rep.Cost {
 		t.Errorf("per-test costs %v do not sum to total %v", sum, rep.Cost)

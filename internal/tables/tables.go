@@ -151,7 +151,7 @@ func TableII() string {
 		case 13:
 			hw = "S_max, S_min, S_final"
 		}
-		fmt.Fprintf(&sb, "%-26s %-30s %s\n", names[id], hw, rep.PerTest[id].String())
+		fmt.Fprintf(&sb, "%-26s %-30s %s\n", names[id], hw, rep.TestCost(id).String())
 	}
 	return sb.String()
 }
