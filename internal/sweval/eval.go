@@ -158,14 +158,14 @@ func (ev *Evaluator) resolve(b *hwblock.Block) error {
 		case 8:
 			r.ov = bank(len(ev.cv.overlapQ16), "OV_NU_%d")
 		case 11, 12:
-			widths := 2 // test 12 reads the m and m−1 banks
-			if id == 11 {
-				widths = 3
+			// One set of pattern counters serves both tests; the
+			// hardware always exposes all three banks.
+			if r.serial[0] != nil {
+				continue
 			}
-			for k := 0; k < widths; k++ {
-				if w := cfg.Params.SerialM - k; r.serial[k] == nil && w >= 0 {
-					r.serial[k] = bank(1<<w, fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
-				}
+			for k := range r.serial {
+				w := cfg.Params.SerialM - k
+				r.serial[k] = bank(1<<uint(w), fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
 			}
 		}
 	}
