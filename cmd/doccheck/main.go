@@ -5,10 +5,12 @@
 // `go run ./cmd/<name>` whose command directory is gone, or a
 // `make <target>` whose target left the Makefile. Stdlib only (go/parser +
 // go/doc); wired into `make docs-check` and therefore the CI lint job.
+// A package argument ending in /... names every package directory below
+// it, testdata excluded, as for the go command.
 //
 // Usage:
 //
-//	doccheck -md EXPERIMENTS.md ./internal/online ./internal/fleet
+//	doccheck -md EXPERIMENTS.md ./internal/...
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,8 +44,13 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 // run executes the audit and returns the exit code: 0 clean, 1 findings,
 // 2 operational failure (unreadable package or document).
 func run(pkgs []string, mdFiles []string, stdout, stderr io.Writer) int {
+	dirs, err := expand(pkgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "doccheck:", err)
+		return 2
+	}
 	var findings []string
-	for _, dir := range pkgs {
+	for _, dir := range dirs {
 		fs, err := auditPackage(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "doccheck:", err)
@@ -66,6 +74,41 @@ func run(pkgs []string, mdFiles []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// expand replaces each dir/... argument with the directories below dir
+// that hold a non-test Go file, skipping testdata and directories whose
+// name starts with . or _, as the go command does.
+func expand(args []string) ([]string, error) {
+	var dirs []string
+	seen := make(map[string]bool)
+	for _, arg := range args {
+		root, ok := strings.CutSuffix(arg, "/...")
+		if !ok {
+			dirs = append(dirs, arg)
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() && path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				if dir := filepath.Dir(path); !seen[dir] {
+					seen[dir] = true
+					dirs = append(dirs, dir)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return dirs, nil
 }
 
 // auditPackage parses one package directory (tests excluded) and reports

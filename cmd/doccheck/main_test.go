@@ -80,6 +80,23 @@ func Exported() {}
 	}
 }
 
+// TestEllipsisNamesPackageDirs pins the dir/... expansion: every
+// directory below holding a non-test Go file, once, without testdata.
+func TestEllipsisNamesPackageDirs(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range []string{"a.go", "b/x.go", "c.go", "testdata/t.go", "d/only_test.go", ".e/e.go"} {
+		write(t, dir, f, "package p\n")
+	}
+	got, err := expand([]string{dir + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{dir, filepath.Join(dir, "b")}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("expand = %v, want %v", got, want)
+	}
+}
+
 // chdirRepoRoot moves the test to the module root (where the audited
 // packages and the Makefile live) and restores the old directory after.
 func chdirRepoRoot(t *testing.T) {
@@ -100,17 +117,13 @@ func chdirRepoRoot(t *testing.T) {
 	t.Fatal("module root not found")
 }
 
-// TestRepoPackagesAreDocumented runs the audit over the packages
-// `make docs-check` passes (CI's generated-docs step) — the test IS the
-// gate, one build earlier, so the two lists must stay the same.
+// TestRepoPackagesAreDocumented runs the audit `make docs-check` runs
+// (CI's generated-docs step) over every package under internal/ — the
+// test IS the gate, one build earlier.
 func TestRepoPackagesAreDocumented(t *testing.T) {
 	chdirRepoRoot(t)
 	var out, errb bytes.Buffer
-	pkgs := []string{
-		"./internal/online", "./internal/fleet", "./internal/sp80090b", "./internal/hwslice",
-		"./internal/hwfast",
-	}
-	if code := run(pkgs, []string{"EXPERIMENTS.md"}, &out, &errb); code != 0 {
+	if code := run([]string{"./internal/..."}, []string{"EXPERIMENTS.md"}, &out, &errb); code != 0 {
 		t.Fatalf("repo audit failed (exit %d):\n%s%s", code, out.String(), errb.String())
 	}
 }

@@ -188,6 +188,9 @@ func run(o options) int {
 	if o.onset < 0 || o.maxBits <= o.onset {
 		return fatal(fmt.Errorf("-max-bits %d must exceed -onset %d", o.maxBits, o.onset))
 	}
+	if o.format != "table" && o.format != "csv" {
+		return fatal(fmt.Errorf("unknown format %q (want table or csv)", o.format))
+	}
 
 	pts := sweep()
 	if o.family != "all" {
@@ -222,13 +225,10 @@ func run(o options) int {
 		results[i] = res
 	}
 
-	switch o.format {
-	case "table":
-		printTable(o.stdout, o, results)
-	case "csv":
+	if o.format == "csv" {
 		printCSV(o.stdout, results)
-	default:
-		return fatal(fmt.Errorf("unknown format %q (want table or csv)", o.format))
+	} else {
+		printTable(o.stdout, o, results)
 	}
 	return 0
 }

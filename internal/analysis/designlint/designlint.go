@@ -49,6 +49,7 @@ type Finding struct {
 	Msg string
 }
 
+// String formats the finding as "design: [rule] message".
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Design, f.Rule, f.Msg)
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/nodefer"
+	"repro/internal/analysis/resetcheck"
 )
 
 // The concurrency mutation-kill suite: each analyzer must catch the seeded
@@ -25,10 +26,11 @@ import (
 // the same class of bug the annotations in internal/fleet and internal/obs
 // guard against — and asserts the analyzer fires. An analyzer that stays
 // silent on its mutation is dead weight, so these tests are the conclint
-// family's own regression gate. The final test replays the repository's
-// own history: it strips the pushMu ordering out of Stream.Detach (the
-// detach TOCTOU fixed in the fleet ingest path) in a scratch copy of the
-// real module and demands guardedby flag it.
+// family's own regression gate. Two tests replay defects in a scratch
+// copy of the real module: the pushMu ordering stripped out of
+// Stream.Detach (the detach TOCTOU fixed in the fleet ingest path) must
+// make guardedby fire, and the per-trial Reset removed from
+// SequenceRunner.Run must make resetcheck fire.
 
 // runAnalyzer writes src as the single file of package pkg under a scratch
 // testdata overlay, loads and type-checks it, and returns the analyzer's
@@ -306,7 +308,7 @@ func spawn(wg *sync.WaitGroup) {
 		"no provable join or quit path")
 }
 
-// ---- the real-module replay: the fleet detach TOCTOU ----
+// ---- the real-module replays: the fleet detach TOCTOU, the runner's Reset ----
 
 // moduleRoot walks up from the test's working directory to go.mod.
 func moduleRoot(t *testing.T) string {
@@ -397,21 +399,50 @@ func TestMutationFleetDetachTOCTOU(t *testing.T) {
 	if err := os.WriteFile(streamGo, []byte(mutant), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	assertKilled(t, analyzeModule(t, root, "repro/internal/fleet", guardedby.Analyzer),
+		"flushStaged requires pushMu held")
+}
 
+// TestMutationSequenceRunnerResetRemoved deletes the per-trial Reset from
+// SequenceRunner.Run's worker loop, which runs inside a goroutine literal,
+// in a scratch copy of the real module: resetcheck must report the loop's
+// fresh-source Watch, which would otherwise carry one trial's state into
+// the next and break the runner's determinism.
+func TestMutationSequenceRunnerResetRemoved(t *testing.T) {
+	root := copyModule(t)
+	runnerGo := filepath.Join(root, "internal", "core", "runner.go")
+	data, err := os.ReadFile(runnerGo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, analyzeModule(t, root, "repro/internal/core", resetcheck.Analyzer))
+	mutant := mustReplace(t, string(data), "\t\t\t\tm.Reset()\n\t\t\t\treps, err := m.Watch(",
+		"\t\t\t\treps, err := m.Watch(")
+	if err := os.WriteFile(runnerGo, []byte(mutant), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertKilled(t, analyzeModule(t, root, "repro/internal/core", resetcheck.Analyzer),
+		`Watch on monitor "m" builds a fresh source every loop iteration`)
+}
+
+// analyzeModule loads one package of the module at root, which must
+// type-check, and returns a's diagnostic messages on it.
+func analyzeModule(t *testing.T, root, pkg string, a *analysis.Analyzer) []string {
+	t.Helper()
 	l, err := load.NewModuleLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets, err := l.Load("repro/internal/fleet")
+	targets, err := l.Load(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tgt := targets[0]
 	if len(tgt.TypeErrors) > 0 {
-		t.Fatalf("mutated fleet does not type-check: %v", tgt.TypeErrors)
+		t.Fatalf("%s does not type-check: %v", pkg, tgt.TypeErrors)
 	}
 	unit := &analysis.Unit{Fset: tgt.Fset, Files: tgt.Files, Pkg: tgt.Pkg, Info: tgt.Info}
-	diags, err := analysis.Run(unit, guardedby.Analyzer)
+	diags, err := analysis.Run(unit, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +450,7 @@ func TestMutationFleetDetachTOCTOU(t *testing.T) {
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)
 	}
-	assertKilled(t, msgs, "flushStaged requires pushMu held")
+	return msgs
 }
 
 // ---- the perflint mutation kills ----
@@ -504,27 +535,6 @@ func TestMutationFleetStagingAllocation(t *testing.T) {
 	if err := os.WriteFile(streamGo, []byte(mutant), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	l, err := load.NewModuleLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets, err := l.Load("repro/internal/fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := targets[0]
-	if len(tgt.TypeErrors) > 0 {
-		t.Fatalf("mutated fleet does not type-check: %v", tgt.TypeErrors)
-	}
-	unit := &analysis.Unit{Fset: tgt.Fset, Files: tgt.Files, Pkg: tgt.Pkg, Info: tgt.Info}
-	diags, err := analysis.Run(unit, noalloc.Analyzer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	for _, d := range diags {
-		msgs = append(msgs, d.Message)
-	}
-	assertKilled(t, msgs, "hot path Stream.stage: make allocates")
+	assertKilled(t, analyzeModule(t, root, "repro/internal/fleet", noalloc.Analyzer),
+		"hot path Stream.stage: make allocates")
 }

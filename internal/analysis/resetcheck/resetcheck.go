@@ -7,28 +7,18 @@
 // monitoring of one stream (Watch in a loop over the same source — the
 // paper's always-on mode) is exactly the allowed case and is not flagged.
 //
-// Two patterns are reported, per function body:
-//
-//   - a second Watch on the same monitor with a syntactically different
-//     source expression, with no Reset (and no escape of the monitor)
-//     in between
-//   - Watch inside a loop whose source argument is built afresh each
-//     iteration (a call expression), with no Reset on that monitor
-//     anywhere in the loop body
-//
-// The check is a linear, intra-procedural heuristic: passing the monitor
-// to another function or reassigning it conservatively clears its state.
-// A deliberate continuation is waived with
-// //trnglint:allow resetcheck <reason>.
+// A Watch is reported when some path reaches it with the monitor still
+// holding a different source, and no Reset or escape (the monitor passed
+// to a call or assigned) in between; a source built afresh every loop
+// iteration (a call expression) gets the loop's own text. The paths come
+// from the shared flow walker (analysis.ResetWalk), closures included. A
+// deliberate continuation is waived with //trnglint:allow resetcheck <reason>.
 package resetcheck
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -47,187 +37,45 @@ var Analyzer = &analysis.Analyzer{
 // real core package.
 const monitorTypeName = "Monitor"
 
-type eventKind int
-
-const (
-	evWatch eventKind = iota
-	evReset
-	evEscape
-)
-
-type event struct {
-	kind eventKind
-	pos  token.Pos
-	call *ast.CallExpr
-	// srcText is the printed source argument of a Watch.
-	srcText string
-	// freshSource marks a Watch whose source argument is a call
-	// expression — a source constructed at the call site.
-	freshSource bool
-}
-
 func run(pass *analysis.Pass) (any, error) {
+	isMonitor := func(e ast.Expr) bool { return isMonitorExpr(pass, e) }
+	// visit reports a Watch that may feed a monitor a second source.
+	visit := func(n ast.Node, watched analysis.Watched) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		key, next, ok := analysis.WatchCall(call, isMonitor)
+		prior, seen := watched[key]
+		switch {
+		case !ok || !seen || prior.Continues(next):
+		case next.Fresh && prior.Loop != nil && prior.Loop.Pos() <= call.Pos() && call.End() <= prior.Loop.End():
+			pass.Reportf(call.Pos(),
+				"Watch on monitor %q builds a fresh source every loop iteration but the loop never "+
+					"calls Reset: trial state leaks across sequences — Reset before Watch or waive "+
+					"with //trnglint:allow resetcheck <reason>", key)
+		default:
+			pass.Reportf(call.Pos(),
+				"monitor already monitored source %s; feeding it %s without Reset carries the "+
+					"sequence counter and history into an unrelated stream — Reset first or waive "+
+					"with //trnglint:allow resetcheck <reason>", prior.Source, next.Source)
+		}
+		return true
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkBody(pass, n.Body)
-				}
+				analysis.ResetWalk(pass.TypesInfo, n.Body, isMonitor, visit)
 				return false
-			case *ast.FuncLit:
-				checkBody(pass, n.Body)
+			case *ast.FuncLit: // in a package-level initializer
+				analysis.ResetWalk(pass.TypesInfo, n.Body, isMonitor, visit)
 				return false
 			}
 			return true
 		})
 	}
 	return nil, nil
-}
-
-// checkBody analyzes one function body. Nested function literals are
-// analyzed independently (their events do not interleave predictably
-// with the enclosing body's).
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	events := collect(pass, body)
-	linearScan(pass, events)
-
-	// Loop rule: fresh-source Watch inside a loop needs a Reset in that
-	// same loop body.
-	inspectSameFunc(body, func(n ast.Node) {
-		var loopBody *ast.BlockStmt
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			loopBody = n.Body
-		case *ast.RangeStmt:
-			loopBody = n.Body
-		}
-		if loopBody == nil {
-			return
-		}
-		evs := collect(pass, loopBody)
-		resets := make(map[string]bool)
-		for _, e := range evs {
-			if e.kind == evReset || e.kind == evEscape {
-				resets[e.keyText()] = true
-			}
-		}
-		for _, e := range evs {
-			if e.kind == evWatch && e.freshSource && !resets[e.keyText()] {
-				pass.Reportf(e.pos,
-					"Watch on monitor %q builds a fresh source every loop iteration but the loop never "+
-						"calls Reset: trial state leaks across sequences — Reset before Watch or waive "+
-						"with //trnglint:allow resetcheck <reason>", e.srcText)
-			}
-		}
-	})
-}
-
-// linearScan applies the second-source rule over the position-ordered
-// events of the whole body.
-func linearScan(pass *analysis.Pass, events []event) {
-	type state struct {
-		watched bool
-		srcText string
-	}
-	byKey := make(map[string][]event)
-	for _, e := range events {
-		byKey[e.keyText()] = append(byKey[e.keyText()], e)
-	}
-	for _, evs := range byKey {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-		st := &state{}
-		for _, e := range evs {
-			switch e.kind {
-			case evReset, evEscape:
-				st.watched = false
-			case evWatch:
-				if st.watched && st.srcText != e.srcText {
-					pass.Reportf(e.pos,
-						"monitor already monitored source %s; feeding it %s without Reset carries the "+
-							"sequence counter and history into an unrelated stream — Reset first or waive "+
-							"with //trnglint:allow resetcheck <reason>", st.srcText, e.srcText)
-				}
-				st.watched = true
-				st.srcText = e.srcText
-			}
-		}
-	}
-}
-
-// keyText returns the receiver key an event applies to. For Watch/Reset
-// the receiver text is stored in call; escapes store it in srcText.
-func (e event) keyText() string {
-	if e.kind == evEscape {
-		return e.srcText
-	}
-	var buf bytes.Buffer
-	sel := e.call.Fun.(*ast.SelectorExpr)
-	printer.Fprint(&buf, token.NewFileSet(), sel.X)
-	return buf.String()
-}
-
-// collect gathers monitor events in the subtree. Nested function
-// literals are always skipped — they are checked on their own.
-func collect(pass *analysis.Pass, body *ast.BlockStmt) []event {
-	var out []event
-	inspectSameFunc(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			// A monitor passed to another function or reassigned escapes
-			// the linear analysis.
-			if as, ok := n.(*ast.AssignStmt); ok {
-				for _, rhs := range as.Rhs {
-					if isMonitorExpr(pass, rhs) {
-						out = append(out, event{kind: evEscape, pos: as.Pos(), srcText: exprText(rhs)})
-					}
-				}
-			}
-			return
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if ok && isMonitorExpr(pass, sel.X) {
-			switch sel.Sel.Name {
-			case "Watch":
-				if len(call.Args) >= 1 {
-					_, fresh := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-					out = append(out, event{
-						kind: evWatch, pos: call.Pos(), call: call,
-						srcText: exprText(call.Args[0]), freshSource: fresh,
-					})
-				}
-				return
-			case "Reset":
-				out = append(out, event{kind: evReset, pos: call.Pos(), call: call})
-				return
-			default:
-				// Any other method keeps the monitor's state opaque but
-				// does not feed it a source; ignore.
-				return
-			}
-		}
-		// Monitor used as an argument: escapes.
-		for _, arg := range call.Args {
-			if isMonitorExpr(pass, arg) {
-				out = append(out, event{kind: evEscape, pos: call.Pos(), srcText: exprText(arg)})
-			}
-		}
-	})
-	return out
-}
-
-// inspectSameFunc walks the subtree without descending into nested
-// function literals.
-func inspectSameFunc(root ast.Node, fn func(n ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n != root {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
 }
 
 // isMonitorExpr reports whether e denotes a value of (pointer to) a named
@@ -239,18 +87,9 @@ func isMonitorExpr(pass *analysis.Pass, e ast.Expr) bool {
 		e = ue.X
 	}
 	t := pass.TypeOf(e)
-	if t == nil {
-		return false
-	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == monitorTypeName
-}
-
-func exprText(e ast.Expr) string {
-	var buf bytes.Buffer
-	printer.Fprint(&buf, token.NewFileSet(), e)
-	return buf.String()
 }

@@ -55,3 +55,64 @@ func waived(m *monlib.Monitor, a, b *monlib.Source) {
 	//trnglint:allow resetcheck the second stream deliberately continues the first trial's history
 	_ = m.Watch(b, 1)
 }
+
+func nestedGoLoop(m *monlib.Monitor, done chan<- bool) {
+	go func() {
+		for i := 0; i < 4; i++ {
+			_ = m.Watch(monlib.NewSource(i), 1) // want `Watch on monitor "m" builds a fresh source`
+		}
+		done <- true
+	}()
+}
+
+func literalSecondSource(m *monlib.Monitor, a, b *monlib.Source) {
+	f := func() {
+		_ = m.Watch(a, 1)
+		_ = m.Watch(b, 1) // want `without Reset`
+	}
+	f()
+}
+
+func branchArms(m *monlib.Monitor, a, b *monlib.Source, c bool) {
+	if c {
+		_ = m.Watch(a, 1)
+	} else {
+		_ = m.Watch(b, 1) // the other arm: a different path, allowed
+	}
+}
+
+func resetOnOnePath(m *monlib.Monitor, a, b *monlib.Source, c bool) {
+	_ = m.Watch(a, 1)
+	if c {
+		m.Reset()
+	}
+	_ = m.Watch(b, 1) // want `without Reset`
+}
+
+func escapesByAddress(a, b *monlib.Source) {
+	var m monlib.Monitor
+	_ = m.Watch(a, 1)
+	handOff(&m)
+	_ = m.Watch(b, 1) // &m escaped: conservatively allowed
+}
+
+func watchInCondition(m *monlib.Monitor, a, b *monlib.Source) {
+	if m.Watch(a, 1) != nil {
+		return
+	}
+	_ = m.Watch(b, 1) // want `without Reset`
+}
+
+func withGoto(m *monlib.Monitor, a, b *monlib.Source) {
+	_ = m.Watch(a, 1)
+retry:
+	if m.Watch(b, 1) != nil { // goto: the function is not followed, so not reported
+		goto retry
+	}
+}
+
+func escapesToGoroutine(m *monlib.Monitor, a, b *monlib.Source) {
+	_ = m.Watch(a, 1)
+	go handOff(m)
+	_ = m.Watch(b, 1) // m escaped to the goroutine: conservatively allowed
+}

@@ -6,15 +6,17 @@ import (
 	"go/types"
 )
 
-// This file is the flow-sensitive statement walker behind both dataflow
-// analyses: the value intervals of flow.go and the held-mutex sets of
-// lockflow.go. It walks one function body in source order, hands every
-// node to a visitor together with the state current at that point, and
-// leaves what the state means to the analysis plugged into it. A fact is
-// recorded only when it is true on EVERY path reaching the point:
+// This file is the flow-sensitive statement walker behind the three
+// dataflow analyses: the value intervals of flow.go, the held-mutex sets
+// of lockflow.go and the watched monitors of resetflow.go. It walks one
+// function body in source order, hands every node to a visitor together
+// with the state current at that point, and leaves what the state means,
+// and what a join keeps, to the analysis plugged into it: a fact true on
+// EVERY path for intervals and locks, on ANY path for monitors.
 //
 //   - each statement's nodes are visited first, then its effect applies
-//     (flowState.transfer);
+//     (flowState.transfer), as do an if condition's, a switch tag's and
+//     a loop header's, before the branches or the body;
 //   - if/else forks the state and joins both exits; a path that ends in
 //     return, panic, continue or goto drops out of the join, a break
 //     rejoins right after its target statement, and a fallthrough enters
@@ -35,11 +37,11 @@ import (
 type flowState[S any] interface {
 	// clone returns an independent copy for a forked path.
 	clone() S
-	// join merges the state of another path reaching the same point;
-	// only objects with a fact on both paths keep one.
+	// join merges the state of another path reaching the same point.
 	join(other S) S
-	// transfer applies the effect of n (a statement, or one ValueSpec of
-	// a var declaration) after its nodes have been visited.
+	// transfer applies the effect of n (a simple, go or defer statement,
+	// one ValueSpec of a var declaration, or an if condition, switch tag
+	// or loop header expression) after its nodes have been visited.
 	transfer(n ast.Node)
 	// havoc weakens the state on entry to loop to what holds at the
 	// start of every iteration.
@@ -258,16 +260,18 @@ func (w *walker[S]) stmt(s ast.Stmt) {
 	// matter) the state of this point. Only its function and arguments are
 	// evaluated here, so the CallExpr is not visited; and a deferred Unlock
 	// is not a release, which is what keeps a lock held through early
-	// returns.
+	// returns (the lock and interval states ignore both statements).
 	case *ast.GoStmt:
 		if stack := w.root(s); stack != nil {
 			w.call(s.Call, stack, exprGo)
 		}
+		w.st.transfer(s)
 
 	case *ast.DeferStmt:
 		if stack := w.root(s); stack != nil {
 			w.call(s.Call, stack, exprNow)
 		}
+		w.st.transfer(s)
 
 	case *ast.ReturnStmt:
 		w.visitTree(s, s.Results...)
@@ -298,6 +302,7 @@ func (w *walker[S]) stmt(s ast.Stmt) {
 			w.stmt(s.Init)
 		}
 		w.visitTree(s, s.Cond)
+		w.st.transfer(s.Cond)
 		base, baseTerm := w.st, w.terminated
 		var join exit[S]
 		w.st = base.clone()
@@ -331,6 +336,9 @@ func (w *walker[S]) stmt(s ast.Stmt) {
 			w.stmt(s.Init)
 		}
 		w.visitTree(s, s.Tag)
+		if s.Tag != nil {
+			w.st.transfer(s.Tag)
+		}
 		w.cases(s.Body, label, hasDefaultClause(s.Body), func(c ast.Stmt) []ast.Stmt {
 			cc := c.(*ast.CaseClause)
 			w.visitTree(cc, cc.List...)
@@ -376,6 +384,11 @@ func (w *walker[S]) loop(s ast.Stmt, label string, header []ast.Expr, body func(
 	entry, entryTerm := w.st.clone(), w.terminated
 	w.targets = append(w.targets, &exit[S]{label: label})
 	w.visitTree(s, header...)
+	for _, e := range header {
+		if e != nil {
+			w.st.transfer(e)
+		}
+	}
 	body()
 	w.targets = w.targets[:len(w.targets)-1]
 	w.st, w.terminated = entry, entryTerm

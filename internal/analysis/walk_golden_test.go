@@ -19,24 +19,27 @@ import (
 
 var walkDump = flag.String("walkdump", "", "write TestWalkGolden's records to this file (debugging aid)")
 
-// Golden hashes of everything the two flow walks deliver over the
-// analyzer testdata. A change to either means the walker now visits other
+// Golden hashes of everything the three flow walks deliver over the
+// analyzer testdata. A change to any means the walker now visits other
 // nodes or carries another state to them: re-record only after checking
 // the record-level difference (-walkdump before and after) is intended.
 const (
-	flowWalkGolden = "966db95fdeb609ac3540b6a40c5ed05e1570e69d8c26f1d869f26848b5b4c672"
-	lockWalkGolden = "2e94e8442bdcb70fdb248e3cdd3acd162c33fa7391bf59ef828a376dcd30029d"
+	flowWalkGolden  = "376ba958528cc960f66a2e2c0e551cd065ea79bcadb52f11f0ecef1b514c25b9"
+	lockWalkGolden  = "55ff0835872d51ccd0885debebd77a9af30587bc984731de14e4c6bd74ae6aa0"
+	resetWalkGolden = "d12d71b41fe594a6735d749e6b75523f6da20a49340ca00a74166a880037a131"
 )
 
-// TestWalkGolden pins FlowWalk and LockWalk over every package under
-// internal/analysis/*/testdata/src: for FlowWalk each visited node's
+// TestWalkGolden pins FlowWalk, LockWalk and ResetWalk over every package
+// under internal/analysis/*/testdata/src: for FlowWalk each visited node's
 // position, node type and, for integer-typed expressions, its interval;
 // for LockWalk each visited node's position, node type, held mutexes and
-// provability.
+// provability; for ResetWalk each visited node's position, node type and
+// watched monitors with their facts.
 func TestWalkGolden(t *testing.T) {
-	flowRecs, lockRecs := walkRecords(t)
+	flowRecs, lockRecs, resetRecs := walkRecords(t)
 	if *walkDump != "" {
-		out := "# flow\n" + strings.Join(flowRecs, "\n") + "\n# lock\n" + strings.Join(lockRecs, "\n") + "\n"
+		out := "# flow\n" + strings.Join(flowRecs, "\n") + "\n# lock\n" + strings.Join(lockRecs, "\n") +
+			"\n# reset\n" + strings.Join(resetRecs, "\n") + "\n"
 		if err := os.WriteFile(*walkDump, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +51,7 @@ func TestWalkGolden(t *testing.T) {
 	}{
 		{"FlowWalk", flowRecs, flowWalkGolden},
 		{"LockWalk", lockRecs, lockWalkGolden},
+		{"ResetWalk", resetRecs, resetWalkGolden},
 	} {
 		if len(c.recs) == 0 {
 			t.Fatalf("%s visited nothing", c.name)
@@ -59,7 +63,7 @@ func TestWalkGolden(t *testing.T) {
 	}
 }
 
-func walkRecords(t *testing.T) (flowRecs, lockRecs []string) {
+func walkRecords(t *testing.T) (flowRecs, lockRecs, resetRecs []string) {
 	t.Helper()
 	roots, err := filepath.Glob("*/testdata/src")
 	if err != nil {
@@ -120,9 +124,43 @@ func walkRecords(t *testing.T) (flowRecs, lockRecs []string) {
 						lockRecs = append(lockRecs, fmt.Sprintf("%s {%s} %v", where(n), strings.Join(names, ","), provable))
 						return true
 					})
+					analysis.ResetWalk(tgt.Info, fd.Body, isMonitor(tgt.Info), func(n ast.Node, watched analysis.Watched) bool {
+						var facts []string
+						for key, f := range watched {
+							rec := fmt.Sprintf("%s=%q", key, f.Source)
+							if f.Fresh {
+								rec += "!"
+							}
+							if f.Loop != nil {
+								pos := tgt.Fset.Position(f.Loop.Pos())
+								rec += fmt.Sprintf("@%d:%d", pos.Line, pos.Column)
+							}
+							facts = append(facts, rec)
+						}
+						sort.Strings(facts)
+						resetRecs = append(resetRecs, fmt.Sprintf("%s {%s}", where(n), strings.Join(facts, ",")))
+						return true
+					})
 				}
 			}
 		}
 	}
-	return flowRecs, lockRecs
+	return flowRecs, lockRecs, resetRecs
+}
+
+// isMonitor is resetcheck's monitor test: a value of, or pointer to, a
+// named type called Monitor, with & unwrapped.
+func isMonitor(info *types.Info) func(ast.Expr) bool {
+	return func(e ast.Expr) bool {
+		e = ast.Unparen(e)
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		t := info.TypeOf(e)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		return ok && named.Obj().Name() == "Monitor"
+	}
 }

@@ -84,6 +84,8 @@ func (r *Result) MinP() float64 {
 	return min
 }
 
+// String summarises the result: test number, name, sequence length and
+// the smallest p-value.
 func (r *Result) String() string {
 	return fmt.Sprintf("test %d (%s): n=%d minP=%.6f", r.TestID, r.Name, r.N, r.MinP())
 }

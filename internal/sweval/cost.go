@@ -74,6 +74,7 @@ func (c Cost) Total() int {
 // Get returns the count for one category.
 func (c Cost) Get(o Op) int { return c[o] }
 
+// String lists the count of every operation category, in Op order.
 func (c Cost) String() string {
 	return fmt.Sprintf("ADD=%d SUB=%d MUL=%d SQR=%d SHIFT=%d COMP=%d LUT=%d READ=%d",
 		c[OpAdd], c[OpSub], c[OpMul], c[OpSqr], c[OpShift], c[OpComp], c[OpLUT], c[OpRead])
