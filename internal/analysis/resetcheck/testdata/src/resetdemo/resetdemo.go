@@ -116,3 +116,27 @@ func escapesToGoroutine(m *monlib.Monitor, a, b *monlib.Source) {
 	go handOff(m)
 	_ = m.Watch(b, 1) // m escaped to the goroutine: conservatively allowed
 }
+
+func breakCarriesWatch(m *monlib.Monitor, a, b *monlib.Source, c bool) {
+	for {
+		_ = m.Watch(a, 1) // want `without Reset`
+		if c {
+			break
+		}
+		_ = m.Watch(b, 1) // want `without Reset`
+	}
+	_ = m.Watch(b, 1) // want `without Reset`
+}
+
+func deferredReset(m *monlib.Monitor, a, b *monlib.Source) {
+	_ = m.Watch(a, 1)
+	defer m.Reset()
+	_ = m.Watch(b, 1) // want `without Reset`
+}
+
+func literalStartsEmpty(m *monlib.Monitor, a, b *monlib.Source) {
+	_ = m.Watch(a, 1)
+	func() {
+		_ = m.Watch(b, 1) // a literal starts with nothing watched: not reported
+	}()
+}

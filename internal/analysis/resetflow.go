@@ -13,14 +13,16 @@ import (
 // a may-analysis mapping each monitor, keyed by its printed receiver with
 // & stripped, to the source it may have last watched. Watch records its
 // source; Reset clears the monitor, and so does an escape (the monitor
-// passed as an argument or assigned, &m too), also in a go or defer
-// statement, which takes effect where it stands. A join keeps a monitor
-// watched on either path; two different sources merge to a placeholder
-// that, like a source built by a call at its Watch, equals none. A loop
-// is entered with what the end of its body, read in source order, leaves
-// watched; a source watched only on the way to a break is lost after the
-// loop. A function literal starts with nothing watched, and a function
-// with a goto is not walked, as for the lock sets.
+// passed as an argument or assigned, &m too), also in a go statement,
+// which takes effect where it stands. A deferred call runs at return, so
+// a defer statement applies only the operands it evaluates: `defer
+// m.Reset()` clears nothing the walk sees. A join keeps a monitor watched
+// on either path; two different sources merge to a placeholder that,
+// like a source built by a call at its Watch, equals none. A loop is
+// entered with what the end of its body, read in source order, leaves
+// watched, and left with that joined with what its breaks leave. A
+// function literal starts with nothing watched, and a function with a
+// goto is not walked, as for the lock sets.
 
 // WatchFact is what one monitor may have last watched.
 type WatchFact struct {
@@ -94,6 +96,15 @@ func (st resetState) join(o resetState) resetState {
 }
 
 func (st resetState) transfer(n ast.Node) {
+	if d, ok := n.(*ast.DeferStmt); ok {
+		// The deferred call runs at return, after every node the walk
+		// follows: only the operands evaluated here take effect.
+		st.transfer(d.Call.Fun)
+		for _, a := range d.Call.Args {
+			st.transfer(a)
+		}
+		return
+	}
 	escape := func(es ...ast.Expr) {
 		for _, e := range es {
 			if st.isMonitor(e) {

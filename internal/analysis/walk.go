@@ -21,10 +21,12 @@ import (
 //     return, panic, continue or goto drops out of the join, a break
 //     rejoins right after its target statement, and a fallthrough enters
 //     the next case;
-//   - loops (for/range) are entered and left with the state weakened to
-//     what holds at the start of every iteration (flowState.havoc); a
-//     break out of a loop needs no join, because nothing the body does can
-//     weaken that state further;
+//   - loops (for/range) are entered with the state weakened to what
+//     holds at the start of every iteration (flowState.havoc) and left
+//     with that state joined with the loop's breaks (for intervals and
+//     locks the join changes nothing, since the body cannot weaken the
+//     havocked state further; for monitors a break carries what was
+//     watched on its way out);
 //   - switch/type-switch join the case exits, plus the entry state when
 //     there is no default (the tag may match no case); select joins only
 //     case exits (one always runs); a case entered by fallthrough starts
@@ -378,11 +380,13 @@ func (w *walker[S]) stmt(s ast.Stmt) {
 }
 
 // loop walks a for/range statement: its header expressions and body run
-// from the havocked entry state, which is also the state after the loop.
+// from the havocked entry state; the state after the loop joins that
+// entry state (the loop ends at its header) with the loop's breaks.
 func (w *walker[S]) loop(s ast.Stmt, label string, header []ast.Expr, body func()) {
 	w.st.havoc(s)
 	entry, entryTerm := w.st.clone(), w.terminated
-	w.targets = append(w.targets, &exit[S]{label: label})
+	x := &exit[S]{label: label}
+	w.targets = append(w.targets, x)
 	w.visitTree(s, header...)
 	for _, e := range header {
 		if e != nil {
@@ -392,6 +396,8 @@ func (w *walker[S]) loop(s ast.Stmt, label string, header []ast.Expr, body func(
 	body()
 	w.targets = w.targets[:len(w.targets)-1]
 	w.st, w.terminated = entry, entryTerm
+	w.reach(x)
+	w.resume(x)
 }
 
 // cases walks each clause of a switch or select from the entry state and

@@ -24,9 +24,9 @@ var walkDump = flag.String("walkdump", "", "write TestWalkGolden's records to th
 // nodes or carries another state to them: re-record only after checking
 // the record-level difference (-walkdump before and after) is intended.
 const (
-	flowWalkGolden  = "376ba958528cc960f66a2e2c0e551cd065ea79bcadb52f11f0ecef1b514c25b9"
-	lockWalkGolden  = "55ff0835872d51ccd0885debebd77a9af30587bc984731de14e4c6bd74ae6aa0"
-	resetWalkGolden = "d12d71b41fe594a6735d749e6b75523f6da20a49340ca00a74166a880037a131"
+	flowWalkGolden  = "a2c85ea6f20a5888e5331e86f8f733d61a855300fe10e6736d6c023cb0e4dd63"
+	lockWalkGolden  = "d07e389080b7e233c2a113342f123939d500dbc9ea3a183ebac741f664f64f58"
+	resetWalkGolden = "f5641a3eec23862bd45279e93879b9ed451f3332216b9fbd57d12cc675d2b786"
 )
 
 // TestWalkGolden pins FlowWalk, LockWalk and ResetWalk over every package

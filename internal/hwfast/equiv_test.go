@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/hwblock"
+	"repro/internal/hwfast"
+	"repro/internal/nist"
 )
 
 // newPair instantiates the same design twice: one block on the fast path
@@ -324,11 +326,88 @@ func TestWordEdgeStraddle(t *testing.T) {
 	}
 }
 
+// serialConfigs are custom designs whose serial pattern length differs
+// from the shipped designs' m = 4: m = 3 and m = 5 beside the 9-bit
+// template tests, m = 5 beside a 3-bit template (so the serial window,
+// not the template, sets the shared lane count), and m = 6, the widest
+// serial length whose banks fit a Block's register space (a serial-only
+// n=128 design).
+func serialConfigs(t testing.TB) []hwblock.Config {
+	t.Helper()
+	all := []int{1, 2, 3, 4, 7, 8, 11, 12, 13}
+	var out []hwblock.Config
+	for _, d := range []struct {
+		name  string
+		n     int
+		tests []int
+		tune  func(p *nist.Params)
+	}{
+		{"serial-m3-n1024", 1024, all, func(p *nist.Params) { p.SerialM = 3 }},
+		{"serial-m5-n256", 256, all, func(p *nist.Params) { p.SerialM = 5 }},
+		{"serial-m5-tpl3-n256", 256, []int{1, 7, 8, 11, 12}, func(p *nist.Params) {
+			p.SerialM, p.TemplateM, p.TemplateB = 5, 3, 0b101
+		}},
+		{"serial-m6-n128", 128, []int{11, 12}, func(p *nist.Params) { p.SerialM = 6 }},
+	} {
+		cfg, err := hwblock.NewCustomConfig(d.name, d.n, d.tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.tune(&cfg.Params)
+		out = append(out, cfg)
+	}
+	return out
+}
+
+// TestEquivalenceSerialLengths runs the serial-length designs under
+// ragged chunk schedules whose first words end inside, at and just past
+// the m-1 warm-up bits, comparing images after every chunk through the
+// warm-up (so the lazy narrower banks are read with a partial head) and
+// at the end, then reuses both blocks for a second sequence after Reset.
+func TestEquivalenceSerialLengths(t *testing.T) {
+	for _, cfg := range serialConfigs(t) {
+		m := cfg.Params.SerialM
+		schedules := [][]int{{1}, {2}, {m - 2, 3, 64}, {m - 1, 64}, {m, 63}, {5, 64, 7}, {64}}
+		for si, sched := range schedules {
+			fast, gold := newPair(t, cfg)
+			for run, seed := range []int64{int64(si) + 1, int64(si) + 100} {
+				seq := randomSequence(cfg.N, seed)
+				ctx := fmt.Sprintf("%s/schedule=%v/run=%d", cfg.Name, sched, run)
+				for fed, i := 0, 0; fed < cfg.N; i++ {
+					take := min(sched[i%len(sched)], cfg.N-fed)
+					part := seq.Slice(fed, fed+take)
+					feedChunked(t, fast, part, take)
+					feedChunked(t, gold, part, 0)
+					if fed += take; fed <= 2*m {
+						compareImages(t, fast, gold, fmt.Sprintf("%s/bit=%d", ctx, fed))
+					}
+				}
+				compareImages(t, fast, gold, ctx+"/final")
+				fast.Reset()
+				gold.Reset()
+			}
+		}
+	}
+}
+
+// TestNewSerialRange pins the serial lengths the fast model accepts:
+// [3, 6], m = 6 being the widest whose banks fit a Block's register space.
+func TestNewSerialRange(t *testing.T) {
+	for m := 2; m <= 7; m++ {
+		p := nist.RecommendedParams(128)
+		p.SerialM = m
+		_, err := hwfast.New(128, []int{11, 12}, p)
+		if ok := m >= 3 && m <= 6; (err == nil) != ok {
+			t.Errorf("New with SerialM %d: err = %v, want accepted = %v", m, err, ok)
+		}
+	}
+}
+
 // FuzzFastPathEquivalence feeds fuzz-chosen streams and word chunkings
 // through the fast and structural paths on designs covering every engine:
-// both n=128 variants, the all-tests custom design, and the full n=65536
-// high design. Register-file images must agree mid-sequence and at the
-// end.
+// both n=128 variants, the all-tests custom design, the serial-length
+// designs, and the full n=65536 high design. Register-file images must
+// agree mid-sequence and at the end.
 func FuzzFastPathEquivalence(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(1))
 	f.Add([]byte{0xff, 0x0f, 0xf0}, uint8(64))
@@ -346,6 +425,7 @@ func FuzzFastPathEquivalence(f *testing.F) {
 		f.Fatal(err)
 	}
 	configs = append(configs, custom)
+	configs = append(configs, serialConfigs(f)...)
 	big, err := hwblock.NewConfig(65536, hwblock.High)
 	if err != nil {
 		f.Fatal(err)

@@ -27,13 +27,22 @@
 //   - longest run of ones (test 4): chunk merging — leading/trailing run
 //     lengths come from trailing/leading-zero counts of the complement,
 //     the interior maximum from run-length erosion (x &= x>>1).
-//   - template tests (7, 8): an m-lane AND network builds a per-word match
-//     bitmap (bit t set iff the m-bit window ending at t equals the
-//     template); validity masking, the non-overlapping hold-off scan and
-//     the saturating per-block counts then touch only the set bits.
-//   - serial / approximate entropy (11, 12): a branch-light sliding-window
-//     loop increments the three pattern banks directly, with the same
-//     fill gating and cyclic wrap-around feed as the hardware.
+//   - shared pattern lanes (tests 7, 8, 11, 12): as in the hardware, one
+//     pattern shift register feeds the template and serial engines. Each
+//     word builds the window lanes once from a single chronological
+//     context register: lane k holds, at bit t, the stream bit from k
+//     clocks ago.
+//   - template tests (7, 8): an m-lane AND network, with the template
+//     applied as an XOR flip mask, builds a per-word match bitmap (bit t
+//     set iff the m-bit window ending at t equals the template); validity
+//     masking, the non-overlapping hold-off scan and the saturating
+//     per-block counts then touch only the set bits.
+//   - serial / approximate entropy (11, 12): the hardware's parallel
+//     pattern counters as pattern masks — a binary AND tree over lanes
+//     0…m-1 yields, per word, the bitmap of windows equal to each of the
+//     2^m patterns, and each mask's popcount is added to the m-bit bank.
+//     Warm-up fill gating is a valid mask; the narrower banks are lazy
+//     marginals and the cyclic wrap-around feed reuses the same kernel.
 //
 //trnglint:deterministic
 package hwfast
@@ -82,10 +91,15 @@ type State struct {
 	lr        LongestRun
 	lrClasses []uint64
 
-	// shared m-bit window context for the template tests: the last m-1
-	// bits before the current word, chronological (oldest at bit 0).
+	// shared pattern context for the template and serial engines: the
+	// last ctxW = max(template m, serial m) - 1 bits before the current
+	// word, chronological (oldest at bit 0). The window lanes are built
+	// from it once per word.
+	ctxW int
+	ctx  uint64
+
+	// template length (tests 7, 8)
 	winM int
-	tail uint64
 
 	// non-overlapping template (test 7)
 	hasNO      bool
@@ -109,9 +123,7 @@ type State struct {
 	// serial / approximate entropy (tests 11, 12)
 	hasSer    bool
 	serM      int
-	serFill   int
-	serWin    uint64
-	serHead   uint64
+	serHead   uint64      // first m-1 bits of the sequence, chronological
 	serNu     [3][]uint64 // widths m, m-1, m-2
 	serSynced bool        // narrower banks up to date (see serialSync)
 	serCyclic bool        // wrap-around feed applied; marginals are exact
@@ -153,7 +165,7 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 	}
 	if has(7) || has(8) {
 		st.winM = p.TemplateM
-		if st.winM < 1 || st.winM > 9 {
+		if st.winM < 1 || st.winM > maxTemplateM {
 			return nil, fmt.Errorf("hwfast: template length %d out of range", st.winM)
 		}
 	}
@@ -171,8 +183,10 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 		st.ovClasses = make([]uint64, st.ovK+1)
 	}
 	if has(11) || has(12) {
-		if p.SerialM < 3 || p.SerialM > 16 {
-			return nil, fmt.Errorf("hwfast: serial pattern length %d out of range", p.SerialM)
+		// m = 6 is the widest serial length whose three banks fit the
+		// 7-bit register address space (hwblock.New checks that first).
+		if p.SerialM < 3 || p.SerialM > maxSerialM {
+			return nil, fmt.Errorf("hwfast: serial pattern length %d out of range [3,%d]", p.SerialM, maxSerialM)
 		}
 		st.hasSer = true
 		st.serM = p.SerialM
@@ -180,6 +194,7 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 			st.serNu[i] = make([]uint64, 1<<uint(w))
 		}
 	}
+	st.ctxW = max(st.winM, st.serM, 1) - 1
 	return st, nil
 }
 
@@ -338,12 +353,12 @@ func (st *State) Reset() {
 	zero(st.bfBank)
 	st.lr.Reset()
 	zero(st.lrClasses)
-	st.tail = 0
+	st.ctx = 0
 	st.noPos, st.noNext, st.noW, st.noCur = 0, 0, 0, 0
 	zero(st.noBank)
 	st.ovPos, st.ovOcc = 0, 0
 	zero(st.ovClasses)
-	st.serFill, st.serWin, st.serHead = 0, 0, 0
+	st.serHead = 0
 	st.serSynced, st.serCyclic = false, false
 	for i := range st.serNu {
 		zero(st.serNu[i])

@@ -86,12 +86,16 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 			off += take
 		}
 	}
-	if st.hasNO || st.hasOV {
-		st.ingestTemplates(v, nbits)
-		st.updateTail(v, nbits)
-	}
-	if st.hasSer {
-		st.ingestSerial(v, nbits)
+	if st.Residual() {
+		var lanes [maxTemplateM]uint64
+		st.buildLanes(&lanes, v)
+		if st.hasNO || st.hasOV {
+			st.ingestTemplates(&lanes, nbits)
+		}
+		if st.hasSer {
+			st.ingestSerial(&lanes, v, nbits)
+		}
+		st.slideContext(v, nbits)
 	}
 
 	st.bits += nbits
@@ -148,21 +152,41 @@ func (st *State) ingestRuns(v uint64, nbits int) {
 	st.prev = byte(v >> uint(nbits-1) & 1)
 }
 
+// The widest windows the engines accept; lanes 0…m-1 serve an m-bit
+// window, so the template limit also sizes the lane array.
+const maxTemplateM, maxSerialM = 9, 6
+
+// buildLanes fills lanes 0…ctxW for the word v: lane k holds, at bit t,
+// the stream bit from k clocks ago, so bit t of lanes 0…m-1 together is
+// the m-bit window ending at t. Bits older than the word come from the
+// shared context register.
+func (st *State) buildLanes(lanes *[maxTemplateM]uint64, v uint64) {
+	w := st.ctxW
+	for k := range lanes[:w+1] {
+		lanes[k] = v<<uint(k) | st.ctx>>uint(w-k)
+	}
+}
+
+// slideContext moves the shared ctxW-bit context register past the
+// ingested word.
+func (st *State) slideContext(v uint64, nbits int) {
+	w := st.ctxW
+	if nbits >= w {
+		st.ctx = v >> uint(nbits-w) & lowMask(w)
+	} else {
+		st.ctx = (st.ctx | v<<uint(w)) >> uint(nbits) & lowMask(w)
+	}
+}
+
 // ingestTemplates builds the per-word match bitmaps for both template
 // tests with an m-lane AND network, then applies the per-block scan rules
-// to the (rare) set bits. Lane k holds, at bit t, the stream bit from k
-// clocks ago; bits older than the word come from the tail context.
-func (st *State) ingestTemplates(v uint64, nbits int) {
-	m := st.winM
+// to the (rare) set bits. The fixed template enters as an XOR flip mask
+// per lane (all ones where its bit is 0), so the network has no branch.
+func (st *State) ingestTemplates(lanes *[maxTemplateM]uint64, nbits int) {
 	mmNO := ^uint64(0) // windows equal to the fixed template
 	mmOV := ^uint64(0) // windows equal to all ones
-	for k := 0; k < m; k++ {
-		lane := v<<uint(k) | st.tail>>uint(m-1-k)
-		if st.noTpl>>uint(k)&1 == 1 {
-			mmNO &= lane
-		} else {
-			mmNO &^= lane
-		}
+	for k, lane := range lanes[:st.winM] {
+		mmNO &= lane ^ (st.noTpl>>uint(k)&1 - 1)
 		mmOV &= lane
 	}
 	valid := lowMask(nbits)
@@ -234,52 +258,59 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 	}
 }
 
-// updateTail slides the m-1 bit window context past the ingested word.
-func (st *State) updateTail(v uint64, nbits int) {
-	mw := st.winM - 1
-	if mw <= 0 {
-		return
+// ingestSerial counts the word's m-bit windows into the m-bit bank. Only
+// that bank is maintained per word; the (m-1)- and (m-2)-bit banks are
+// exact marginals of it, rebuilt lazily by serialSync. During the first
+// m-1 bits of a sequence the word also fills the head register for the
+// cyclic wrap-around feed, and windows that end before bit m-1 are masked
+// off, as the hardware gates its bank on window fill.
+func (st *State) ingestSerial(lanes *[maxTemplateM]uint64, v uint64, nbits int) {
+	m := st.serM
+	valid := lowMask(nbits)
+	if st.bits < m-1 {
+		st.serHead |= v << uint(st.bits) & lowMask(m-1)
+		valid &^= lowMask(m - 1 - st.bits)
 	}
-	if nbits >= mw {
-		st.tail = v >> uint(nbits-mw) & lowMask(mw)
-	} else {
-		st.tail = (st.tail | v<<uint(mw)) >> uint(nbits) & lowMask(mw)
-	}
+	st.countPatterns(lanes, valid)
+	st.serSynced = false
 }
 
-// ingestSerial runs the sliding-window pattern counter. Only the m-bit
-// bank is maintained per bit; the (m-1)- and (m-2)-bit banks are exact
-// marginals of it and are reconstructed lazily by serialSync, so steady
-// state is one masked increment per bit. The branches on serFill only
-// fire for the first m bits of a sequence.
-func (st *State) ingestSerial(v uint64, nbits int) {
+// countPatterns is the serial engine's kernel, the word-level form of the
+// hardware's parallel pattern counters. A binary AND tree over lanes
+// m-1…0, rooted at valid, splits the positions to count into the 2^m
+// pattern masks (mask p has bit t set iff the window ending at t equals
+// p, newest bit as p's LSB), and each mask's popcount is added to its
+// counter in the m-bit bank: 2^(m+1) ANDs and 2^m popcounts per word, with
+// no memory dependency chain between the counters.
+//
+//trnglint:hotpath
+func (st *State) countPatterns(lanes *[maxTemplateM]uint64, valid uint64) {
 	m := st.serM
-	maskM := lowMask(m)
-	nu0 := st.serNu[0]
-	j := 0
-	if st.serFill < m {
-		// Warm-up: capture the sequence head for the cyclic wrap-around
-		// and gate the bank on window fill, exactly as the hardware does.
-		headMask := lowMask(m - 1)
-		for ; j < nbits && st.serFill < m; j++ {
-			bit := v >> uint(j) & 1
-			if st.serFill < m-1 {
-				st.serHead = (st.serHead<<1 | bit) & headMask
-			}
-			st.serFill++
-			st.serWin = st.serWin<<1 | bit
-			if st.serFill >= m {
-				nu0[st.serWin&maskM]++
-			}
+	// After the level for lane k, masks[i] marks the valid positions
+	// whose window bits m-1…k spell i. The last two levels (lanes 1 and
+	// 0) are fused into the popcounts, four patterns per mask.
+	var masks [1 << (maxSerialM - 2)]uint64
+	masks[0] = valid
+	n := 1
+	for k := m - 1; k > 1; k-- {
+		lane := lanes[k]
+		for i := n - 1; i >= 0; i-- {
+			x := masks[i]
+			masks[2*i+1] = x & lane
+			masks[2*i] = x &^ lane
 		}
+		n *= 2
 	}
-	win := st.serWin
-	for ; j < nbits; j++ {
-		win = win<<1 | v>>uint(j)&1
-		nu0[win&maskM]++
+	l1, l0 := lanes[1], lanes[0]
+	nu0 := st.serNu[0][:4*n]
+	for i, x := range masks[:n] {
+		x0, x1 := x&^l1, x&l1
+		c := nu0[4*i : 4*i+4]
+		c[0] += uint64(bits.OnesCount64(x0 &^ l0))
+		c[1] += uint64(bits.OnesCount64(x0 & l0))
+		c[2] += uint64(bits.OnesCount64(x1 &^ l0))
+		c[3] += uint64(bits.OnesCount64(x1 & l0))
 	}
-	st.serWin = win
-	st.serSynced = false
 }
 
 // serialSync rebuilds the (m-1)- and (m-2)-bit pattern banks from the
@@ -302,33 +333,32 @@ func (st *State) serialSync() {
 		nu1[p] = nu0[p] + nu0[p|top0]
 	}
 	if !st.serCyclic && st.bits >= m-1 {
-		nu1[st.serHead]++
+		nu1[reverse(st.serHead, m-1)]++
 	}
 	top1 := 1 << uint(m-2)
 	for q := range nu2 {
 		nu2[q] = nu1[q] + nu1[q|top1]
 	}
 	if !st.serCyclic && st.bits >= m-2 {
-		// The head register holds min(bits, m-1) bits; drop its newest
-		// bit(s) to recover the width-(m-2) window ending at bit m-3.
-		nu2[st.serHead>>uint(min(st.bits, m-1)-(m-2))]++
+		nu2[reverse(st.serHead, m-2)]++
 	}
 	st.serSynced = true
 }
 
+// reverse returns the low w bits of x in reverse order: a chronological
+// head prefix as a pattern index (oldest bit most significant).
+func reverse(x uint64, w int) uint64 { return bits.Reverse64(x) >> uint(64-w) }
+
 // finalize runs the end-of-sequence fixups: the serial test's cyclic
-// wrap-around feed. Only the m-bit bank is fed; the wrap makes every
-// bank hold exactly n cyclic windows, so the narrower banks follow from
-// marginalization alone (serialSync).
+// wrap-around feed, which continues the stream with the captured head —
+// one more (m-1)-bit word through the pattern kernel. Only the m-bit bank
+// is fed; the wrap makes every bank hold exactly n cyclic windows, so the
+// narrower banks follow from marginalization alone (serialSync).
 func (st *State) finalize() {
 	if st.hasSer {
-		m := st.serM
-		maskM := lowMask(m)
-		for j := 0; j < m-1; j++ {
-			bit := st.serHead >> uint(m-2-j) & 1
-			st.serWin = st.serWin<<1 | bit
-			st.serNu[0][st.serWin&maskM]++
-		}
+		var lanes [maxTemplateM]uint64
+		st.buildLanes(&lanes, st.serHead)
+		st.countPatterns(&lanes, lowMask(st.serM-1))
 		st.serCyclic = true
 		st.serSynced = false
 	}
