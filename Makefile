@@ -99,19 +99,24 @@ ttd:
 # accounting identity on every stream report and exits non-zero on a leak,
 # so this is a correctness gate, not just a does-it-crash check. Runs
 # twice — serial ingest and bit-sliced lane-group ingest — so the sliced
-# hot path soaks under -race with every defect class too. Bounded wall
-# time: ~seconds. GORACE=halt_on_error=1 turns the race detector's report
+# hot path (tile absorb, final-tile hand-back) soaks under -race with every
+# defect class too. That needs 256 words per generation: with 24 streams
+# per shard no group fills its 64 lanes, so a group starts absorbing only
+# once a lane buffers 192 words, and at fewer words every bit drains
+# serially at Detach. The bit-sliced run prints its tile count, and
+# cmd/trngd's TestSoakAbsorbsTiles requires it to be non-zero. Bounded
+# wall time: ~seconds. GORACE=halt_on_error=1 turns the race detector's report
 # into an immediate non-zero exit, so a data race fails the gate even if
 # the run would otherwise complete with a clean accounting identity.
 soak: export GORACE=halt_on_error=1
 soak:
 	go run -race ./cmd/trngd -n 128 -variant light \
-		-streams 192 -words 48 -generations 2 -shards 8 -queue 64 \
+		-streams 192 -words 256 -generations 2 -shards 8 -queue 64 \
 		-policy sample -sample-every 8 \
 		-faulty 0.25 -transient-rate 0.1 -biased 0.125 -bias 0.8 \
 		-stream-deadline 30s -sweep-every 25ms -seed 7
 	go run -race ./cmd/trngd -n 128 -variant light -bitsliced \
-		-streams 192 -words 48 -generations 2 -shards 8 -queue 64 \
+		-streams 192 -words 256 -generations 2 -shards 8 -queue 64 \
 		-policy sample -sample-every 8 \
 		-faulty 0.25 -transient-rate 0.1 -biased 0.125 -bias 0.8 \
 		-stream-deadline 30s -sweep-every 25ms -seed 7

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bitstream"
@@ -62,7 +61,6 @@ type options struct {
 	bitDeadline   time.Duration
 	corruptReads  float64
 	verifyReadout bool
-	fast          bool
 	cycleAccurate bool
 	workers       int
 	metricsAddr   string
@@ -82,8 +80,8 @@ func main() {
 	flag.Float64Var(&o.alpha, "alpha", 0.01, "level of significance (NIST: 0.001..0.01)")
 	flag.StringVar(&o.file, "file", "", "bit-stream file ('-' for stdin); ASCII 0/1 unless -raw")
 	flag.BoolVar(&o.raw, "raw", false, "treat the file as raw bytes, MSB first")
-	flag.StringVar(&o.source, "source", "", "simulated source: ideal, biased, markov, ringosc, locked, stuck")
-	flag.Float64Var(&o.p, "p", 0.6, "bias / stickiness parameter for simulated sources")
+	flag.StringVar(&o.source, "source", "", "simulated source: "+trng.SimulatedNames())
+	flag.Float64Var(&o.p, "p", 0.6, "simulated-source parameter: P(bit=1) for biased, stickiness for markov, end-of-life P(bit=1) for drift")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for simulated sources")
 	flag.IntVar(&o.sequences, "sequences", 1, "number of sequences to evaluate")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient read faults at this per-bit rate (enables supervision)")
@@ -93,8 +91,7 @@ func main() {
 	flag.DurationVar(&o.bitDeadline, "bit-deadline", 50*time.Millisecond, "watchdog deadline per bit when supervision is active")
 	flag.Float64Var(&o.corruptReads, "corrupt-reads", 0, "corrupt register-file bus reads at this per-read rate (enables supervision)")
 	flag.BoolVar(&o.verifyReadout, "verify-readout", false, "double-evaluate each sequence and quarantine on readout mismatch")
-	flag.BoolVar(&o.fast, "fast", true, "ingest via the word-level fast path (bit-exact with the structural simulation)")
-	flag.BoolVar(&o.cycleAccurate, "cycle-accurate", false, "ingest via the cycle-accurate structural simulation (golden reference)")
+	flag.BoolVar(&o.cycleAccurate, "cycle-accurate", false, "ingest via the cycle-accurate structural simulation (golden reference) instead of the word-level fast path, which is bit-exact with it")
 	flag.IntVar(&o.workers, "workers", 1, "shard sequences across this many goroutines, one independent seeded source each (simulated sources only; 0 = all CPUs)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address (e.g. :9600)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the event trace as JSON lines to this file ('-' for stdout) when the run ends")
@@ -112,11 +109,11 @@ func run(o options) int {
 	}
 
 	path := hwblock.FastPath
-	if o.cycleAccurate || !o.fast {
+	if o.cycleAccurate {
 		path = hwblock.CycleAccurate
 	}
 
-	v, err := parseVariant(o.variant)
+	v, err := hwblock.ParseVariant(o.variant)
 	if err != nil {
 		return fatal(err)
 	}
@@ -159,7 +156,7 @@ func run(o options) int {
 			return fatal(err)
 		}
 	case o.source != "":
-		src, err = simulatedSource(o.source, o.p, o.seed)
+		src, err = trng.NewSimulated(o.source, o.p, o.seed)
 		if err != nil {
 			return fatal(err)
 		}
@@ -196,7 +193,7 @@ func run(o options) int {
 	case o.workers != 1:
 		runner := &core.SequenceRunner{Cfg: cfg, Alpha: o.alpha, Workers: o.workers, Path: path, Obs: reg}
 		reports, runErr = runner.Run(o.sequences, func(trial int) trng.Source {
-			s, err := simulatedSource(o.source, o.p, o.seed+int64(trial))
+			s, err := trng.NewSimulated(o.source, o.p, o.seed+int64(trial))
 			if err != nil {
 				panic(err) // the kind was validated above
 			}
@@ -222,7 +219,7 @@ func run(o options) int {
 		}
 		var sby trng.Source
 		if o.standby != "" {
-			if sby, err = simulatedSource(o.standby, o.p, o.seed+3); err != nil {
+			if sby, err = trng.NewSimulated(o.standby, o.p, o.seed+3); err != nil {
 				return fatal(err)
 			}
 		}
@@ -332,18 +329,6 @@ func writeTrace(reg *obs.Registry, path string) error {
 	return f.Close()
 }
 
-func parseVariant(s string) (hwblock.Variant, error) {
-	switch strings.ToLower(s) {
-	case "light":
-		return hwblock.Light, nil
-	case "medium":
-		return hwblock.Medium, nil
-	case "high":
-		return hwblock.High, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
-}
-
 func fileSource(path string, raw bool) (trng.Source, error) {
 	var data []byte
 	var err error
@@ -375,21 +360,3 @@ type sequenceSource struct {
 func (s *sequenceSource) Name() string { return "file" }
 
 func (s *sequenceSource) ReadBit() (byte, error) { return s.r.ReadBit() }
-
-func simulatedSource(kind string, p float64, seed int64) (trng.Source, error) {
-	switch strings.ToLower(kind) {
-	case "ideal":
-		return trng.NewIdeal(seed), nil
-	case "biased":
-		return trng.NewBiased(p, seed), nil
-	case "markov":
-		return trng.NewMarkov(p, seed), nil
-	case "ringosc":
-		return trng.NewRingOscillator(100.37, 0.5, seed), nil
-	case "locked":
-		return trng.NewRingOscillator(100.37, 0.001, seed), nil
-	case "stuck":
-		return trng.NewStuckAt(1), nil
-	}
-	return nil, fmt.Errorf("unknown source %q", kind)
-}

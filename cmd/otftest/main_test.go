@@ -8,45 +8,44 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/hwblock"
 )
 
+// runExit runs otftest in-process on one n=128 sequence and returns its
+// exit code and stderr.
+func runExit(variant, source string) (int, string) {
+	var out, errOut strings.Builder
+	code := run(options{
+		n: 128, variant: variant, alpha: 0.01,
+		source: source, p: 0.6, seed: 1, sequences: 1, workers: 1,
+		stdout: &out, stderr: &errOut,
+	})
+	return code, errOut.String()
+}
+
+// TestParseVariant checks that -variant takes every design name in any
+// case (n=128 has no high design, which is a different error) and rejects
+// an unknown one as a flag error (exit 2).
 func TestParseVariant(t *testing.T) {
-	cases := []struct {
-		in   string
-		want hwblock.Variant
-		ok   bool
-	}{
-		{"light", hwblock.Light, true},
-		{"MEDIUM", hwblock.Medium, true},
-		{"High", hwblock.High, true},
-		{"huge", 0, false},
+	for _, v := range []string{"light", "MEDIUM", "High"} {
+		if _, stderr := runExit(v, "ideal"); strings.Contains(stderr, "unknown variant") {
+			t.Errorf("-variant %s rejected: %s", v, stderr)
+		}
 	}
-	for _, c := range cases {
-		got, err := parseVariant(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("parseVariant(%q) = %v, %v", c.in, got, err)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("parseVariant(%q) accepted", c.in)
-		}
+	if code, _ := runExit("huge", "ideal"); code != 2 {
+		t.Errorf("-variant huge: exit %d, want 2", code)
 	}
 }
 
+// TestSimulatedSource checks that -source takes every simulated source
+// name and rejects an unknown one as a flag error (exit 2).
 func TestSimulatedSource(t *testing.T) {
-	for _, kind := range []string{"ideal", "biased", "markov", "ringosc", "locked", "stuck"} {
-		src, err := simulatedSource(kind, 0.6, 1)
-		if err != nil {
-			t.Errorf("%s: %v", kind, err)
-			continue
-		}
-		if _, err := src.ReadBit(); err != nil {
-			t.Errorf("%s: ReadBit: %v", kind, err)
+	for _, kind := range []string{"ideal", "biased", "markov", "ringosc", "locked", "drift", "stuck"} {
+		if code, stderr := runExit("light", kind); code == 2 {
+			t.Errorf("-source %s rejected: %s", kind, stderr)
 		}
 	}
-	if _, err := simulatedSource("nope", 0.5, 1); err == nil {
-		t.Error("unknown source accepted")
+	if code, _ := runExit("light", "nope"); code != 2 {
+		t.Errorf("-source nope: exit %d, want 2", code)
 	}
 }
 
@@ -120,7 +119,7 @@ func TestRunExposesMetricFamilies(t *testing.T) {
 	o := options{
 		n: 128, variant: "light", alpha: 0.01,
 		source: "ideal", p: 0.6, seed: 1, sequences: 3,
-		fast: true, workers: 1,
+		workers:     1,
 		metricsAddr: "127.0.0.1:0",
 		traceOut:    filepath.Join(t.TempDir(), "trace.jsonl"),
 		stdout:      &out, stderr: &errOut,
@@ -176,9 +175,9 @@ func TestRunSupervisedTracesFaults(t *testing.T) {
 		source: "ideal", p: 0.6, seed: 1, sequences: 4,
 		faultRate: 0.01, faultBurst: 1,
 		bitDeadline: 50 * time.Millisecond,
-		fast:        true, workers: 1,
-		traceOut: tracePath,
-		stdout:   &out, stderr: &errOut,
+		workers:     1,
+		traceOut:    tracePath,
+		stdout:      &out, stderr: &errOut,
 	}
 	if code := run(o); code != 0 {
 		t.Fatalf("run exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
@@ -199,8 +198,8 @@ func TestRunWithoutObsFlags(t *testing.T) {
 	o := options{
 		n: 128, variant: "light", alpha: 0.01,
 		source: "ideal", p: 0.6, seed: 1, sequences: 2,
-		fast: true, workers: 1,
-		stdout: &out, stderr: &errOut,
+		workers: 1,
+		stdout:  &out, stderr: &errOut,
 	}
 	if code := run(o); code != 0 {
 		t.Fatalf("run exited %d\nstderr:\n%s", code, errOut.String())

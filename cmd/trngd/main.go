@@ -26,7 +26,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -112,7 +111,7 @@ func run(o options) int {
 		fmt.Fprintln(o.stderr, "trngd:", err)
 		return 2
 	}
-	v, err := parseVariant(o.variant)
+	v, err := hwblock.ParseVariant(o.variant)
 	if err != nil {
 		return fatal(err)
 	}
@@ -217,7 +216,7 @@ func run(o options) int {
 	if firstErr != nil {
 		return fatal(firstErr)
 	}
-	return summarize(o, reports)
+	return summarize(o, reports, reg)
 }
 
 // planFor derives one tenant's deterministic behaviour from the base seed.
@@ -313,7 +312,7 @@ func runTenant(pool *fleet.Pool, plan tenantPlan, o options) (fleet.StreamReport
 
 // summarize prints the fleet-wide roll-up and enforces the accounting
 // identity every report must satisfy.
-func summarize(o options, reports []fleet.StreamReport) int {
+func summarize(o options, reports []fleet.StreamReport, reg *obs.Registry) int {
 	var seq, pass, fail, quar, retries, watchdogs, trips, latched int
 	var offered, accepted, shed, sampled, discarded int64
 	conditions := map[core.Condition]int{}
@@ -351,21 +350,14 @@ func summarize(o options, reports []fleet.StreamReport) int {
 		retries, watchdogs, quar, trips, latched)
 	fmt.Fprintf(o.stdout, "conditions: %d ok, %d degraded, %d stat-fail, %d source-fault\n",
 		conditions[core.OK], conditions[core.Degraded], conditions[core.StatFail], conditions[core.SourceFault])
+	if o.bitSliced {
+		// A bit-sliced run that absorbs no tile drained every bit serially
+		// at Detach: it has not exercised the lane-group engine at all.
+		fmt.Fprintf(o.stdout, "sliced: %d tiles absorbed\n", reg.Counter("fleet_sliced_tiles_total", "").Value())
+	}
 	if broken > 0 {
 		fmt.Fprintf(o.stderr, "trngd: %d stream(s) with broken batch accounting\n", broken)
 		return 2
 	}
 	return 0
-}
-
-func parseVariant(s string) (hwblock.Variant, error) {
-	switch strings.ToLower(s) {
-	case "light":
-		return hwblock.Light, nil
-	case "medium":
-		return hwblock.Medium, nil
-	case "high":
-		return hwblock.High, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }

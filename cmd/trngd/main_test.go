@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -142,5 +143,35 @@ func TestRunBadFlags(t *testing.T) {
 		if code := run(o); code != 2 {
 			t.Fatalf("case %d: exit %d, want 2", i, code)
 		}
+	}
+}
+
+// TestSoakAbsorbsTiles runs the bit-sliced flags of `make soak` and
+// requires the lane-group engine to have absorbed tiles. A group at offset
+// zero waits for 64 lanes or for one lane buffering pressureBits (192
+// words), so with too few words per generation every bit drains serially
+// at Detach and the soak never exercises the sliced path (at -words 48 it
+// absorbs none).
+func TestSoakAbsorbsTiles(t *testing.T) {
+	var out, errOut bytes.Buffer
+	o := options{
+		n: 128, variant: "light", alpha: 0.01, bitSliced: true,
+		streams: 192, words: 256, generations: 2, shards: 8, queue: 64,
+		policy: "sample", sampleEvery: 8,
+		faultyFrac: 0.25, transientRate: 0.1, biasedFrac: 0.125, bias: 0.8,
+		deadline: 30 * time.Second, sweepEvery: 25 * time.Millisecond, seed: 7,
+		stdout: &out, stderr: &errOut,
+	}
+	if code := run(o); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	tiles := -1
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "sliced: %d tiles absorbed", &tiles); err == nil {
+			break
+		}
+	}
+	if tiles <= 0 {
+		t.Fatalf("bit-sliced soak absorbed %d tiles:\n%s", tiles, out.String())
 	}
 }

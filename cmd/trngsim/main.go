@@ -26,8 +26,8 @@ import (
 )
 
 func main() {
-	source := flag.String("source", "ideal", "ideal, biased, markov, ringosc, drift, stuck")
-	p := flag.Float64("p", 0.6, "bias / stickiness parameter")
+	source := flag.String("source", "ideal", "simulated source: "+trng.SimulatedNames())
+	p := flag.Float64("p", 0.6, "P(bit=1) for biased, stickiness for markov, end-of-life P(bit=1) for drift")
 	bits := flag.Int("bits", 65536, "number of bits to emit")
 	seed := flag.Int64("seed", 1, "seed")
 	attack := flag.String("attack", "", "optional attack: lock (oscillator lock-in), cut (wire cut)")
@@ -37,7 +37,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /trace on this address while generating")
 	flag.Parse()
 
-	src, err := build(*source, *p, *seed)
+	src, err := trng.NewSimulated(*source, *p, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,24 +106,6 @@ func (m *meteredSource) ReadBit() (byte, error) {
 		}
 	}
 	return b, err
-}
-
-func build(kind string, p float64, seed int64) (trng.Source, error) {
-	switch strings.ToLower(kind) {
-	case "ideal":
-		return trng.NewIdeal(seed), nil
-	case "biased":
-		return trng.NewBiased(p, seed), nil
-	case "markov":
-		return trng.NewMarkov(p, seed), nil
-	case "ringosc":
-		return trng.NewRingOscillator(100.37, 0.5, seed), nil
-	case "drift":
-		return trng.NewDrift(0.5, p, 1<<20, seed), nil
-	case "stuck":
-		return trng.NewStuckAt(1), nil
-	}
-	return nil, fmt.Errorf("unknown source %q", kind)
 }
 
 func fatal(err error) {

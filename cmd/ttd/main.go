@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/hwblock"
 	"repro/internal/online"
@@ -163,7 +162,7 @@ func run(o options) int {
 		fmt.Fprintln(o.stderr, "ttd:", err)
 		return 2
 	}
-	v, err := parseVariant(o.variant)
+	v, err := hwblock.ParseVariant(o.variant)
 	if err != nil {
 		return fatal(err)
 	}
@@ -285,16 +284,4 @@ func printCSV(w io.Writer, results []result) {
 		fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%d,%d\n",
 			r.point.family, r.point.severity, r.trials, r.detected, median, mean, min, max)
 	}
-}
-
-func parseVariant(s string) (hwblock.Variant, error) {
-	switch strings.ToLower(s) {
-	case "light":
-		return hwblock.Light, nil
-	case "medium":
-		return hwblock.Medium, nil
-	case "high":
-		return hwblock.High, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }

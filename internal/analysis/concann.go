@@ -275,6 +275,34 @@ func resolveMutexPath(pkg *types.Package, base types.Type, path string) types.Ob
 	return cur
 }
 
+// FuncDecl pairs a function or method declaration with the object it
+// declares.
+type FuncDecl struct {
+	Fn   *types.Func
+	Decl *ast.FuncDecl
+}
+
+// FuncDecls indexes the function and method declarations in files that
+// have a body: in source order, and by the object each declares (for
+// resolving an intra-package callee to its body).
+func FuncDecls(files []*ast.File, info *types.Info) ([]FuncDecl, map[*types.Func]*ast.FuncDecl) {
+	var list []FuncDecl
+	byFunc := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, _ := info.Defs[fd.Name].(*types.Func); fn != nil {
+				list = append(list, FuncDecl{fn, fd})
+				byFunc[fn] = fd
+			}
+		}
+	}
+	return list, byFunc
+}
+
 // CalleeFunc resolves the *types.Func a call expression invokes (methods
 // and plain functions; nil for builtins, conversions, and calls through
 // function-typed values).

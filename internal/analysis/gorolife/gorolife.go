@@ -48,16 +48,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	// Named declarations in this package, for resolving `go m.loop()`.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); fn != nil {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
+	_, decls := analysis.FuncDecls(pass.Files, pass.TypesInfo)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)

@@ -52,15 +52,9 @@ func run(pass *analysis.Pass) (any, error) {
 	if len(ann.Guards) == 0 && len(ann.Holds) == 0 {
 		return nil, nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			checkBody(pass, ann, fd.Body, ann.AssumedLocks(fn))
-		}
+	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)
+	for _, d := range decls {
+		checkBody(pass, ann, d.Decl.Body, ann.AssumedLocks(d.Fn))
 	}
 	return nil, nil
 }

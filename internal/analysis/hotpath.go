@@ -91,24 +91,13 @@ func (ix *HotIndex) Len() int {
 // are not descended into: the literal itself is a noalloc finding, and its
 // body runs on whatever schedule captures it.
 func HotClosure(u *Unit, dirs *Directives, ix *HotIndex) map[*types.Func]*ast.FuncDecl {
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range u.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, _ := u.Info.Defs[fd.Name].(*types.Func); fn != nil {
-				decls[fn] = fd
-			}
-		}
-	}
+	list, decls := FuncDecls(u.Files, u.Info)
 	hot := make(map[*types.Func]*ast.FuncDecl)
 	var work []*types.Func
-	for fn, fd := range decls {
-		if ix.IsHot(fn) {
-			hot[fn] = fd
-			work = append(work, fn)
+	for _, d := range list {
+		if ix.IsHot(d.Fn) {
+			hot[d.Fn] = d.Decl
+			work = append(work, d.Fn)
 		}
 	}
 	for len(work) > 0 {

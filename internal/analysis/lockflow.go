@@ -73,15 +73,6 @@ func (s *LockSet) Held() []types.Object {
 	return out
 }
 
-// AcquiredAt returns the position of the acquisition that put obj in the
-// set (token.NoPos for assumed locks).
-func (s *LockSet) AcquiredAt(obj types.Object) token.Pos {
-	if s == nil {
-		return token.NoPos
-	}
-	return s.held[obj]
-}
-
 // LockVisitor receives every node of the walked body in source order with
 // the lock set current at that point, except the call of a go or defer
 // statement, which runs elsewhere (its function and arguments are

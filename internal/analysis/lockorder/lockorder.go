@@ -57,36 +57,26 @@ func run(pass *analysis.Pass) (any, error) {
 	// spawned goroutine does is not on the caller's lock stack).
 	direct := make(map[*types.Func]map[types.Object]bool)
 	callees := make(map[*types.Func][]*types.Func)
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			decls[fn] = fd
-			acq := make(map[types.Object]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					// Locks a spawned goroutine takes — literal or named —
-					// are never on this function's lock stack.
-					return false
-				case *ast.CallExpr:
-					if obj, acquire, ok := analysis.LockOpOf(pass.TypesInfo, n); ok && acquire {
-						acq[obj] = true
-					} else if callee := analysis.CalleeFunc(pass.TypesInfo, n); callee != nil && callee.Pkg() == pass.Pkg {
-						callees[fn] = append(callees[fn], callee)
-					}
+	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)
+	for _, d := range decls {
+		fn := d.Fn
+		acq := make(map[types.Object]bool)
+		ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				// Locks a spawned goroutine takes — literal or named —
+				// are never on this function's lock stack.
+				return false
+			case *ast.CallExpr:
+				if obj, acquire, ok := analysis.LockOpOf(pass.TypesInfo, n); ok && acquire {
+					acq[obj] = true
+				} else if callee := analysis.CalleeFunc(pass.TypesInfo, n); callee != nil && callee.Pkg() == pass.Pkg {
+					callees[fn] = append(callees[fn], callee)
 				}
-				return true
-			})
-			direct[fn] = acq
-		}
+			}
+			return true
+		})
+		direct[fn] = acq
 	}
 
 	// Transitive closure: every mutex a call to fn may end up acquiring.
@@ -119,8 +109,8 @@ func run(pass *analysis.Pass) (any, error) {
 	addEdge := func(from, to types.Object, pos token.Pos) {
 		edges = append(edges, edge{from, to, pos})
 	}
-	for fn, fd := range decls {
-		analysis.LockWalk(pass.TypesInfo, fd.Body, ann.AssumedLocks(fn), func(n ast.Node, held *analysis.LockSet, provable bool) bool {
+	for _, d := range decls {
+		analysis.LockWalk(pass.TypesInfo, d.Decl.Body, ann.AssumedLocks(d.Fn), func(n ast.Node, held *analysis.LockSet, provable bool) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !provable || held.Empty() {
 				return true

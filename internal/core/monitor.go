@@ -294,7 +294,7 @@ func (m *Monitor) QuarantineInFlight() bool {
 	if m.block.BitsSeen() == 0 {
 		return false
 	}
-	m.quarantineSequence()
+	m.block.Reset()
 	return true
 }
 
@@ -376,11 +376,6 @@ func (m *Monitor) observeReport(rep *sweval.Report) {
 	m.obsBusReads.Add(uint64(rep.Cost.Get(sweval.OpRead)))
 	m.obsBitsSeen.Set(float64(m.bitsSeen))
 }
-
-// quarantineSequence discards the in-flight (or completed-but-unevaluated)
-// sequence: the hardware is reset without an evaluation and no report is
-// committed. The bits remain counted in BitsSeen.
-func (m *Monitor) quarantineSequence() { m.block.Reset() }
 
 // reportsAgree compares two evaluation passes verdict by verdict.
 func reportsAgree(a, b *sweval.Report) bool {

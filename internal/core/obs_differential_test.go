@@ -119,7 +119,7 @@ func TestObsDifferentialRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(trial int) trng.Source { return trng.NewIdeal(100 + int64(trial)) }
-	plain, err := RunSequences(cfg, 0.01, 8, 1, mk)
+	plain, err := (&SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: 1}).Run(8, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

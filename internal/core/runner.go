@@ -110,12 +110,3 @@ func (sr *SequenceRunner) Run(trials int, makeSource func(trial int) trng.Source
 	}
 	return results, nil
 }
-
-// RunSequences monitors trials independent sequences in parallel with the
-// default runner configuration; workers ≤ 0 uses GOMAXPROCS. See
-// SequenceRunner for the determinism guarantee.
-func RunSequences(cfg hwblock.Config, alpha float64, trials, workers int,
-	makeSource func(trial int) trng.Source) ([]SequenceReport, error) {
-	sr := &SequenceRunner{Cfg: cfg, Alpha: alpha, Workers: workers}
-	return sr.Run(trials, makeSource)
-}

@@ -19,21 +19,21 @@ func runnerConfig(t *testing.T) hwblock.Config {
 	return cfg
 }
 
-// TestRunSequencesDeterministic runs the same trials serially and across
+// TestSequenceRunnerDeterministic runs the same trials serially and across
 // pools of several sizes: every report must be identical, verdict by
 // verdict, regardless of scheduling.
-func TestRunSequencesDeterministic(t *testing.T) {
+func TestSequenceRunnerDeterministic(t *testing.T) {
 	cfg := runnerConfig(t)
 	const trials = 12
 	makeSource := func(trial int) trng.Source {
 		return trng.NewBiased(0.55, int64(trial)*7+1)
 	}
-	serial, err := RunSequences(cfg, 0.01, trials, 1, makeSource)
+	serial, err := (&SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: 1}).Run(trials, makeSource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		got, err := RunSequences(cfg, 0.01, trials, workers, makeSource)
+		got, err := (&SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: workers}).Run(trials, makeSource)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -97,11 +97,12 @@ func (s *truncatedSource) ReadBit() (byte, error) {
 	return s.inner.ReadBit()
 }
 
-// TestRunSequencesFirstErrorByIndex checks that the reported failure is the
+// TestSequenceRunnerFirstErrorByIndex checks that the reported failure is the
 // lowest failing trial index, independent of completion order.
-func TestRunSequencesFirstErrorByIndex(t *testing.T) {
+func TestSequenceRunnerFirstErrorByIndex(t *testing.T) {
 	cfg := runnerConfig(t)
-	_, err := RunSequences(cfg, 0.01, 8, 4, func(trial int) trng.Source {
+	sr := &SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: 4}
+	_, err := sr.Run(8, func(trial int) trng.Source {
 		if trial == 3 || trial == 6 {
 			return &truncatedSource{inner: trng.NewIdeal(int64(trial)), left: 10}
 		}

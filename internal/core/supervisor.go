@@ -437,12 +437,11 @@ func (s *Supervisor) readOnce() (byte, error) {
 
 // quarantine discards the in-flight sequence, if any bits are at risk.
 func (s *Supervisor) quarantine(detail string) {
-	if s.mon.block.BitsSeen() == 0 {
+	if !s.mon.QuarantineInFlight() {
 		return // fault landed exactly on a sequence boundary: nothing at risk
 	}
 	s.quarantined++
 	s.quarantineRun++
-	s.mon.quarantineSequence()
 	s.event(EventQuarantine, detail)
 }
 

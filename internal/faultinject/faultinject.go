@@ -1,9 +1,11 @@
 // Package faultinject provides composable, seeded fault injectors for the
 // operational failure modes a deployed on-the-fly monitor must survive:
-// transient read errors and stalls of the entropy source, bit-flip
-// corruption on the TRNG→testing-block wire, and corrupted register-file
-// readouts on the testing-block→microcontroller bus (the probing/tampering
-// surface the paper's distributed-verdict design is built against).
+// transient read errors and stalls of the entropy source, and corrupted
+// register-file readouts on the testing-block→microcontroller bus (the
+// probing/tampering surface the paper's distributed-verdict design is
+// built against). Silent corruption of the bits themselves needs no
+// injector: it is a statistical defect, which the trng source models
+// (Biased, Markov, SwitchAt, Burst) already produce.
 //
 // Every injector draws its fault positions from a Schedule — a seeded
 // deterministic decider — so a run with a given seed injects exactly the

@@ -124,27 +124,6 @@ func TestStallBlocksThenReleases(t *testing.T) {
 	}
 }
 
-func TestBitFlipCorruptsSilently(t *testing.T) {
-	clean := trng.Read(trng.NewIdeal(9), 2000)
-	f := NewBitFlip(trng.NewIdeal(9), 0.01, 1, 8)
-	diffs := 0
-	for i := 0; i < 2000; i++ {
-		b, err := f.ReadBit()
-		if err != nil {
-			t.Fatalf("bit %d: unexpected error %v", i, err)
-		}
-		if b != clean.Bit(i) {
-			diffs++
-		}
-	}
-	if diffs != f.Flipped() {
-		t.Errorf("observed %d differences, injector reports %d flips", diffs, f.Flipped())
-	}
-	if diffs == 0 {
-		t.Error("no bits flipped at rate 0.01 over 2000 bits")
-	}
-}
-
 func TestRegCorruptorDoubleReadDisagrees(t *testing.T) {
 	rf := hwblock.NewRegFile()
 	rf.Add("C", 0, 16, func() uint64 { return 0xABCD })
@@ -188,7 +167,6 @@ func TestInjectorNames(t *testing.T) {
 	}{
 		{NewFlaky(inner, 0.1, 1, 1), "flaky(ideal)"},
 		{NewStall(inner, 10), "stall(ideal)"},
-		{NewBitFlip(inner, 0.1, 1, 1), "bitflip(ideal)"},
 	}
 	for _, c := range cases {
 		if got := c.src.Name(); got != c.want {

@@ -116,56 +116,3 @@ func (s *Stall) ReadBit() (byte, error) {
 // Release unblocks all stalled (and future) reads; they fail with
 // ErrStalled. It is safe to call more than once and from any goroutine.
 func (s *Stall) Release() { s.once.Do(func() { close(s.release) }) }
-
-// BitFlip wraps a source with scheduled silent corruption: faulted reads
-// deliver the inner bit inverted, with no error — the wire between TRNG
-// and testing block picking up noise. The monitor cannot see these faults
-// operationally; only the statistical tests can, and only when the flip
-// rate is high enough to disturb the statistics. That asymmetry is the
-// point: BitFlip measures what the test battery does and does not catch.
-type BitFlip struct {
-	Inner    trng.Source
-	sched    *Schedule
-	flipped  int
-	reads    int64
-	obs      *obs.Registry
-	obsCount *obs.Counter
-}
-
-// NewBitFlip wraps inner, flipping bits at the given per-bit rate with the
-// given burst length.
-func NewBitFlip(inner trng.Source, rate float64, burst int, seed int64) *BitFlip {
-	return &BitFlip{Inner: inner, sched: NewSchedule(rate, burst, seed)}
-}
-
-// Name implements trng.Source.
-func (f *BitFlip) Name() string { return "bitflip(" + f.Inner.Name() + ")" }
-
-// SetObs attaches an observability registry: every silent flip is counted
-// (kind "bitflip") and traced at its bit position — the only place a
-// silent corruption is visible at all, which is exactly what makes the
-// trace useful when correlating a statistical failure with its cause.
-func (f *BitFlip) SetObs(r *obs.Registry) {
-	f.obs = r
-	f.obsCount = r.Counter("trng_fault_injected_total",
-		"faults injected, by injector kind", "kind", "bitflip")
-}
-
-// ReadBit implements trng.Source.
-func (f *BitFlip) ReadBit() (byte, error) {
-	b, err := f.Inner.ReadBit()
-	if err != nil {
-		return b, err
-	}
-	f.reads++
-	if f.sched.Next() {
-		f.flipped++
-		f.obsCount.Inc()
-		f.obs.Emit("fault.bitflip", f.reads-1, "delivered bit inverted")
-		b ^= 1
-	}
-	return b, nil
-}
-
-// Flipped reports how many delivered bits were inverted.
-func (f *BitFlip) Flipped() int { return f.flipped }

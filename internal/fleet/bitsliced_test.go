@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/hwblock"
 	"repro/internal/obs"
 )
@@ -487,5 +488,98 @@ func TestBitSlicedBurstyProducers(t *testing.T) {
 	}
 	if v := reg.Counter("fleet_sliced_evictions_total", "", "reason", "overflow").Value(); v != 0 {
 		t.Fatalf("%d overflow evictions: a lane left its group before its tenant detached", v)
+	}
+}
+
+// TestVerifyReadoutSlicedMatchesSerial runs verified readout under seeded
+// register-bus corruption on every tenant through a serial pool and a
+// bit-sliced pool: the sliced pool's final-tile hand-back must double-read
+// exactly what the serial path does, so every report — quarantines, breaker
+// trips, event timeline — stays byte-identical. One tenant in sixteen is
+// corrupted heavily enough that consecutive mismatches trip its breaker
+// inside finalTile (the only place a health eviction happens); the rest see
+// occasional mismatches.
+func TestVerifyReadoutSlicedMatchesSerial(t *testing.T) {
+	const tenants = 64 // one full lane group, so tiles absorb without pressure
+	const words = 256
+	run := func(sliced bool) ([]StreamReport, *obs.Registry) {
+		reg := obs.NewRegistry()
+		p, err := New(Config{
+			Design:          design128Medium(t),
+			Alpha:           0.01,
+			Shards:          1,
+			QueueDepth:      64,
+			Policy:          Block,
+			BitSliced:       sliced,
+			VerifyReadout:   true,
+			QuarantineLimit: 3,
+			Obs:             reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := make([]*Stream, tenants)
+		corruptors := make([]*faultinject.RegCorruptor, tenants)
+		for i := range streams {
+			s, err := p.Register(fmt.Sprintf("verify-%02d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rate := 0.0005
+			if i%16 == 0 {
+				rate = 0.5
+			}
+			// Installed before the first push, which orders it before any
+			// shard-side read of the register file.
+			corruptors[i] = faultinject.CorruptRegFile(s.mon.Block().RegFile(), rate, int64(1000+i))
+			streams[i] = s
+		}
+		rng := rand.New(rand.NewSource(42))
+		for w := 0; w < words; w++ {
+			for _, s := range streams {
+				if err := s.PushWords([]uint64{rng.Uint64()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reports := make([]StreamReport, tenants)
+		for i, s := range streams {
+			reports[i] = s.Detach()
+			corruptors[i].Detach()
+		}
+		p.Shutdown()
+		return reports, reg
+	}
+	want, _ := run(false)
+	got, reg := run(true)
+
+	mismatches, trips := 0, 0
+	for i := range got {
+		assertReportsIdentical(t, got[i], want[i])
+		r := got[i]
+		if r.OfferedBatches != r.AcceptedBatches+r.ShedBatches+r.SampledOutBatches+r.DiscardedBatches {
+			t.Fatalf("%s: batch accounting broken: offered %d != accepted %d + shed %d + sampled %d + discarded %d",
+				r.Tenant, r.OfferedBatches, r.AcceptedBatches, r.ShedBatches, r.SampledOutBatches, r.DiscardedBatches)
+		}
+		for _, ev := range r.Events {
+			if ev.Detail == "register readout mismatch" {
+				mismatches++
+			}
+		}
+		if r.BreakerTripped {
+			trips++
+		}
+	}
+	if mismatches == 0 {
+		t.Fatal("no readout-mismatch quarantine: the corruption never reached a verified evaluation")
+	}
+	if trips == 0 {
+		t.Fatal("no breaker trip from consecutive readout mismatches")
+	}
+	if v := reg.Counter("fleet_sliced_evictions_total", "", "reason", "health").Value(); v == 0 {
+		t.Fatal("no breaker trip inside finalTile: no lane was evicted for health")
+	}
+	if v := reg.Counter("fleet_sliced_tiles_total", "").Value(); v == 0 {
+		t.Fatal("no transposed tile was ever absorbed")
 	}
 }

@@ -205,10 +205,11 @@ func (sh *shard) fifoPut(s *Stream, w uint64, nb uint8) {
 	}
 }
 
-// minLane returns the attached stream with the fewest buffered bits.
+// minLane returns the attached stream with the fewest buffered bits. Like
+// every per-lane loop here, it stops at the highest attached lane.
 func (g *laneGroup) minLane() *Stream {
 	var min *Stream
-	for _, s := range g.lanes {
+	for _, s := range g.lanes[:bits.Len64(g.eng.Active())] {
 		if s != nil && (min == nil || s.fifo.bits < min.fifo.bits) {
 			min = s
 		}
@@ -223,7 +224,7 @@ func (g *laneGroup) tryAdvance(sh *shard, force bool) {
 	for g.nLanes > 0 && g.ready == g.nLanes {
 		if !force && g.eng.Off() == 0 && g.nLanes < 64 {
 			max := 0
-			for _, s := range g.lanes {
+			for _, s := range g.lanes[:bits.Len64(g.eng.Active())] {
 				if s != nil && s.fifo.bits > max {
 					max = s.fifo.bits
 				}
@@ -344,8 +345,10 @@ func (g *laneGroup) step(sh *shard) {
 func (g *laneGroup) finalTile(sh *shard) {
 	fo := &sh.pool.fobs
 	eng := g.eng
+	// Evictions below only clear lanes, so the bound holds for both loops.
+	nl := bits.Len64(eng.Active())
 	acc := 0
-	for l := 0; l < 64; l++ {
+	for l := 0; l < nl; l++ {
 		if s := g.lanes[l]; s != nil {
 			g.lw[l] = s.gather64(&acc)
 			if s.fifo.bits < 64 {
@@ -354,7 +357,7 @@ func (g *laneGroup) finalTile(sh *shard) {
 		}
 	}
 	fo.batchesAccepted.Add(uint64(acc))
-	for l := 0; l < 64; l++ {
+	for l := 0; l < nl; l++ {
 		s := g.lanes[l]
 		if s == nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hwsim"
+	"repro/internal/nist"
 )
 
 // Signed walk values are exposed through the register file in offset-binary
@@ -131,7 +132,7 @@ type longestRunEngine struct {
 }
 
 func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
-	lo, hi, err := longestRunBounds(m)
+	lo, hi, err := nist.LongestRunClassBounds(m)
 	if err != nil {
 		return nil, err
 	}
@@ -149,22 +150,6 @@ func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
 			func() uint64 { return e.classes.Value(i) })
 	}
 	return e, nil
-}
-
-// longestRunBounds mirrors nist.LongestRunClassBounds; duplicated here so
-// the hardware package does not depend on the reference suite's internals
-// beyond the shared parameter struct.
-func longestRunBounds(m int) (lo, hi int, err error) {
-	switch {
-	case m < 8:
-		return 0, 0, fmt.Errorf("hwblock: longest-run block length %d too small", m)
-	case m < 128:
-		return 1, 4, nil
-	case m < 6272:
-		return 4, 9, nil
-	default:
-		return 10, 16, nil
-	}
 }
 
 func widthOf(max uint64) int {

@@ -33,6 +33,7 @@ package hwblock
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bitstream"
 	"repro/internal/hwfast"
@@ -88,6 +89,17 @@ func (v Variant) String() string {
 		return "high"
 	}
 	return fmt.Sprintf("variant(%d)", int(v))
+}
+
+// ParseVariant is the inverse of String, ignoring case: it is how every
+// command's -variant flag names a design.
+func ParseVariant(s string) (Variant, error) {
+	for _, v := range []Variant{Light, Medium, High} {
+		if strings.ToLower(s) == v.String() {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("hwblock: unknown variant %q (want light, medium or high)", s)
 }
 
 // Config describes one testing-block design: the sequence length, the

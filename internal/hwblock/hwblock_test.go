@@ -426,3 +426,30 @@ func TestVariantString(t *testing.T) {
 		t.Error("unknown variant label empty")
 	}
 }
+
+func TestParseVariant(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Variant
+		ok   bool
+	}{
+		{"light", Light, true},
+		{"MEDIUM", Medium, true},
+		{"High", High, true},
+		{"huge", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseVariant(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("ParseVariant(%q) = %v, %v", c.in, got, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("ParseVariant(%q) accepted", c.in)
+		}
+	}
+	for _, v := range []Variant{Light, Medium, High} {
+		if got, err := ParseVariant(v.String()); err != nil || got != v {
+			t.Errorf("ParseVariant(%v.String()) = %v, %v", v, got, err)
+		}
+	}
+}

@@ -180,16 +180,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n upper bounds start, start+width, ... — for
-// bounded quantities such as per-worker utilization fractions.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}

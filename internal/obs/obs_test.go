@@ -188,7 +188,4 @@ func TestBucketHelpers(t *testing.T) {
 	if got := ExpBuckets(1, 10, 3); got[0] != 1 || got[1] != 10 || got[2] != 100 {
 		t.Errorf("ExpBuckets(1,10,3) = %v", got)
 	}
-	if got := LinearBuckets(0.5, 0.25, 3); got[0] != 0.5 || got[2] != 1.0 {
-		t.Errorf("LinearBuckets(0.5,0.25,3) = %v", got)
-	}
 }

@@ -284,9 +284,6 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 // Window returns the resolved sliding-window length in bits.
 func (t *Tracker) Window() int { return t.cfg.Window }
 
-// ConfigUsed returns the fully resolved configuration (defaults applied).
-func (t *Tracker) ConfigUsed() Config { return t.cfg }
-
 // BitsSeen returns the total bits pushed since Reset.
 func (t *Tracker) BitsSeen() int64 { return t.bits }
 

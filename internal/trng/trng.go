@@ -14,8 +14,10 @@ package trng
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/bitstream"
 )
@@ -175,4 +177,44 @@ func (s *RingOscillator) Lock(residualJitter float64) {
 // Unlock restores healthy jitter.
 func (s *RingOscillator) Unlock(jitterRMS float64) {
 	s.JitterRMS = jitterRMS
+}
+
+// simulated is the one name table behind every command's -source flag, in
+// the order help text lists it. p is the one-probability (biased), the
+// stickiness (markov) or the end-of-life one-probability (drift); the other
+// presets ignore it.
+var simulated = []struct {
+	name  string
+	build func(p float64, seed int64) Source
+}{
+	{"ideal", func(_ float64, seed int64) Source { return NewIdeal(seed) }},
+	{"biased", func(p float64, seed int64) Source { return NewBiased(p, seed) }},
+	{"markov", func(p float64, seed int64) Source { return NewMarkov(p, seed) }},
+	{"ringosc", func(_ float64, seed int64) Source { return NewRingOscillator(100.37, 0.5, seed) }},
+	{"locked", func(_ float64, seed int64) Source { return NewRingOscillator(100.37, 0.001, seed) }},
+	{"drift", func(p float64, seed int64) Source { return NewDrift(0.5, p, 1<<20, seed) }},
+	{"stuck", func(float64, int64) Source { return NewStuckAt(1) }},
+}
+
+// SimulatedNames lists the names NewSimulated accepts, comma-separated, for
+// flag help text.
+func SimulatedNames() string {
+	names := make([]string, len(simulated))
+	for i, s := range simulated {
+		names[i] = s.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// NewSimulated builds the named preset (case-insensitive): ideal, biased,
+// markov, ringosc (a healthy ring oscillator), locked (the same oscillator
+// under a lock-in attack), drift (aging from p=0.5 to p over 2^20 bits) or
+// stuck (a constant 1).
+func NewSimulated(kind string, p float64, seed int64) (Source, error) {
+	for _, s := range simulated {
+		if strings.ToLower(kind) == s.name {
+			return s.build(p, seed), nil
+		}
+	}
+	return nil, fmt.Errorf("trng: unknown source %q (want %s)", kind, SimulatedNames())
 }

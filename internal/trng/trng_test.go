@@ -1,8 +1,10 @@
 package trng
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/nist"
@@ -270,5 +272,36 @@ func TestErraticRetryPreservesStream(t *testing.T) {
 		if got[i] != want.Bit(i) {
 			t.Fatalf("bit %d: retried stream diverged from inner stream", i)
 		}
+	}
+}
+
+// TestNewSimulated pins every -source name to its preset: the first bits of
+// each named source equal those of the model built directly.
+func TestNewSimulated(t *testing.T) {
+	const p, seed = 0.6, 1
+	want := map[string]Source{
+		"ideal":   NewIdeal(seed),
+		"biased":  NewBiased(p, seed),
+		"markov":  NewMarkov(p, seed),
+		"ringosc": NewRingOscillator(100.37, 0.5, seed),
+		"locked":  NewRingOscillator(100.37, 0.001, seed),
+		"drift":   NewDrift(0.5, p, 1<<20, seed),
+		"stuck":   NewStuckAt(1),
+	}
+	if got := strings.Count(SimulatedNames(), ",") + 1; got != len(want) {
+		t.Errorf("SimulatedNames() = %q, want %d names", SimulatedNames(), len(want))
+	}
+	for kind, ref := range want {
+		src, err := NewSimulated(strings.ToUpper(kind), p, seed)
+		if err != nil {
+			t.Errorf("%s: %v", kind, err)
+			continue
+		}
+		if !bytes.Equal(Read(src, 4096).Bits(), Read(ref, 4096).Bits()) {
+			t.Errorf("%s: stream differs from its preset", kind)
+		}
+	}
+	if _, err := NewSimulated("nope", p, seed); err == nil {
+		t.Error("unknown source accepted")
 	}
 }
