@@ -14,12 +14,12 @@ docs:
 	go run ./cmd/regmapdoc -o REGISTERS.md
 
 # docs-check additionally runs cmd/doccheck: every exported identifier in
-# every package under internal/ must carry a doc comment, and every repro
+# every package under internal/ and cmd/ must carry a doc comment, and every repro
 # command quoted in EXPERIMENTS.md's fenced blocks must still parse against
 # the repository (go run ./cmd/<name> directories, make targets).
 docs-check: docs
 	git diff --exit-code REGISTERS.md
-	go run ./cmd/doccheck -md EXPERIMENTS.md ./internal/...
+	go run ./cmd/doccheck -md EXPERIMENTS.md ./internal/... ./cmd/...
 
 vet:
 	go vet ./...

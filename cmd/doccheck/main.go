@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	doccheck -md EXPERIMENTS.md ./internal/...
+//	doccheck -md EXPERIMENTS.md ./internal/... ./cmd/...
 package main
 
 import (

@@ -118,12 +118,12 @@ func chdirRepoRoot(t *testing.T) {
 }
 
 // TestRepoPackagesAreDocumented runs the audit `make docs-check` runs
-// (CI's generated-docs step) over every package under internal/ — the
-// test IS the gate, one build earlier.
+// (CI's generated-docs step) over every package under internal/ and cmd/
+// — the test IS the gate, one build earlier.
 func TestRepoPackagesAreDocumented(t *testing.T) {
 	chdirRepoRoot(t)
 	var out, errb bytes.Buffer
-	if code := run([]string{"./internal/..."}, []string{"EXPERIMENTS.md"}, &out, &errb); code != 0 {
+	if code := run([]string{"./internal/...", "./cmd/..."}, []string{"EXPERIMENTS.md"}, &out, &errb); code != 0 {
 		t.Fatalf("repo audit failed (exit %d):\n%s%s", code, out.String(), errb.String())
 	}
 }

@@ -73,7 +73,6 @@ import (
 	"repro/internal/hwslice"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/sweval"
 )
 
 // Typed admission and data-plane errors. Producers match them with
@@ -157,8 +156,6 @@ type Config struct {
 	Design hwblock.Config
 	// Alpha is the level of significance of the software evaluation.
 	Alpha float64
-	// Opts are passed to the critical-value derivation.
-	Opts []sweval.Option
 
 	// Shards is the number of worker goroutines; ≤ 0 means GOMAXPROCS.
 	Shards int

@@ -423,6 +423,8 @@ func (g *laneGroup) evict(sh *shard, s *Stream, dropPartial bool, why *obs.Count
 }
 
 // gather64 assembles the lane's next 64 bits from its buffered batches.
+// step copies aligned runs itself, so this loop serves ragged lanes and
+// finalTile's once-per-sequence gather.
 // Batch accounting happens here, at consumption: a batch is accepted when
 // its first bit enters a tile — the moment the serial path would have
 // accepted it — so the accounting identity survives any interleaving of
@@ -433,15 +435,6 @@ func (g *laneGroup) evict(sh *shard, s *Stream, dropPartial bool, why *obs.Count
 // the shared atomic off the per-lane path.
 func (s *Stream) gather64(acc *int) uint64 {
 	f := s.fifo
-	if f.cursor == 0 && f.ls[f.head] == 64 {
-		// Aligned producer fast path: one full batch is exactly one
-		// lane-word, no masking or cursor arithmetic needed.
-		s.acceptedBatches++
-		*acc++
-		f.bits -= 64
-		w, _ := f.pop()
-		return w
-	}
 	var w uint64
 	got := 0
 	for got < 64 {

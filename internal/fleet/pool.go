@@ -62,7 +62,7 @@ func newPool(cfg Config, start bool) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := sweval.NewCriticalValues(cfg.Design, cfg.Alpha, cfg.Opts...)
+	cv, err := sweval.NewCriticalValues(cfg.Design, cfg.Alpha)
 	if err != nil {
 		return nil, err
 	}

@@ -320,9 +320,13 @@ func New(cfg Config) (*Block, error) {
 	if err := b.rf.CheckAddressSpace(); err != nil {
 		return nil, err
 	}
-	// The word-level functional model is the default ingest path; designs
-	// it cannot model (none of the standard or custom configurations today)
-	// fall back to the cycle-accurate structural path.
+	// The word-level functional model is the default ingest path. Designs
+	// it cannot model fall back to the cycle-accurate structural path: no
+	// NewConfig or NewCustomConfig design does, but hand-built Params do
+	// (a template length of 10, a serial length of 2; see
+	// TestCycleAccurateFallback). Such a block has no fast model, so
+	// SetPath(FastPath), SetSliced(true) and the word-stats hand-back
+	// refuse it.
 	if fast, err := hwfast.New(cfg.N, cfg.Tests, cfg.Params); err == nil {
 		b.fast = fast
 		b.rf.SetPrepare(b.publish)

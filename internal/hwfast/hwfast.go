@@ -13,13 +13,16 @@
 // The walk fold (Walk) and the block-frequency and longest-run in-flight
 // blocks (BlockFreq, LongestRun) are exported: internal/online's sliding
 // tracker runs these same engines, so the netlist-equivalence suite checks
-// the code both consumers use.
+// the code both consumers use. The byte-walk table behind Walk is the
+// module's only one: internal/hwslice's tile kernel reads its packed
+// entries through WalkByte, and the kernel's odd tile calls Walk itself.
 //
 // Word-level techniques, per engine:
 //
 //   - ones / cumulative sums (tests 1, 13): a 256-entry byte table carries
-//     the walk delta and the intra-byte prefix extrema, so the ±1 random
-//     walk and its S_min/S_max registers advance eight clocks per lookup.
+//     the walk delta and the intra-byte prefix extrema, packed into one
+//     uint32, so the ±1 random walk and its S_min/S_max registers advance
+//     eight clocks per lookup.
 //   - runs (test 3): transitions inside a word are popcount(w XOR w>>1);
 //     only the seam bit between words is handled individually.
 //   - block frequency (test 2): per-block ones counts are popcounts of

@@ -5,32 +5,39 @@ import (
 	"math/bits"
 )
 
-// walkEntry carries the effect of eight clocks of the ±1 random walk: the
-// net displacement and the extrema of the intra-byte prefix sums. The bits
-// of the index are chronological, LSB first (the bitstream packing order).
-type walkEntry struct{ delta, min, max int8 }
-
-var walkTab = func() [256]walkEntry {
-	var t [256]walkEntry
+// walkTab maps a byte (eight chronological bits, LSB first, the
+// bitstream packing order) to the effect of eight clocks of the ±1 random
+// walk, packed as E<<16 | M<<8 | S+8: the maximum prefix excess E ≥ 0,
+// the maximum prefix deficit M ≥ 0 and the net sum S. Folding it over a
+// word's bytes gives the word's extrema: M_word = max_k(M_k − S_{<k}),
+// E_word = max_k(E_k + S_{<k}).
+var walkTab = func() [256]uint32 {
+	var t [256]uint32
 	for b := 0; b < 256; b++ {
-		s, mn, mx := 0, 0, 0
+		s, m, e := 0, 0, 0
 		for i := 0; i < 8; i++ {
 			if b>>uint(i)&1 == 1 {
 				s++
 			} else {
 				s--
 			}
-			if s < mn {
-				mn = s
+			if -s > m {
+				m = -s
 			}
-			if s > mx {
-				mx = s
+			if s > e {
+				e = s
 			}
 		}
-		t[b] = walkEntry{delta: int8(s), min: int8(mn), max: int8(mx)}
+		t[b] = uint32(e<<16 | m<<8 | (s + 8))
 	}
 	return t
 }()
+
+// WalkByte returns byte b's packed walk summary, E<<16 | M<<8 | S+8 (see
+// walkTab): the entry internal/hwslice's tile kernel folds per lane-word.
+//
+//trnglint:hotpath
+func WalkByte(b byte) uint32 { return walkTab[b] }
 
 // lowMask returns a mask of the low n bits (n in [0, 64]).
 func lowMask(n int) uint64 {
@@ -115,14 +122,14 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 func Walk(v uint64, nbits int) (delta, lo, hi int64) {
 	i := 0
 	for ; i+8 <= nbits; i += 8 {
-		e := &walkTab[byte(v>>uint(i))]
-		if m := delta + int64(e.min); m < lo {
+		e := int64(walkTab[byte(v>>uint(i))])
+		if m := delta - e>>8&0xff; m < lo {
 			lo = m
 		}
-		if m := delta + int64(e.max); m > hi {
+		if m := delta + e>>16; m > hi {
 			hi = m
 		}
-		delta += int64(e.delta)
+		delta += e&0xff - 8
 	}
 	for ; i < nbits; i++ {
 		if v>>uint(i)&1 == 1 {

@@ -1,6 +1,10 @@
 package hwslice
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/hwfast"
+)
 
 // The tile-rate kernels behind Group compute the four sliceable
 // statistics horizontally: one pass over a tile's lane-major words, up
@@ -11,9 +15,10 @@ import "math/bits"
 //     (new extrema) are drops = max(0, M − d₀), where d₀ is the distance
 //     to the extremum at word start and M the span's maximum prefix
 //     deficit, and the end distance is d₀ + S + drops (S the net sum).
-//     M, its excess twin E and S come from an 8-bit lookup table folded
-//     over the word's bytes; a lane at distance ≥ 64 on both sides skips
-//     even that and takes the linear update d ± (2·ones − 64).
+//     M, its excess twin E and S come from hwfast's byte-walk table
+//     (hwfast.WalkByte, the one copy in the module) folded over the
+//     word's bytes; a lane at distance ≥ 64 on both sides skips even
+//     that and takes the linear update d ± (2·ones − 64).
 //   - Runs and block frequency have no cross-bit state: per-lane
 //     transition counts and ones counts are single POPCNTs.
 //   - Longest run over blocks of a tile or more keeps a carried open-run
@@ -29,33 +34,6 @@ import "math/bits"
 //     stores one masked POPCNT per block-frequency block and classifies
 //     a word's longest-run blocks together by run-length erosion.
 
-// walkTab maps a byte (eight chronological bits, LSB first) to its walk
-// summary: bits 16.. hold the maximum prefix excess E, bits 8..15 the
-// maximum prefix deficit M, bits 0..7 the net sum S offset by 8. Folding
-// it over a word's bytes gives the word's extrema:
-// M_word = max_k(M_k − S_{<k}), E_word = max_k(E_k + S_{<k}).
-var walkTab [256]uint32
-
-func init() {
-	for b := 0; b < 256; b++ {
-		s, m, e := 0, 0, 0
-		for i := 0; i < 8; i++ {
-			if b>>uint(i)&1 == 1 {
-				s++
-			} else {
-				s--
-			}
-			if -s > m {
-				m = -s
-			}
-			if s > e {
-				e = s
-			}
-		}
-		walkTab[b] = uint32(e<<16 | m<<8 | (s + 8))
-	}
-}
-
 // absorbChunk is the burst hot loop: tile-outer, lane-inner, unrolled
 // two tiles per pass so each lane's counters load and store once per
 // word pair instead of once per word — that halves the L1 read/write
@@ -63,8 +41,10 @@ func init() {
 // cost after the popcounts themselves. The full lane-outer transpose
 // (hoisting counters across the whole chunk) was tried and measured
 // slower — the widened loop spilled registers — so the pair is the
-// sweet spot. The per-word statistic updates are hwfast's, restated
-// per lane; the differential suite against hwfast holds them to
+// sweet spot. Only the pair's two halves spell the per-word updates out
+// by hand (merging the halves into one loop body measured about 4 %
+// slower); the odd tile of a burst takes hwfast.Walk and plain erosion
+// instead. The differential suite against hwfast holds both to
 // bit-exactness. Every lane loop stops after the highest attached lane
 // (see Group), so a sparse group pays for the lanes it holds.
 func (g *Group) absorbChunk(tiles [][64]uint64) {
@@ -179,14 +159,14 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 					d += s
 					x -= s
 				} else {
-					t0 := int(walkTab[w&0xff])
-					t1 := int(walkTab[w>>8&0xff])
-					t2 := int(walkTab[w>>16&0xff])
-					t3 := int(walkTab[w>>24&0xff])
-					t4 := int(walkTab[w>>32&0xff])
-					t5 := int(walkTab[w>>40&0xff])
-					t6 := int(walkTab[w>>48&0xff])
-					t7 := int(walkTab[w>>56])
+					t0 := int(hwfast.WalkByte(byte(w)))
+					t1 := int(hwfast.WalkByte(byte(w >> 8)))
+					t2 := int(hwfast.WalkByte(byte(w >> 16)))
+					t3 := int(hwfast.WalkByte(byte(w >> 24)))
+					t4 := int(hwfast.WalkByte(byte(w >> 32)))
+					t5 := int(hwfast.WalkByte(byte(w >> 40)))
+					t6 := int(hwfast.WalkByte(byte(w >> 48)))
+					t7 := int(hwfast.WalkByte(byte(w >> 56)))
 					s0 := t0&0xff - 8
 					s2 := t2&0xff - 8
 					s4 := t4&0xff - 8
@@ -272,14 +252,14 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 					d += s
 					x -= s
 				} else {
-					t0 := int(walkTab[w&0xff])
-					t1 := int(walkTab[w>>8&0xff])
-					t2 := int(walkTab[w>>16&0xff])
-					t3 := int(walkTab[w>>24&0xff])
-					t4 := int(walkTab[w>>32&0xff])
-					t5 := int(walkTab[w>>40&0xff])
-					t6 := int(walkTab[w>>48&0xff])
-					t7 := int(walkTab[w>>56])
+					t0 := int(hwfast.WalkByte(byte(w)))
+					t1 := int(hwfast.WalkByte(byte(w >> 8)))
+					t2 := int(hwfast.WalkByte(byte(w >> 16)))
+					t3 := int(hwfast.WalkByte(byte(w >> 24)))
+					t4 := int(hwfast.WalkByte(byte(w >> 32)))
+					t5 := int(hwfast.WalkByte(byte(w >> 40)))
+					t6 := int(hwfast.WalkByte(byte(w >> 48)))
+					t7 := int(hwfast.WalkByte(byte(w >> 56)))
 					s0 := t0&0xff - 8
 					s2 := t2&0xff - 8
 					s4 := t4&0xff - 8
@@ -322,112 +302,52 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 		prev = pt
 		first = 0
 	}
-	// Odd tail: at most one tile left; same per-word updates, counters
-	// touched directly.
-	for ; j < len(tiles); j++ {
-		lanes := &tiles[j]
+	// Odd tail: at most one tile, once per chunk, so it is cold and takes
+	// the short per-word forms rather than a third copy of the kernel: popcounts, run-length erosion (x &= x>>1 clears one bit of
+	// every run) and hwfast.Walk, whose lo ≤ 0 ≤ hi are the word's maximum
+	// prefix deficit −lo and excess hi.
+	if j < len(tiles) {
+		closes := false
+		if hasLR {
+			cnt--
+			closes = cnt == 0
+		}
 		var pt uint64
-		for l := 0; l < nl; l++ {
-			w := lanes[l]
-			pc := int(bits.OnesCount64(w))
+		for l, w := range tiles[j][:nl] {
 			if hasRuns {
-				tr := (w ^ (w<<1 | prev>>uint(l)&1)) | first
-				g.runs[l] += uint32(bits.OnesCount64(tr))
+				g.runs[l] += uint32(bits.OnesCount64((w ^ (w<<1 | prev>>uint(l)&1)) | first))
 			}
 			if hasBF {
-				g.bfEps[l] += uint32(pc)
+				g.bfEps[l] += uint32(bits.OnesCount64(w))
 			}
 			if hasLR {
-				nw := ^w
-				lead := bits.TrailingZeros64(nw)
-				r := int(g.lrRun[l])
-				m := int(g.lrMax[l])
+				r, m := int(g.lrRun[l]), int(g.lrMax[l])
+				lead := bits.TrailingZeros64(^w)
 				m = max(m, r+lead)
 				if lead == 64 {
 					r += 64
 				} else {
-					if m < 64 {
-						y := w
-						for c := 1; c < m+1; {
-							s := min(c, m+1-c)
-							y &= y << uint(s)
-							if y == 0 {
-								break
-							}
-							c += s
-						}
-						if y != 0 {
-							m++
-							for {
-								y &= y << 1
-								if y == 0 {
-									break
-								}
-								m++
-							}
-						}
+					run := 0
+					for y := w; y != 0; y &= y >> 1 {
+						run++
 					}
-					r = bits.LeadingZeros64(nw)
+					m, r = max(m, run), bits.LeadingZeros64(^w)
+				}
+				if closes {
+					g.lrCls[l<<3|(min(max(m, lo), hi)-lo)]++
+					m, r = 0, 0
 				}
 				g.lrRun[l], g.lrMax[l] = uint32(r), uint32(m)
 			}
-			s := 2*pc - 64
-			d, x := int(g.dMin[l]), int(g.dMax[l])
-			if d < 64 || x < 64 {
-				t0 := int(walkTab[w&0xff])
-				t1 := int(walkTab[w>>8&0xff])
-				t2 := int(walkTab[w>>16&0xff])
-				t3 := int(walkTab[w>>24&0xff])
-				t4 := int(walkTab[w>>32&0xff])
-				t5 := int(walkTab[w>>40&0xff])
-				t6 := int(walkTab[w>>48&0xff])
-				t7 := int(walkTab[w>>56])
-				s0 := t0&0xff - 8
-				s2 := t2&0xff - 8
-				s4 := t4&0xff - 8
-				s6 := t6&0xff - 8
-				s01 := s0 + t1&0xff - 8
-				s23 := s2 + t3&0xff - 8
-				s45 := s4 + t5&0xff - 8
-				s03 := s01 + s23
-				if d < 64 {
-					m01 := max(t0>>8&0xff, t1>>8&0xff-s0)
-					m23 := max(t2>>8&0xff, t3>>8&0xff-s2)
-					m45 := max(t4>>8&0xff, t5>>8&0xff-s4)
-					m67 := max(t6>>8&0xff, t7>>8&0xff-s6)
-					mw := max(max(m01, m23-s01), max(m45, m67-s45)-s03)
-					dr := max(0, mw-d)
-					g.drops[l] += uint32(dr)
-					d += dr
-				}
-				if x < 64 {
-					e01 := max(t1>>16+s0, t0>>16)
-					e23 := max(t3>>16+s2, t2>>16)
-					e45 := max(t5>>16+s4, t4>>16)
-					e67 := max(t7>>16+s6, t6>>16)
-					e := max(max(e23+s01, e01), max(e67+s45, e45)+s03)
-					ri := max(0, e-x)
-					g.rises[l] += uint32(ri)
-					x += ri
-				}
-			}
-			g.dMin[l] = uint32(d + s)
-			g.dMax[l] = uint32(x - s)
+			sum, low, high := hwfast.Walk(w, 64)
+			d, x := int64(g.dMin[l]), int64(g.dMax[l])
+			dr, ri := max(0, -low-d), max(0, high-x)
+			g.drops[l] += uint32(dr)
+			g.rises[l] += uint32(ri)
+			g.dMin[l], g.dMax[l] = uint32(d+dr+sum), uint32(x+ri-sum)
 			pt |= w >> 63 << uint(l)
 		}
 		prev = pt
-		first = 0
-		if hasLR {
-			cnt--
-			if cnt == 0 {
-				for l := 0; l < nl; l++ {
-					c := min(max(int(g.lrMax[l]), lo), hi) - lo
-					g.lrCls[l<<3|c]++
-					g.lrMax[l], g.lrRun[l] = 0, 0
-				}
-				cnt = lrTiles
-			}
-		}
 	}
 	g.prevT = prev
 }

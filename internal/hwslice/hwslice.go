@@ -7,12 +7,14 @@
 // mode: the cumulative-sums walk with its extrema (tests 1, 3, 13 inputs),
 // the runs counter (test 3), block frequency (test 2) and longest run of
 // ones (test 4). One tile-rate engine (fast.go) computes them: it hoists
-// per-bit work to per-word work — a byte-table fold with a near/far lane
-// split for the walk, POPCNT-based runs and block frequency, and a
-// word-parallel doubling test for longest run. Block lengths must divide
-// 64 or be multiples of 64, so every block boundary falls on a word
-// boundary: a sub-tile block opens and closes inside one word, a long
-// block closes at a tile boundary.
+// per-bit work to per-word work — a fold of hwfast's byte-walk table
+// (hwfast.WalkByte) with a near/far lane split for the walk, POPCNT-based
+// runs and block frequency, and a word-parallel doubling test for longest
+// run. Its one hot kernel takes tiles in pairs; the odd tile of a burst
+// takes a short per-lane pass through hwfast.Walk and run-length erosion.
+// Block lengths must divide 64 or be multiples of 64, so every block
+// boundary falls on a word boundary: a sub-tile block opens and closes
+// inside one word, a long block closes at a tile boundary.
 //
 // The residual per-stream engines (templates, serial) are NOT computed
 // here: callers feed the same lane-major words to each stream's own

@@ -592,7 +592,9 @@ func FuzzSliceEquivalence(f *testing.F) {
 // them), absorbing random tiles in bursts of 16 as the fleet does. One op
 // is one lane-word, so ns/op is the absorb cost per lane-word: with the
 // engine's work proportional to the highest attached lane, the curve
-// should stay roughly flat from 1 lane to 64.
+// should stay roughly flat from 1 lane to 64. The n128-light/burst=1 row
+// absorbs one tile per call, so every tile takes the kernel's odd-tile
+// pass rather than its pair loop.
 func BenchmarkHWSliceAbsorb(b *testing.B) {
 	for _, v := range []struct {
 		name    string
@@ -602,36 +604,49 @@ func BenchmarkHWSliceAbsorb(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(1))
-		tiles := make([][64]uint64, cfg.N/64)
-		for j := range tiles {
-			for l := range tiles[j] {
-				tiles[j][l] = rng.Uint64()
-			}
-		}
 		for _, lanes := range []int{1, 8, 32, 64} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", v.name, lanes), func(b *testing.B) {
-				g, err := hwslice.New(cfg.N, cfg.Tests, cfg.Params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for l := 0; l < lanes; l++ {
-					if err := g.Attach(l); err != nil {
-						b.Fatal(err)
-					}
-				}
-				const burst = 16
-				b.ResetTimer()
-				for fed := 0; fed < b.N; fed += burst * lanes {
-					if g.Off() == g.N() {
-						g.Rollover()
-					}
-					j := g.Off() / 64
-					if err := g.AbsorbTiles(tiles[j : j+burst]); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchAbsorb(b, cfg, lanes, 16)
 			})
+		}
+	}
+	cfg, err := hwblock.NewConfig(128, hwblock.Light)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("n128-light/burst=1/lanes=64", func(b *testing.B) {
+		benchAbsorb(b, cfg, 64, 1)
+	})
+}
+
+// benchAbsorb feeds a group with the given lanes attached random tiles in
+// bursts of burst tiles, rolling over at each sequence end; one op is one
+// lane-word.
+func benchAbsorb(b *testing.B, cfg hwblock.Config, lanes, burst int) {
+	rng := rand.New(rand.NewSource(1))
+	tiles := make([][64]uint64, cfg.N/64)
+	for j := range tiles {
+		for l := range tiles[j] {
+			tiles[j][l] = rng.Uint64()
+		}
+	}
+	g, err := hwslice.New(cfg.N, cfg.Tests, cfg.Params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for l := 0; l < lanes; l++ {
+		if err := g.Attach(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for fed := 0; fed < b.N; fed += burst * lanes {
+		if g.Off() == g.N() {
+			g.Rollover()
+		}
+		j := g.Off() / 64
+		if err := g.AbsorbTiles(tiles[j : j+burst]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
