@@ -76,12 +76,14 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target for 10 s past its seed corpus,
 # which `make test` already replays: the differential targets (the
 # bit-sliced tile engine and the word-level fast path, both against their
-# references, with fuzz-chosen lane sets and burst lengths) and the
-# directive parser. A failing input lands in the package's
+# references, with fuzz-chosen lane sets and burst lengths), the online
+# tracker's window statistics against a rescan of the window (fuzz-chosen
+# words, push sizes and Reset points) and the directive parser. A failing input lands in the package's
 # testdata/fuzz/ as a reproducer to commit with the fix.
 fuzz-smoke:
 	go test ./internal/hwslice -run='^$$' -fuzz='^FuzzSliceEquivalence$$' -fuzztime=10s
 	go test ./internal/hwfast -run='^$$' -fuzz='^FuzzFastPathEquivalence$$' -fuzztime=10s
+	go test ./internal/online -run='^$$' -fuzz='^FuzzTrackerWindow$$' -fuzztime=10s
 	go test ./internal/analysis -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=10s
 
 # ttd reproduces the time-to-detect tables of EXPERIMENTS.md ("Time to

@@ -47,12 +47,14 @@ func (b *BlockFreq) Feed(v uint64, nbits int) (take int, eps uint64, closed bool
 
 // LongestRun is the in-flight block of the longest-run-of-ones engine
 // (test 4). Like the hardware's run counter, run tracking restarts at
-// every block boundary.
+// every block boundary, and, like the netlist's lr_run and lr_max
+// registers, the run and the block maximum saturate at the top class
+// bound hi: every run of hi or more lands in the same class.
 type LongestRun struct {
 	m, lo, hi int
 	pos       int // bits into the in-flight block
-	run       int // length of the ones run ending at the last bit
-	blkMax    int // longest run seen in the in-flight block
+	run       int // length of the ones run ending at the last bit, saturated at hi
+	blkMax    int // longest run seen in the in-flight block, saturated at hi
 }
 
 // NewLongestRun returns an empty longest-run block of length m, with the
@@ -74,40 +76,40 @@ func (b *LongestRun) Reset() { b.pos, b.run, b.blkMax = 0, 0, 0 }
 
 // Feed consumes the low bits of v (chronological, LSB first; at most nbits
 // of them, 1 ≤ nbits ≤ 64) up to the block end and returns how many it
-// took. The word is merged in one step: leading/trailing run lengths come
-// from complement zero counts, the interior maximum from run-length
-// erosion. When those bits close the block, closed is true and class is
-// the block's longest run clamped to [lo, hi] and offset by lo; the next
-// Feed starts a new block. Bits of v above take are ignored.
+// took. The word is merged in one step with no data-dependent branch:
+// the leading and trailing run lengths come from complement zero counts,
+// and the longest run inside the word, saturated at hi, from hi fixed
+// run-length erosion steps (x &= x>>1 shortens every run by one). When
+// those bits close the block, closed is true and class is the block's
+// longest run clamped to [lo, hi] and offset by lo; the next Feed starts a
+// new block. Bits of v above take are ignored.
 //
 //trnglint:hotpath
 func (b *LongestRun) Feed(v uint64, nbits int) (take, class int, closed bool) {
 	take = min(nbits, b.m-b.pos)
 	seg := v & lowMask(take)
-	if lead := bits.TrailingZeros64(^seg); lead >= take {
-		// All ones: the current run extends across the segment.
-		b.run += take
-	} else {
-		if r := b.run + lead; r > b.blkMax {
-			b.blkMax = r
-		}
-		r := 0
-		for x := seg; x != 0; x &= x >> 1 {
-			r++
-		}
-		if r > b.blkMax {
-			b.blkMax = r
-		}
-		b.run = bits.LeadingZeros64(^(seg << uint(64-take)))
+	// lead is take exactly when the segment is all ones (the bits of ^seg
+	// above take are set); tail is then take too.
+	lead := bits.TrailingZeros64(^seg)
+	tail := bits.LeadingZeros64(^(seg << uint(64-take)))
+	// The carried run continues past the segment only if it is all ones:
+	// lead−take is negative, and its sign mask clears the carry, otherwise.
+	carry := b.run &^ ((lead - take) >> 63)
+	// After i erosion steps x is nonzero iff some run is longer than i.
+	x, inner := seg, 0
+	for range b.hi {
+		inner += int((x | -x) >> 63)
+		x &= x >> 1
 	}
-	if b.run > b.blkMax {
-		b.blkMax = b.run
-	}
+	// The segment's own runs, its trailing one included, are all within
+	// inner, and a carried-through run within the carried-in run + lead.
+	b.blkMax = max(b.blkMax, min(b.run+lead, b.hi), inner)
+	b.run = min(carry+tail, b.hi)
 	b.pos += take
 	if b.pos < b.m {
 		return take, 0, false
 	}
-	class = min(max(b.blkMax, b.lo), b.hi) - b.lo
+	class = max(b.blkMax, b.lo) - b.lo // blkMax is saturated at hi
 	b.Reset()
 	return take, class, true
 }

@@ -185,8 +185,23 @@ func TestLongestRunFeed(t *testing.T) {
 }
 
 // TestWalk proves the walk fold against the per-bit walk for every word
-// size, with the bits above the word size set at random.
+// size, with the bits above the word size set at random. Whole words,
+// which take the tree fold, also cover the degenerate shapes: all ones,
+// all zeros, alternating bits, and a single long run of ones or zeros at
+// every offset and length.
 func TestWalk(t *testing.T) {
+	check := func(v uint64, nbits int) {
+		t.Helper()
+		var s, lo, hi int64
+		for i := 0; i < nbits; i++ {
+			s += int64(v>>uint(i)&1)*2 - 1
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		d, gotLo, gotHi := Walk(v, nbits)
+		if d != s || gotLo != lo || gotHi != hi {
+			t.Fatalf("nbits=%d v=%#x: (%d,%d,%d), want (%d,%d,%d)", nbits, v, d, gotLo, gotHi, s, lo, hi)
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	for nbits := 1; nbits <= 64; nbits++ {
 		for trial := 0; trial < 200; trial++ {
@@ -194,15 +209,17 @@ func TestWalk(t *testing.T) {
 			if trial%4 == 0 {
 				v &= rng.Uint64() & rng.Uint64() // long zero runs
 			}
-			var s, lo, hi int64
-			for i := 0; i < nbits; i++ {
-				s += int64(v>>uint(i)&1)*2 - 1
-				lo, hi = min(lo, s), max(hi, s)
-			}
-			d, gotLo, gotHi := Walk(v, nbits)
-			if d != s || gotLo != lo || gotHi != hi {
-				t.Fatalf("nbits=%d v=%#x: (%d,%d,%d), want (%d,%d,%d)", nbits, v, d, gotLo, gotHi, s, lo, hi)
-			}
+			check(v, nbits)
+		}
+	}
+	for _, v := range []uint64{0, ^uint64(0), 0x5555555555555555, 0xAAAAAAAAAAAAAAAA} {
+		check(v, 64)
+	}
+	for off := 0; off < 64; off++ {
+		for length := 1; off+length <= 64; length++ {
+			run := lowMask(length) << uint(off)
+			check(run, 64)
+			check(^run, 64)
 		}
 	}
 }

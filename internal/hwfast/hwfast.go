@@ -22,14 +22,18 @@
 //   - ones / cumulative sums (tests 1, 13): a 256-entry byte table carries
 //     the walk delta and the intra-byte prefix extrema, packed into one
 //     uint32, so the ±1 random walk and its S_min/S_max registers advance
-//     eight clocks per lookup.
+//     eight clocks per lookup; a whole word folds its eight entries as a
+//     balanced tree of builtin max, with no data-dependent branch.
 //   - runs (test 3): transitions inside a word are popcount(w XOR w>>1);
 //     only the seam bit between words is handled individually.
 //   - block frequency (test 2): per-block ones counts are popcounts of
 //     block-aligned sub-masks (every block length is a power of two).
 //   - longest run of ones (test 4): chunk merging — leading/trailing run
 //     lengths come from trailing/leading-zero counts of the complement,
-//     the interior maximum from run-length erosion (x &= x>>1).
+//     the interior maximum from hi fixed run-length erosion steps
+//     (x &= x>>1). Like the netlist's lr_run and lr_max registers, the
+//     carried run and the block maximum saturate at the top class bound
+//     hi, so the word needs no data-dependent exit.
 //   - shared pattern lanes (tests 7, 8, 11, 12): as in the hardware, one
 //     pattern shift register feeds the template and serial engines. Each
 //     word builds the window lanes once from a single chronological
@@ -278,8 +282,9 @@ type WordStats struct {
 	BFEps  uint64
 	BFBank []uint64
 	// LRRun is the length of the ones run ending at the last bit, LRBlkMax
-	// the longest run seen in the in-flight block, LRClasses the completed
-	// blocks' class counters.
+	// the longest run seen in the in-flight block, both saturated at the
+	// top class bound hi like the netlist's lr_run and lr_max registers;
+	// LRClasses holds the completed blocks' class counters.
 	LRRun, LRBlkMax int
 	LRClasses       []uint64
 }

@@ -116,35 +116,62 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 // ±1 random walk: it returns the net displacement and the extrema of the
 // prefix sums, lo and hi, relative to the walk value before the first bit
 // (0 included) — one table lookup per byte, per-bit only for a trailing
-// partial byte. Bits of v above nbits are ignored.
+// partial byte. Bits of v above nbits are ignored. A whole word folds its
+// eight byte entries as a balanced tree of builtin max, with no
+// data-dependent branch; ragged sizes take the byte loop.
 //
 //trnglint:hotpath
 func Walk(v uint64, nbits int) (delta, lo, hi int64) {
+	if nbits == 64 {
+		return walkWord(v)
+	}
 	i := 0
 	for ; i+8 <= nbits; i += 8 {
 		e := int64(walkTab[byte(v>>uint(i))])
-		if m := delta - e>>8&0xff; m < lo {
-			lo = m
-		}
-		if m := delta + e>>16; m > hi {
-			hi = m
-		}
+		lo = min(lo, delta-e>>8&0xff)
+		hi = max(hi, delta+e>>16)
 		delta += e&0xff - 8
 	}
 	for ; i < nbits; i++ {
-		if v>>uint(i)&1 == 1 {
-			delta++
-		} else {
-			delta--
-		}
-		if delta < lo {
-			lo = delta
-		}
-		if delta > hi {
-			hi = delta
-		}
+		delta += int64(v>>uint(i)&1)*2 - 1
+		lo = min(lo, delta)
+		hi = max(hi, delta)
 	}
 	return delta, lo, hi
+}
+
+// walkWord is Walk over a whole word. Two adjacent spans a, b with sums
+// S, maximum prefix deficits M and excesses E (all relative to each
+// span's start) fold as S = Sa+Sb, M = max(Ma, Mb−Sa), E = max(Ea, Eb+Sa);
+// the eight byte entries fold pairwise in three levels.
+//
+//trnglint:hotpath
+func walkWord(v uint64) (delta, lo, hi int64) {
+	t0 := int64(walkTab[byte(v)])
+	t1 := int64(walkTab[byte(v>>8)])
+	t2 := int64(walkTab[byte(v>>16)])
+	t3 := int64(walkTab[byte(v>>24)])
+	t4 := int64(walkTab[byte(v>>32)])
+	t5 := int64(walkTab[byte(v>>40)])
+	t6 := int64(walkTab[byte(v>>48)])
+	t7 := int64(walkTab[byte(v>>56)])
+	s0, s2, s4, s6 := t0&0xff-8, t2&0xff-8, t4&0xff-8, t6&0xff-8
+	s01 := s0 + t1&0xff - 8
+	s23 := s2 + t3&0xff - 8
+	s45 := s4 + t5&0xff - 8
+	s67 := s6 + t7&0xff - 8
+	m01 := max(t0>>8&0xff, t1>>8&0xff-s0)
+	m23 := max(t2>>8&0xff, t3>>8&0xff-s2)
+	m45 := max(t4>>8&0xff, t5>>8&0xff-s4)
+	m67 := max(t6>>8&0xff, t7>>8&0xff-s6)
+	e01 := max(t0>>16, t1>>16+s0)
+	e23 := max(t2>>16, t3>>16+s2)
+	e45 := max(t4>>16, t5>>16+s4)
+	e67 := max(t6>>16, t7>>16+s6)
+	s03, s47 := s01+s23, s45+s67
+	m03, m47 := max(m01, m23-s01), max(m45, m67-s45)
+	e03, e47 := max(e01, e23+s01), max(e45, e67+s45)
+	return s03 + s47, -max(m03, m47-s03), max(e03, e47+s03)
 }
 
 // ingestRuns counts runs: one seam comparison against the previous word's

@@ -27,8 +27,10 @@ import (
 //     doubling test (y &= y<<s marks run ends of length ≥ c) asks only
 //     whether some internal run beats the current maximum — exact length
 //     is recovered by further doubling only on the rare new-maximum
-//     event. Completed blocks classify scalar per lane into per-class
-//     counters.
+//     event. The carried run and the maximum saturate at the top class
+//     bound hi, as the netlist's lr_run and lr_max do, so a saturated
+//     maximum skips the test. Completed blocks classify scalar per lane
+//     into per-class counters.
 //   - Blocks shorter than a tile divide 64, so each opens and closes
 //     inside one word and carries no state across words: absorbSubBlocks
 //     stores one masked POPCNT per block-frequency block and classifies
@@ -108,15 +110,17 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 				if hasLR {
 					nw := ^w
 					lead := bits.TrailingZeros64(nw)
-					m = max(m, r+lead) // the carried-in run, closed inside w (or spanning it)
+					m = max(m, min(r+lead, hi)) // the carried-in run, closed inside w (or spanning it)
 					if lead == 64 {
-						r += 64
+						r = min(r+64, hi)
 					} else {
-						// Internal runs only matter if one beats m. Test run ≥ m+1
-						// with the doubling identity f(c+s) = f(c) & f(c)<<s (s ≤ c),
-						// where f(c) marks end positions of runs ≥ c; on the rare
-						// new-maximum event, keep doubling by 1 to the exact length.
-						if m < 64 {
+						// Internal runs only matter if one beats m, which saturates
+						// at hi like the netlist's lr_max. Test run ≥ m+1 with the
+						// doubling identity f(c+s) = f(c) & f(c)<<s (s ≤ c), where
+						// f(c) marks end positions of runs ≥ c; on the rare
+						// new-maximum event, keep doubling by 1 to the exact length
+						// or to hi, whichever comes first.
+						if m < hi {
 							y := w
 							for c := 1; c < m+1; {
 								s := min(c, m+1-c)
@@ -132,7 +136,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 							}
 							if y != 0 {
 								m++
-								for {
+								for m < hi {
 									y &= y << 1
 									if y == 0 {
 										break
@@ -142,8 +146,8 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 							}
 						}
 						// The trailing open run is an internal suffix run, so it
-						// never exceeds the (now exact) maximum.
-						r = bits.LeadingZeros64(nw)
+						// never exceeds the (now exact, saturated) maximum.
+						r = min(bits.LeadingZeros64(nw), hi)
 					}
 					if b0 {
 						c := min(max(m, lo), hi) - lo
@@ -214,11 +218,11 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 				if hasLR {
 					nw := ^w
 					lead := bits.TrailingZeros64(nw)
-					m = max(m, r+lead)
+					m = max(m, min(r+lead, hi))
 					if lead == 64 {
-						r += 64
+						r = min(r+64, hi)
 					} else {
-						if m < 64 {
+						if m < hi {
 							y := w
 							for c := 1; c < m+1; {
 								s := min(c, m+1-c)
@@ -230,7 +234,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 							}
 							if y != 0 {
 								m++
-								for {
+								for m < hi {
 									y &= y << 1
 									if y == 0 {
 										break
@@ -239,7 +243,7 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 								}
 							}
 						}
-						r = bits.LeadingZeros64(nw)
+						r = min(bits.LeadingZeros64(nw), hi)
 					}
 					if b1 {
 						c := min(max(m, lo), hi) - lo
@@ -323,15 +327,15 @@ func (g *Group) absorbChunk(tiles [][64]uint64) {
 			if hasLR {
 				r, m := int(g.lrRun[l]), int(g.lrMax[l])
 				lead := bits.TrailingZeros64(^w)
-				m = max(m, r+lead)
+				m = max(m, min(r+lead, hi))
 				if lead == 64 {
-					r += 64
+					r = min(r+64, hi)
 				} else {
 					run := 0
 					for y := w; y != 0; y &= y >> 1 {
 						run++
 					}
-					m, r = max(m, run), bits.LeadingZeros64(^w)
+					m, r = max(m, min(run, hi)), min(bits.LeadingZeros64(^w), hi)
 				}
 				if closes {
 					g.lrCls[l<<3|(min(max(m, lo), hi)-lo)]++

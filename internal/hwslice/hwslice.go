@@ -10,7 +10,8 @@
 // per-bit work to per-word work — a fold of hwfast's byte-walk table
 // (hwfast.WalkByte) with a near/far lane split for the walk, POPCNT-based
 // runs and block frequency, and a word-parallel doubling test for longest
-// run. Its one hot kernel takes tiles in pairs; the odd tile of a burst
+// run, whose carried run and block maximum saturate at the top class bound
+// as the netlist's lr_run and lr_max registers do. Its one hot kernel takes tiles in pairs; the odd tile of a burst
 // takes a short per-lane pass through hwfast.Walk and run-length erosion.
 // Block lengths must divide 64 or be multiples of 64, so every block
 // boundary falls on a word boundary: a sub-tile block opens and closes
@@ -55,8 +56,9 @@ import (
 // independently and is never read (ExtractLane is only called for
 // attached lanes), and every bound below holds for arbitrary bit
 // patterns — the distances grow at most 2n and the extrema counters at
-// most n per sequence, run lengths are capped by lrM — so stale lanes can
-// neither overflow a counter nor perturb a live one. Rollover clears them.
+// most n per sequence, run lengths saturate at the top class bound — so
+// stale lanes can neither overflow a counter nor perturb a live one.
+// Rollover clears them.
 type Group struct {
 	n      int
 	off    int    // bits absorbed in the current sequence (multiple of 64)
@@ -88,8 +90,8 @@ type Group struct {
 	lrM        int
 	lrLong     bool // lrM ≥ 64; see New
 	lrLo, lrHi int
-	lrMax      [64]uint32     // longest ones run in the in-flight block
-	lrRun      [64]uint32     // ones run ending at the last absorbed bit
+	lrMax      [64]uint32     // longest ones run in the in-flight block, saturated at lrHi
+	lrRun      [64]uint32     // ones run ending at the last absorbed bit, saturated at lrHi
 	lrCls      [64 * 8]uint32 // per-lane × class completed-block counts
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hwblock"
 	"repro/internal/hwfast"
+	"repro/internal/hwsim"
 	"repro/internal/hwslice"
 	"repro/internal/nist"
 )
@@ -507,6 +508,167 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if err := g.Attach(6); err != nil {
 		t.Fatalf("attach after Reset: %v", err)
+	}
+}
+
+// saturationStream builds n bits (n/64 words) of fair random bits with
+// runs of ones longer than hi planted across every block boundary and at
+// random offsets, some spanning whole words.
+func saturationStream(n, m, hi int, rng *rand.Rand) []uint64 {
+	bits := make([]byte, n)
+	for i := range bits {
+		bits[i] = byte(rng.Intn(2))
+	}
+	plant := func(start, length int) {
+		for i := max(start, 0); i < min(start+length, n); i++ {
+			bits[i] = 1
+		}
+	}
+	for b := m; b < n; b += m {
+		length := hi + 1 + rng.Intn(70)
+		plant(b-rng.Intn(length), length)
+	}
+	for r := 0; r < n/256; r++ {
+		plant(rng.Intn(n), hi+1+rng.Intn(150))
+	}
+	words := make([]uint64, n/64)
+	for i, bit := range bits {
+		words[i/64] |= uint64(bit) << uint(i%64)
+	}
+	return words
+}
+
+// netlistLongestRun returns the netlist's lr_run counter and lr_max
+// tracker.
+func netlistLongestRun(t *testing.T, b *hwblock.Block) (*hwsim.Counter, *hwsim.MaxTracker) {
+	t.Helper()
+	var run *hwsim.Counter
+	var blk *hwsim.MaxTracker
+	for _, p := range b.Netlist().Primitives() {
+		switch p := p.(type) {
+		case *hwsim.Counter:
+			if p.Info().Name == "lr_run" {
+				run = p
+			}
+		case *hwsim.MaxTracker:
+			if p.Info().Name == "lr_max" {
+				blk = p
+			}
+		}
+	}
+	if run == nil || blk == nil {
+		t.Fatal("netlist has no lr_run/lr_max")
+	}
+	return run, blk
+}
+
+// TestLongestRunSaturation pins the longest-run saturation contract: like
+// the netlist's lr_run and lr_max registers, the carried run and the block
+// maximum stop at the top class bound hi. Runs longer than hi cross word
+// and block boundaries for M = 8, 128 and 8192. At every word boundary
+// hwfast's LRRun/LRBlkMax equal min(true, hi) and the netlist's registers,
+// and the lane group's ExtractLane matches hwfast whether the tile took
+// the odd-tile pass or either half of the pair loop.
+func TestLongestRunSaturation(t *testing.T) {
+	tests := []int{1, 4, 13}
+	for _, m := range []int{8, 128, 8192} {
+		t.Run(fmt.Sprintf("M%d", m), func(t *testing.T) {
+			n := 2 * max(m, 1024)
+			p := nist.Params{LongestRunM: m}
+			_, hi, err := nist.LongestRunClassBounds(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := saturationStream(n, m, hi, rand.New(rand.NewSource(int64(m))))
+
+			st, err := hwfast.New(n, tests, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gold, err := hwblock.New(hwblock.Config{Name: "lr-saturation", N: n, Tests: tests, Params: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := gold.SetPath(hwblock.CycleAccurate); err != nil {
+				t.Fatal(err)
+			}
+			lrRun, lrMax := netlistLongestRun(t, gold)
+			// Group 0 absorbs one tile per call (the odd-tile pass); groups
+			// 1 and 2 absorb pairs, group 2 one tile out of phase, so every
+			// word boundary closes a pair in one of them.
+			var groups [3]*hwslice.Group
+			for i := range groups {
+				if groups[i], err = hwslice.New(n, tests, p); err != nil {
+					t.Fatal(err)
+				}
+				if err := groups[i].Attach(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			absorb := func(g *hwslice.Group, from, to int) {
+				tiles := make([][64]uint64, to-from)
+				for j := range tiles {
+					tiles[j][0] = words[from+j]
+				}
+				if err := g.AbsorbTiles(tiles); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			run, blk := 0, 0 // the unsaturated reference
+			saturated := 0
+			var ws, wsG hwfast.WordStats
+			for j, w := range words {
+				for i := 0; i < 64; i++ {
+					if w>>uint(i)&1 == 1 {
+						run++
+					} else {
+						run = 0
+					}
+					blk = max(blk, run)
+					if (64*j+i+1)%m == 0 {
+						run, blk = 0, 0
+					}
+				}
+				if run > hi {
+					saturated++
+				}
+				if err := st.ClockWord(w, 64); err != nil {
+					t.Fatal(err)
+				}
+				if err := gold.ClockWord(w, 64); err != nil {
+					t.Fatal(err)
+				}
+				st.ExportWordStats(&ws)
+				if ws.LRRun != min(run, hi) || ws.LRBlkMax != min(blk, hi) {
+					t.Fatalf("word %d: hwfast run/max %d/%d, want min(%d/%d, %d)", j, ws.LRRun, ws.LRBlkMax, run, blk, hi)
+				}
+				if int(lrRun.Value()) != ws.LRRun || int(lrMax.Max()) != ws.LRBlkMax {
+					t.Fatalf("word %d: netlist lr_run/lr_max %d/%d, hwfast %d/%d", j, lrRun.Value(), lrMax.Max(), ws.LRRun, ws.LRBlkMax)
+				}
+				absorb(groups[0], j, j+1)
+				if j == 0 {
+					absorb(groups[2], 0, 1)
+				}
+				for i, g := range groups[1:] {
+					if j > i && (j+i)%2 == 1 {
+						absorb(g, j-1, j+1)
+					}
+				}
+				for i, g := range groups {
+					if g.Off() != 64*(j+1) {
+						continue
+					}
+					g.ExtractLane(0, &wsG)
+					if !reflect.DeepEqual(wsG, ws) {
+						t.Fatalf("word %d group %d: sliced %+v, hwfast %+v", j, i, wsG, ws)
+					}
+				}
+			}
+			if m >= 64 && saturated < 4 {
+				t.Fatalf("only %d word boundaries carry a run above hi=%d", saturated, hi)
+			}
+		})
 	}
 }
 

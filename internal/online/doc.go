@@ -37,16 +37,17 @@
 // of them, so the code the netlist-equivalence suite checks is the code
 // that slides. Ingest is chunked: bits accumulate into 64-bit chunks, and
 // each completed chunk contributes a 4-byte summary (ones, interior
-// transitions and boundary bits) to a ring of Window/64 summaries. Window
-// ones and transitions update additively on chunk append/evict. The
+// transitions, first bit and the seam bit into its predecessor) to a ring
+// of Window/64 summaries. Window ones and transitions update additively
+// on chunk append/evict, seams included, without a branch. The
 // window base, the walk value before the window's first bit, is derived
 // rather than stored: the global walk minus 2·ones − 64·chunks. The window
 // walk extrema come from van Herk/Gil-Werman block extrema over the
 // per-chunk prefix extrema from hwfast.Walk: blocks of k = Window/64
 // chunks, one k-entry array per extremum holding the previous block's
 // suffix extrema and the current block's candidates, and a running prefix
-// extremum. A commit is one store and two compares per extremum, plus one
-// backward pass per completed block, so even the 2^20-bit designs pay
+// extremum. A commit is one store and two builtin mins per extremum, plus
+// one backward pass per completed block, so even the 2^20-bit designs pay
 // O(1) per chunk with no data-dependent loop and no window rescan. Ring
 // indices wrap by compare-and-subtract, not division. The block tests feed
 // hwfast.BlockFreq and hwfast.LongestRun, whose Feed reports each closed
@@ -67,7 +68,8 @@
 // Once the window is full, every chunk commit converts the five
 // statistics to approximate standard scores under the ideal-source null
 // (see DESIGN.md §6.3 for the formulas and constants; the block tests
-// are rescored only when a block closes), takes the worst
+// are rescored only when a block closes, the longest-run χ² from a term
+// table shared by every tracker of the design), takes the worst
 // absolute score as the instantaneous anomaly, and folds it into an
 // exponentially-weighted moving average with half-life HalfLifeBits. The
 // tracker latches an alarm — recording DetectedAt, the absolute bit

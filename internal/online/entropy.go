@@ -42,10 +42,8 @@ func (t *Tracker) Markov() (*sp80090b.MarkovEstimate, error) {
 	if !t.Primed() {
 		return nil, t.errUnprimed()
 	}
-	// A primed ring is full: the newest chunk sits just before head.
-	k := len(t.meta)
 	f := int64(t.meta[t.head].first)
-	l := int64(t.meta[wrap(t.head+k-1, k)].last)
+	l := int64(t.last)
 	p10 := (t.trans + f - l) / 2
 	p01 := (t.trans - f + l) / 2
 	p11 := t.ones - l - p10

@@ -72,13 +72,15 @@ type Scores struct {
 }
 
 // chunkMeta is one committed chunk's 4-byte window summary: its ones
-// count and interior transition count, and its boundary bits, used for
-// the seam transition between adjacent chunks. The chunk's walk position
-// is not kept: the window base follows from the global walk and the
-// window ones (see WindowWalk).
+// count and interior transition count, its first bit (the window's first
+// bit when the chunk is the oldest, which Markov reads) and its seam, 1
+// when its first bit differs from the last bit of a predecessor that was
+// resident at its commit. The chunk's walk position is not kept: the
+// window base follows from the global walk and the window ones (see
+// WindowWalk).
 type chunkMeta struct {
 	ones, trans uint8
-	first, last byte
+	first, seam byte
 }
 
 // wrap reduces a ring index i ∈ [0, 2n) into [0, n) with a compare and a
@@ -113,20 +115,19 @@ func (e *blockMin) reset() { e.pos = 0 }
 func (e *blockMin) push(v int64) {
 	p := e.pos
 	e.a[p] = v
-	if p == 0 || v < e.pre {
-		e.pre = v
+	pre := min(e.pre, v)
+	if p == 0 {
+		pre = v
 	}
+	e.pre = pre
 	p++
 	if p == len(e.a) {
 		// Suffix minima down to a[1]: a[0]'s would be the whole block's,
 		// which is pre, and the next push overwrites a[0] unread.
 		m := v
 		for i := p - 2; i > 0; i-- {
-			if e.a[i] < m {
-				m = e.a[i]
-			} else {
-				e.a[i] = m
-			}
+			m = min(m, e.a[i])
+			e.a[i] = m
 		}
 		p = 0
 	}
@@ -135,11 +136,12 @@ func (e *blockMin) push(v int64) {
 
 // min returns the minimum over the last len(a) values. Until that many
 // have been pushed since reset (full false) it is the minimum over all of
-// them; it needs at least one.
+// them; it needs at least one. At a block start (pos 0) a[0] is the
+// previous block's first raw value, never below pre, its minimum.
 func (e *blockMin) min(full bool) int64 {
 	m := e.pre
-	if full && e.pos != 0 && e.a[e.pos] < m {
-		m = e.a[e.pos]
+	if full {
+		m = min(m, e.a[e.pos])
 	}
 	return m
 }
@@ -169,10 +171,11 @@ type Tracker struct {
 	walk int64
 
 	// chunk summary ring: meta[head..head+count) are the window's chunks,
-	// oldest first.
+	// oldest first; last is the newest chunk's last bit.
 	meta  []chunkMeta
 	head  int
 	count int
+	last  byte
 
 	ones  int64 // window ones
 	trans int64 // window-interior transitions (seams included)
@@ -190,6 +193,7 @@ type Tracker struct {
 	bfCount  int
 	bfD      int64
 	bfBlocks float64 // float64(len(bfRing)), cached for scoring
+	bfSD     float64 // √(2·bfBlocks), the χ² SD, cached
 	bfDirty  bool    // a block closed (or Reset) since BlockFreq was last scored
 
 	// longest run of ones: in-flight block plus a ring of class indices
@@ -199,8 +203,9 @@ type Tracker struct {
 	lrHead    int
 	lrCount   int
 	lrClasses []uint64
-	lrProbs   []float64 // null class probabilities, scaled at scoring
+	lrTerms   []float64 // shared χ² term table of a full ring (see lrTermTable)
 	lrDF      float64   // degrees of freedom, cached
+	lrSD      float64   // √(2·lrDF), the χ² SD, cached
 	lrDirty   bool      // a block closed (or Reset) since LongestRun was last scored
 
 	// scoring and detection.
@@ -253,6 +258,7 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 		t.bf = hwfast.NewBlockFreq(m)
 		t.bfRing = make([]uint32, cfg.Window/m)
 		t.bfBlocks = float64(cfg.Window / m)
+		t.bfSD = math.Sqrt(2 * t.bfBlocks)
 		t.aligned = m%chunkBits == 0
 	}
 	if design.Has(4) {
@@ -273,8 +279,9 @@ func New(design hwblock.Config, cfg Config) (*Tracker, error) {
 		t.lr = lr
 		t.lrRing = make([]uint8, cfg.Window/m)
 		t.lrClasses = make([]uint64, hi-lo+1)
-		t.lrProbs = probs
+		t.lrTerms = lrTermTable(m, len(t.lrRing), probs)
 		t.lrDF = float64(hi - lo)
+		t.lrSD = math.Sqrt(2 * t.lrDF)
 		t.aligned = t.aligned && m%chunkBits == 0
 	}
 	t.Reset()
@@ -323,7 +330,7 @@ func (t *Tracker) DetectedAt() int64 {
 func (t *Tracker) Reset() {
 	t.cur, t.curBits, t.bits = 0, 0, 0
 	t.walk = 0
-	t.head, t.count = 0, 0
+	t.head, t.count, t.last = 0, 0, 0
 	t.ones, t.trans = 0, 0
 	t.minEx.reset()
 	t.maxEx.reset()
@@ -419,8 +426,9 @@ func (t *Tracker) commit(v uint64) {
 	t.walk += s
 
 	// Evict the oldest chunk when the ring is full: its counts leave the
-	// window, as does its seam transition into its (still resident)
-	// successor.
+	// window, as does the seam of its successor, the new oldest chunk.
+	// With a one-chunk ring the successor slot is the evicted chunk
+	// itself, whose seam is 0: it had no resident predecessor.
 	k := len(t.meta)
 	if t.count == k {
 		old := &t.meta[t.head]
@@ -428,24 +436,20 @@ func (t *Tracker) commit(v uint64) {
 		t.trans -= int64(old.trans)
 		t.head = wrap(t.head+1, k)
 		t.count--
-		if t.count > 0 && old.last != t.meta[t.head].first {
-			t.trans--
-		}
+		t.trans -= int64(t.meta[t.head].seam)
 	}
 
 	// Append the new chunk. When the ring was full it takes the evicted
 	// chunk's slot, which is read above before it is overwritten here.
-	idx := wrap(t.head+t.count, k)
-	if t.count > 0 && t.meta[wrap(idx+k-1, k)].last != byte(v&1) {
-		t.trans++
-	}
-	m := &t.meta[idx]
+	// Its seam counts only against a resident predecessor (count > 0).
+	m := &t.meta[wrap(t.head+t.count, k)]
 	m.ones = uint8(bits.OnesCount64(v))
 	m.trans = uint8(bits.OnesCount64((v ^ v>>1) &^ (1 << (chunkBits - 1))))
 	m.first = byte(v & 1)
-	m.last = byte(v >> (chunkBits - 1))
+	m.seam = (m.first ^ t.last) & byte(min(t.count, 1))
+	t.last = byte(v >> (chunkBits - 1))
 	t.ones += int64(m.ones)
-	t.trans += int64(m.trans)
+	t.trans += int64(m.trans) + int64(m.seam)
 	t.count++
 
 	t.minEx.push(pre + mn)
@@ -502,7 +506,7 @@ func (t *Tracker) WindowRuns() int64 {
 // WindowWalk returns the window-relative cumulative-sums state: the final
 // walk value and the extrema, all anchored at 0 on the window's first
 // bit — the same convention as a fresh sequence's S/S_MIN/S_MAX.
-func (t *Tracker) WindowWalk() (final, min, max int64) {
+func (t *Tracker) WindowWalk() (final, lo, hi int64) {
 	if t.count == 0 {
 		return 0, 0, 0
 	}
@@ -511,15 +515,7 @@ func (t *Tracker) WindowWalk() (final, min, max int64) {
 	final = 2*t.ones - chunkBits*int64(t.count)
 	base := t.walk - final
 	full := t.count == len(t.meta)
-	min = 0
-	if v := t.minEx.min(full) - base; v < 0 {
-		min = v
-	}
-	max = 0
-	if v := -t.maxEx.min(full) - base; v > 0 {
-		max = v
-	}
-	return final, min, max
+	return final, min(0, t.minEx.min(full)-base), max(0, -t.maxEx.min(full)-base)
 }
 
 // BlockFreqD returns Σ(2ε−M)² over the window's completed

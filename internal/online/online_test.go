@@ -521,11 +521,40 @@ func BenchmarkTrackerPush(b *testing.B) {
 // inside). Beside BenchmarkTrackerPush it adds the cache traffic of
 // cycling through 64 trackers' window state. One op is one word.
 func BenchmarkTrackerPushFleet(b *testing.B) {
-	const lanes, burst = 64, 16
 	cfg, err := hwblock.NewConfig(65536, hwblock.Light)
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchFleet(b, cfg)
+}
+
+// BenchmarkTrackerPushStats splits the fleet-shaped tracker cost by
+// statistic: custom n65536 designs that add runs (test 3), block
+// frequency (2) and longest run (4) in turn to the walk statistics
+// (1, 13), so the difference between adjacent rows is one statistic's
+// per-word price.
+func BenchmarkTrackerPushStats(b *testing.B) {
+	for _, d := range []struct {
+		name  string
+		tests []int
+	}{
+		{"tests=1,13", []int{1, 13}},
+		{"tests=1,3,13", []int{1, 3, 13}},
+		{"tests=1,2,3,13", []int{1, 2, 3, 13}},
+		{"tests=1,2,3,4,13", []int{1, 2, 3, 4, 13}},
+	} {
+		cfg, err := hwblock.NewCustomConfig(d.name, 65536, d.tests)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(d.name, func(b *testing.B) { benchFleet(b, cfg) })
+	}
+}
+
+// benchFleet runs the fleet-shaped push loop over 64 primed trackers of
+// cfg, 16-word bursts per tracker in turn. One op is one word.
+func benchFleet(b *testing.B, cfg hwblock.Config) {
+	const lanes, burst = 64, 16
 	rng := rand.New(rand.NewSource(1))
 	words := make([]uint64, 4096)
 	for i := range words {
@@ -533,6 +562,7 @@ func BenchmarkTrackerPushFleet(b *testing.B) {
 	}
 	trs := make([]*Tracker, lanes)
 	for l := range trs {
+		var err error
 		if trs[l], err = New(cfg, Config{}); err != nil {
 			b.Fatal(err)
 		}
