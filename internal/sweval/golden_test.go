@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/hwblock"
+	"repro/internal/obs"
 	"repro/internal/trng"
 )
 
@@ -100,5 +101,67 @@ func TestReportGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != goldenReportHash {
 		t.Errorf("report hash %s, pinned %s", got, goldenReportHash)
+	}
+}
+
+// goldenBusTraceHash pins the bus transactions of an evaluation pass: the
+// address and word of every read, in issue order, with the lifetime and
+// exposition read counters. A fault schedule such as
+// faultinject.RegCorruptor keys on this order, so a readout change that
+// keeps the reports but moves a read moves this hash.
+const goldenBusTraceHash = "d807f1fca374da34"
+
+// TestEvaluateBusTrace evaluates every shipped design at the 16-bit word
+// size on an ideal and a biased (p = 0.6) sequence through an identity
+// read-fault hook that logs each (address, word), and compares the hash of
+// the logs, the BusReads advance and the trng_regfile_bus_reads_total
+// advance with the pinned value.
+func TestEvaluateBusTrace(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, cfg := range hwblock.AllConfigs() {
+		cv, err := NewCriticalValues(cfg, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []trng.Source{trng.NewIdeal(31), trng.NewBiased(0.6, 32)} {
+			b, err := hwblock.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			b.SetObs(reg)
+			counter := reg.Counter("trng_regfile_bus_reads_total", "")
+			if err := b.Run(bitstream.NewReader(trng.Read(src, cfg.N))); err != nil {
+				t.Fatal(err)
+			}
+			rf := b.RegFile()
+			var log []uint64
+			rf.SetReadFault(func(addr int, w uint16) uint16 {
+				log = append(log, uint64(addr)<<16|uint64(w))
+				return w
+			})
+			preBus, preObs := rf.BusReads(), counter.Value()
+			if _, err := NewEvaluator(cv).Evaluate(b); err != nil {
+				t.Fatalf("%s: %v", cfg.Name, err)
+			}
+			busReads, obsReads := rf.BusReads()-preBus, counter.Value()-preObs
+			if int64(len(log)) != busReads || uint64(busReads) != obsReads {
+				t.Errorf("%s: %d hooked words, BusReads +%d, counter +%d", cfg.Name, len(log), busReads, obsReads)
+			}
+			put(uint64(len(log)))
+			for _, v := range log {
+				put(v)
+			}
+			put(uint64(busReads))
+			put(obsReads)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != goldenBusTraceHash {
+		t.Errorf("bus trace hash %s, pinned %s", got, goldenBusTraceHash)
 	}
 }
