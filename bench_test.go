@@ -255,7 +255,11 @@ func BenchmarkMonitorSteadyState(b *testing.B) {
 // BenchmarkSWEvaluation measures one software evaluation pass per design
 // variant — the work the embedded CPU performs once per sequence. The
 // n = 128 designs are the ones where evaluation dominates the host's cost
-// per word: a sequence completes every two 64-bit words.
+// per word: a sequence completes every two 64-bit words. Those rows
+// re-evaluate a block whose register image is already published; each
+// n = 128 design also has a "-fresh" row that resets the block and clocks
+// a new sequence (two ClockWords) before every pass, so the pass also pays
+// the lazy publish of the fast path's state, as a fleet boundary does.
 func BenchmarkSWEvaluation(b *testing.B) {
 	for _, cfg := range hwblock.AllConfigs() {
 		if cfg.N > 65536 {
@@ -284,6 +288,33 @@ func BenchmarkSWEvaluation(b *testing.B) {
 				cost = rep.Cost.Total()
 			}
 			b.ReportMetric(float64(cost), "16bit-instructions")
+		})
+		if cfg.N != 128 {
+			continue
+		}
+		// Sixteen sequences, two words each, clocked in turn.
+		words := make([]uint64, 32)
+		r := bitstream.NewReader(trng.Read(trng.NewIdeal(2), 64*len(words)))
+		for i := range words {
+			if words[i], _, err = r.ReadWord64(64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(cfg.Name+"-fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blk.Reset()
+				seq := words[2*(i%16):]
+				if err := blk.ClockWord(seq[0], 64); err != nil {
+					b.Fatal(err)
+				}
+				if err := blk.ClockWord(seq[1], 64); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ev.Evaluate(blk); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

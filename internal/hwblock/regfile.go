@@ -2,8 +2,8 @@ package hwblock
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/hwsim"
 	"repro/internal/obs"
 )
 
@@ -32,7 +32,19 @@ type Entry struct {
 	// Words is the number of 16-bit words the value occupies.
 	Words int
 
+	// The live value: counter idx of bank when bank is set (read straight
+	// from the bank), the read callback's result otherwise.
 	read func() uint64
+	bank *hwsim.CounterBank
+	idx  int
+}
+
+// value samples the entry's live hardware value.
+func (e *Entry) value() uint64 {
+	if e.bank != nil {
+		return e.bank.Value(e.idx)
+	}
+	return e.read()
 }
 
 // RegFile is the memory-mapped output interface: a big multiplexer over all
@@ -41,6 +53,7 @@ type RegFile struct {
 	entries []Entry
 	byName  map[string]int
 	words   int
+	byAddr  []int32 // entry index of each word address
 
 	prepare   func()
 	readFault func(addr int, word uint16) uint16
@@ -57,14 +70,30 @@ func NewRegFile() *RegFile {
 // word-aligned address range. The read callback samples the live hardware
 // value.
 func (rf *RegFile) Add(name string, testID, width int, read func() uint64) {
-	if _, dup := rf.byName[name]; dup {
-		panic(fmt.Sprintf("hwblock: duplicate register %q", name))
+	rf.add(Entry{Name: name, TestID: testID, Width: width, read: read})
+}
+
+// addBank exposes every counter of bank, in bank order, as a register of
+// the given width named name(i). The entries read the bank directly.
+func (rf *RegFile) addBank(testID, width int, bank *hwsim.CounterBank, name func(i int) string) {
+	for i := 0; i < bank.Len(); i++ {
+		rf.add(Entry{Name: name(i), TestID: testID, Width: width, bank: bank, idx: i})
 	}
-	words := (width + WordBits - 1) / WordBits
-	e := Entry{Name: name, TestID: testID, Addr: rf.words, Width: width, Words: words, read: read}
-	rf.byName[name] = len(rf.entries)
+}
+
+// add assigns e its address range and word count and appends it.
+func (rf *RegFile) add(e Entry) {
+	if _, dup := rf.byName[e.Name]; dup {
+		panic(fmt.Sprintf("hwblock: duplicate register %q", e.Name))
+	}
+	e.Addr = rf.words
+	e.Words = (e.Width + WordBits - 1) / WordBits
+	for range e.Words {
+		rf.byAddr = append(rf.byAddr, int32(len(rf.entries)))
+	}
+	rf.byName[e.Name] = len(rf.entries)
 	rf.entries = append(rf.entries, e)
-	rf.words += words
+	rf.words += e.Words
 }
 
 // Words reports the total number of addressable words.
@@ -79,26 +108,31 @@ func (rf *RegFile) CheckAddressSpace() error {
 	return nil
 }
 
-// SetPrepare installs a hook invoked before every bus transaction, ahead of
-// the value sampling. The fast ingest path uses it to publish its word-level
-// state into the structural primitives lazily, so a read issued at any bit
+// SetPrepare installs a hook invoked once per read call (a ReadWord, or
+// a ReadRange/ReadIndex over any number of words), ahead of the value
+// sampling. The fast ingest path uses it to publish its word-level state
+// into the structural primitives lazily, so a read issued at any bit
 // boundary — even mid-sequence — observes exactly the image the bit-serial
-// hardware would present. A nil hook disables preparation.
+// hardware would present. Nothing clocks the block during a read call, so
+// one preparation serves all of its bus words. A nil hook disables
+// preparation.
 func (rf *RegFile) SetPrepare(f func()) { rf.prepare = f }
 
-// SetReadFault installs a hook through which every ReadWord result passes
-// before reaching the caller — the fault-injection seam modelling a
-// corrupted bus transaction (the probing/tampering surface the paper's
+// SetReadFault installs a hook through which every bus word passes before
+// reaching the caller: each ReadWord result, and each word of every entry
+// a ReadRange or ReadIndex reads. It is the fault-injection seam modelling
+// a corrupted bus transaction (the probing/tampering surface the paper's
 // distributed-verdict design defends against). The hook sees the bus
 // address and the true word and returns the word the "microcontroller"
 // observes. A nil hook restores fault-free transmission.
 func (rf *RegFile) SetReadFault(f func(addr int, word uint16) uint16) { rf.readFault = f }
 
-// BusReads reports the total number of ReadWord transactions performed
-// over the file's lifetime (it is not cleared by a block reset).
+// BusReads reports the total number of 16-bit bus transactions performed
+// over the file's lifetime, one per word read by any read call (it is not
+// cleared by a block reset).
 func (rf *RegFile) BusReads() int64 { return rf.busReads }
 
-// SetObs attaches an observability registry; every ReadWord transaction is
+// SetObs attaches an observability registry; every bus transaction is
 // then counted in trng_regfile_bus_reads_total. A nil registry detaches
 // the counter. The count mirrors BusReads but is visible on the live
 // exposition endpoint while a run is in flight.
@@ -115,38 +149,18 @@ func (rf *RegFile) SetObs(r *obs.Registry) {
 // transaction the microcontroller performs. Reading an unmapped address
 // returns 0, like a real bus with a default mux leg.
 func (rf *RegFile) ReadWord(addr int) uint16 {
-	if addr >= 0 && addr < rf.words {
-		// Binary search over entries by address.
-		i := sort.Search(len(rf.entries), func(i int) bool {
-			return rf.entries[i].Addr+rf.entries[i].Words > addr
-		})
-		e := &rf.entries[i]
-		return rf.busWord(e, addr-e.Addr)
-	}
-	rf.transact()
-	if rf.readFault != nil {
-		return rf.readFault(addr, 0)
-	}
-	return 0
-}
-
-// transact accounts one bus transaction: the prepare hook runs ahead of
-// the value sampling, then the lifetime and exposition counters advance.
-func (rf *RegFile) transact() {
 	if rf.prepare != nil {
 		rf.prepare()
 	}
 	rf.busReads++
 	rf.obsReads.Inc()
-}
-
-// busWord performs the bus transaction for word w of entry e, passing the
-// word through the read-fault hook at its real address.
-func (rf *RegFile) busWord(e *Entry, w int) uint16 {
-	rf.transact()
-	word := uint16(e.read() >> uint(w*WordBits))
+	var word uint16
+	if addr >= 0 && addr < rf.words {
+		e := &rf.entries[rf.byAddr[addr]]
+		word = uint16(e.value() >> uint((addr-e.Addr)*WordBits))
+	}
 	if rf.readFault != nil {
-		word = rf.readFault(e.Addr+w, word)
+		word = rf.readFault(addr, word)
 	}
 	return word
 }
@@ -179,20 +193,54 @@ func (rf *RegFile) ReadValue(name string) (value uint64, busReads int, err error
 	return value, busReads, nil
 }
 
-// ReadIndex is ReadValue for the entry at position i of Entries: one bus
-// read per word, each through the read-fault hook at its own address, and
-// the returned count is what the READ category meters. It panics when i is
-// out of range.
+// ReadIndex is ReadValue for the entry at position i of Entries: a
+// one-entry ReadRange. It panics when i is out of range.
 func (rf *RegFile) ReadIndex(i int) (value uint64, busReads int) {
-	e := &rf.entries[i]
+	var v [1]uint64
+	busReads = rf.ReadRange(i, v[:])
+	return v[0], busReads
+}
+
+// ReadRange reads the consecutive entries first, first+1, … into dst, one
+// value per element, and returns the number of bus reads issued: the
+// entries' word counts, which is what the READ category meters. The bus
+// transactions are those of reading every word of every entry in address
+// order: each word passes through the read-fault hook at its own address,
+// and BusReads and trng_regfile_bus_reads_total advance by one per word.
+// The call samples each entry's live value once and runs the prepare hook
+// once. It panics when the range does not lie within Entries.
+func (rf *RegFile) ReadRange(first int, dst []uint64) (busReads int) {
+	entries := rf.entries[first : first+len(dst) : len(rf.entries)]
+	if rf.prepare != nil {
+		rf.prepare()
+	}
+	for k := range entries {
+		e := &entries[k]
+		v := e.value()
+		if rf.readFault != nil {
+			v = rf.faultWords(e, v)
+		}
+		if e.Width < 64 {
+			v &= 1<<uint(e.Width) - 1
+		}
+		dst[k] = v
+		busReads += e.Words
+	}
+	rf.busReads += int64(busReads)
+	rf.obsReads.Add(uint64(busReads))
+	return busReads
+}
+
+// faultWords passes each bus word of v, the live value of entry e, through
+// the read-fault hook at its real address, in word order, and reassembles
+// the words the hook returns.
+func (rf *RegFile) faultWords(e *Entry, v uint64) (value uint64) {
 	for w := 0; w < e.Words; w++ {
+		word := rf.readFault(e.Addr+w, uint16(v>>uint(w*WordBits)))
 		//trnglint:widen word-by-word readout reassembly: every operand is one 16-bit bus word, shifted to its word lane; interval [0, +inf] (the lane shift is loop-carried)
-		value |= uint64(rf.busWord(e, w)) << uint(w*WordBits)
+		value |= uint64(word) << uint(w*WordBits)
 	}
-	if e.Width < 64 {
-		value &= 1<<uint(e.Width) - 1
-	}
-	return value, e.Words
+	return value
 }
 
 // Image dumps the full register file as one bus read per word — the

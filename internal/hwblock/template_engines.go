@@ -106,11 +106,7 @@ func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
 		inBlock:  hwsim.NewCounter(b.nl, "ov_fill", uint64(m)),
 		classes:  hwsim.NewCounterBank(b.nl, "ov_class", k+1, uint64(nBlocks)),
 	}
-	for i := 0; i <= k; i++ {
-		i := i
-		b.rf.Add(fmt.Sprintf("OV_NU_%d", i), 8, widthOf(uint64(nBlocks)),
-			func() uint64 { return e.classes.Value(i) })
-	}
+	b.rf.addBank(8, widthOf(uint64(nBlocks)), e.classes, func(i int) string { return fmt.Sprintf("OV_NU_%d", i) })
 	return e
 }
 
@@ -159,11 +155,7 @@ func newSerialEngine(b *Block, m, n int) *serialEngine {
 	e.nu = make([]*hwsim.CounterBank, 3)
 	for i, w := range []int{m, m - 1, m - 2} {
 		e.nu[i] = hwsim.NewCounterBank(b.nl, fmt.Sprintf("serial_nu%d", w), 1<<uint(w), uint64(n))
-		for pat := 0; pat < 1<<uint(w); pat++ {
-			w, pat, i := w, pat, i
-			b.rf.Add(fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat), 11, widthOf(uint64(n)),
-				func() uint64 { return e.nu[i].Value(pat) })
-		}
+		b.rf.addBank(11, widthOf(uint64(n)), e.nu[i], func(pat int) string { return fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat) })
 	}
 	e.head = hwsim.NewRegister(b.nl, "serial_head", uint64(1<<uint(m-1))-1)
 	return e

@@ -84,26 +84,15 @@ func (c Cost) String() string {
 // integers and charges the cost a fixed-word-size core would pay, with wide
 // operands decomposed into word-size limbs ("instructions operating on
 // data larger than 16-bit have to be decomposed into several 16-bit
-// operations"). wordBits is 16 for the paper's platform; the Table III
+// operations"). The paper's platform has 16-bit words; the Table III
 // discussion's expectation that "on 32-bit or 64-bit platforms,
 // considerably lower latency could be achieved" is reproduced by metering
 // the same routines at wider word sizes.
 type meter struct {
-	cost     Cost
-	wordBits int
-}
-
-// words returns the number of limbs needed for a value of the given bit
-// width at the meter's word size.
-func (m *meter) words(bits int) int {
-	wb := m.wordBits
-	if wb == 0 {
-		wb = WordSize16
-	}
-	if bits <= 0 {
-		return 1
-	}
-	return (bits + wb - 1) / wb
+	cost Cost
+	// wide is log2(word size / 16): 0, 1 or 2 for a 16-, 32- or 64-bit
+	// core, so the zero meter meters the paper's 16-bit core.
+	wide uint
 }
 
 // Supported cost-model word sizes.
@@ -113,44 +102,46 @@ const (
 	WordSize64 = 64
 )
 
-// widthOf returns the bit width of v (minimum 1).
-func widthOf(v uint64) int {
-	return max(bits.Len64(v), 1)
+// wideShift returns the meter's wide field for a supported word size.
+func wideShift(wordBits int) uint {
+	return uint(bits.TrailingZeros(uint(wordBits))) - 4
+}
+
+// words returns the number of limbs a value of magnitude v occupies at
+// the meter's word size, at least one: ⌈max(bits(v), 1) / wordBits⌉,
+// computed as 1 + bits(v>>1) >> log2(wordBits), a shift in place of a
+// divide.
+func (m *meter) words(v uint64) int {
+	return bits.Len64(v>>1)>>(4+m.wide) + 1
 }
 
 // add computes a+b, charging one ADD per limb of the wider operand.
 func (m *meter) add(a, b int64) int64 {
-	w := m.words(widthOf(uint64(abs64(a) | abs64(b))))
-	m.cost[OpAdd] += w
+	m.cost[OpAdd] += m.words(abs64(a) | abs64(b))
 	return a + b
 }
 
 // sub computes a−b, charging one SUB per limb.
 func (m *meter) sub(a, b int64) int64 {
-	w := m.words(widthOf(uint64(abs64(a) | abs64(b))))
-	m.cost[OpSub] += w
+	m.cost[OpSub] += m.words(abs64(a) | abs64(b))
 	return a - b
 }
 
 // mul computes a·b, charging limb-product MULs and carry ADDs.
 func (m *meter) mul(a, b int64) int64 {
-	wa, wb := m.words(widthOf(uint64(abs64(a)))), m.words(widthOf(uint64(abs64(b))))
-	m.cost[OpMul] += wa * wb
-	if wa*wb > 1 {
-		m.cost[OpAdd] += wa*wb - 1 // partial-product accumulation
-	}
+	p := m.words(abs64(a)) * m.words(abs64(b))
+	m.cost[OpMul] += p
+	m.cost[OpAdd] += p - 1 // partial-product accumulation
 	return a * b
 }
 
 // sqr computes a², charging SQRs on the diagonal limb products, MULs on the
 // off-diagonal ones, and carry ADDs.
 func (m *meter) sqr(a int64) int64 {
-	w := m.words(widthOf(uint64(abs64(a))))
+	w := m.words(abs64(a))
 	m.cost[OpSqr] += w
 	m.cost[OpMul] += w * (w - 1) / 2
-	if w > 1 {
-		m.cost[OpAdd] += w - 1
-	}
+	m.cost[OpAdd] += w - 1
 	return a * a
 }
 
@@ -168,8 +159,7 @@ func (m *meter) shr(a int64, k uint) int64 {
 
 // cmpGreater reports a > b, charging one COMP per limb.
 func (m *meter) cmpGreater(a, b int64) bool {
-	w := m.words(widthOf(uint64(abs64(a) | abs64(b))))
-	m.cost[OpComp] += w
+	m.cost[OpComp] += m.words(abs64(a) | abs64(b))
 	return a > b
 }
 
@@ -183,9 +173,8 @@ func (m *meter) read(busReads int) {
 	m.cost[OpRead] += busReads
 }
 
-func abs64(a int64) int64 {
-	if a < 0 {
-		return -a
-	}
-	return a
+// abs64 returns |a| as an unsigned magnitude (math.MinInt64 gives 1<<63),
+// without a branch.
+func abs64(a int64) uint64 {
+	return uint64(max(a, -a))
 }

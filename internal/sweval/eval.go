@@ -85,29 +85,35 @@ func (r *Report) add(m *meter, v Verdict) {
 // 16-bit words — the register-file interface width is a hardware property.
 //
 // An Evaluator resolves the design's register names to register-file
-// entries on its first pass over a block and reads by index after that,
-// resolving again only when it meets a different block. It is not safe for
+// entry ranges on its first pass over a block, one range per bank of
+// consecutive entries, and reads each bank with one RegFile.ReadRange call
+// after that, resolving again only when it meets a different block. It is not safe for
 // concurrent use: each core.Monitor owns its own, and one-off callers
 // (internal/tables) build a fresh one per call.
 type Evaluator struct {
-	cv       *CriticalValues
-	wordBits int
-	regs     regMap
+	cv   *CriticalValues
+	wide uint // the meters' word size, as meter.wide
+	regs regMap
+	buf  []uint64 // one bank's values, sized to the largest bank
 }
 
-// regMap holds the register-file entry indices one pass reads, resolved
+// regMap holds the register-file entry ranges one pass reads, resolved
 // against the register file rf.
 type regMap struct {
-	rf                     *hwblock.RegFile
-	sMax, sMin, sFin, runs int32
-	bf, lr, no, ov         []int32    // BF_EPS_i, LR_NU_i, NO_W_i, OV_NU_i
-	serial                 [3][]int32 // SERIAL_NUw_pattern for w = SerialM − k at [k]
+	rf             *hwblock.RegFile
+	walk, runs     bank    // S_MAX, S_MIN, S_FINAL; N_RUNS
+	bf, lr, no, ov bank    // BF_EPS_i, LR_NU_i, NO_W_i, OV_NU_i
+	serial         [3]bank // SERIAL_NUw_pattern for w = SerialM − k at [k]
 }
+
+// bank is a run of consecutive register-file entries, read with one
+// RegFile.ReadRange call.
+type bank struct{ first, n int }
 
 // NewEvaluator returns an evaluator bound to one set of critical values,
 // metering at the paper's 16-bit word size.
 func NewEvaluator(cv *CriticalValues) *Evaluator {
-	return &Evaluator{cv: cv, wordBits: WordSize16}
+	return &Evaluator{cv: cv}
 }
 
 // NewEvaluatorWordSize returns an evaluator metering at the given word size
@@ -115,73 +121,88 @@ func NewEvaluator(cv *CriticalValues) *Evaluator {
 func NewEvaluatorWordSize(cv *CriticalValues, wordBits int) (*Evaluator, error) {
 	switch wordBits {
 	case WordSize16, WordSize32, WordSize64:
-		return &Evaluator{cv: cv, wordBits: wordBits}, nil
+		return &Evaluator{cv: cv, wide: wideShift(wordBits)}, nil
 	}
 	return nil, fmt.Errorf("sweval: unsupported word size %d", wordBits)
 }
 
 // resolve looks up every register the block's tests read in its register
-// file, unless the evaluator already holds that file's indices. A missing
-// register is an error and leaves the previous resolution in place.
+// file, unless the evaluator already holds that file's ranges. Each bank
+// must occupy consecutive entries in name order. A missing register or a
+// bank that is not contiguous is an error and leaves the previous
+// resolution in place.
 func (ev *Evaluator) resolve(b *hwblock.Block) error {
 	rf := b.RegFile()
 	if ev.regs.rf == rf {
 		return nil
 	}
-	var missing string
-	index := func(name string) int32 {
-		i, ok := rf.Index(name)
-		if !ok && missing == "" {
-			missing = name
-		}
-		return int32(i)
-	}
-	bank := func(count int, format string) []int32 {
-		out := make([]int32, count)
-		for i := range out {
-			out[i] = index(fmt.Sprintf(format, i))
-		}
-		return out
-	}
 	cfg := b.Config()
-	r := regMap{rf: rf, sMax: index("S_MAX"), sMin: index("S_MIN"), sFin: index("S_FINAL")}
+	var err error
+	span := func(names ...string) bank {
+		bk := bank{n: len(names)}
+		for i, name := range names {
+			at, ok := rf.Index(name)
+			switch {
+			case err != nil:
+			case !ok:
+				err = fmt.Errorf("sweval: design %s has no register %q", cfg.Name, name)
+			case i == 0:
+				bk.first = at
+			case at != bk.first+i:
+				err = fmt.Errorf("sweval: design %s register %q does not follow %q", cfg.Name, name, names[i-1])
+			}
+		}
+		return bk
+	}
+	numbered := func(count int, format string) bank {
+		names := make([]string, count)
+		for i := range names {
+			names[i] = fmt.Sprintf(format, i)
+		}
+		return span(names...)
+	}
+	r := regMap{rf: rf, walk: span("S_MAX", "S_MIN", "S_FINAL")}
 	for _, id := range cfg.Tests {
 		switch id {
 		case 2:
-			r.bf = bank(cfg.N/cfg.Params.BlockFrequencyM, "BF_EPS_%d")
+			r.bf = numbered(cfg.N/cfg.Params.BlockFrequencyM, "BF_EPS_%d")
 		case 3:
-			r.runs = index("N_RUNS")
+			r.runs = span("N_RUNS")
 		case 4:
-			r.lr = bank(len(ev.cv.longestRunQ16), "LR_NU_%d")
+			r.lr = numbered(len(ev.cv.longestRunQ16), "LR_NU_%d")
 		case 7:
-			r.no = bank(cfg.Params.NonOverlappingN, "NO_W_%d")
+			r.no = numbered(cfg.Params.NonOverlappingN, "NO_W_%d")
 		case 8:
-			r.ov = bank(len(ev.cv.overlapQ16), "OV_NU_%d")
+			r.ov = numbered(len(ev.cv.overlapQ16), "OV_NU_%d")
 		case 11, 12:
 			// One set of pattern counters serves both tests; the
 			// hardware always exposes all three banks.
-			if r.serial[0] != nil {
+			if r.serial[0].n != 0 {
 				continue
 			}
 			for k := range r.serial {
 				w := cfg.Params.SerialM - k
-				r.serial[k] = bank(1<<uint(w), fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
+				r.serial[k] = numbered(1<<uint(w), fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
 			}
 		}
 	}
-	if missing != "" {
-		return fmt.Errorf("sweval: design %s has no register %q", cfg.Name, missing)
+	if err != nil {
+		return err
+	}
+	widest := max(r.walk.n, r.runs.n, r.bf.n, r.lr.n, r.no.n, r.ov.n, r.serial[0].n)
+	if cap(ev.buf) < widest {
+		ev.buf = make([]uint64, widest)
 	}
 	ev.regs = r
 	return nil
 }
 
-// read issues the bus reads of the register at entry index i and charges
-// them to m.
-func (ev *Evaluator) read(m *meter, i int32) int64 {
-	v, busReads := ev.regs.rf.ReadIndex(int(i))
-	m.read(busReads)
-	return int64(v)
+// read issues the bus reads of bank bk, charges them to m and returns the
+// bank's values in the evaluator's scratch, valid until the next read.
+func (ev *Evaluator) read(m *meter, bk bank) []uint64 {
+	vals := ev.buf[:bk.n]
+	m.read(ev.regs.rf.ReadRange(bk.first, vals))
+	return vals
 }
 
 // Evaluate performs one software pass over the block's register file. The
@@ -203,10 +224,9 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 
 	// Shared walk values, charged to test 13 (their home) as in the
 	// paper's unified register map.
-	mWalk := meter{wordBits: ev.wordBits}
-	sMaxRaw := ev.read(&mWalk, regs.sMax)
-	sMinRaw := ev.read(&mWalk, regs.sMin)
-	sFinRaw := ev.read(&mWalk, regs.sFin)
+	mWalk := meter{wide: ev.wide}
+	walk := ev.read(&mWalk, regs.walk)
+	sMaxRaw, sMinRaw, sFinRaw := int64(walk[0]), int64(walk[1]), int64(walk[2])
 	// Recenter the offset-binary values: S = raw − n.
 	sMax := mWalk.sub(sMaxRaw, n)
 	sMin := mWalk.sub(sMinRaw, n)
@@ -216,7 +236,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 	zeros := mWalk.sub(n, ones)
 
 	for _, id := range cfg.Tests {
-		m := meter{wordBits: ev.wordBits}
+		m := meter{wide: ev.wide}
 		switch id {
 		case 1:
 			absS := sFin
@@ -229,23 +249,21 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 		case 2:
 			bigM := int64(cfg.Params.BlockFrequencyM)
 			var d int64
-			for _, i := range regs.bf {
-				eps := ev.read(&m, i)
-				dev := m.sub(m.shl(eps, 1), bigM) // 2ε − M
+			for _, eps := range ev.read(&m, regs.bf) {
+				dev := m.sub(m.shl(int64(eps), 1), bigM) // 2ε − M
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.blockFreqMax)
 			rep.add(&m, Verdict{TestID: 2, Pass: pass, Statistic: d, Threshold: ev.cv.blockFreqMax})
 
 		case 3:
-			v := ev.read(&m, regs.runs)
+			v := int64(ev.read(&m, regs.runs)[0])
 			rep.add(&m, ev.evalRuns(&m, n, sFin, ones, zeros, v))
 
 		case 4:
 			var sum int64
-			for k, i := range regs.lr {
-				nu := ev.read(&m, i)
-				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.longestRunQ16[k]))
+			for k, nu := range ev.read(&m, regs.lr) {
+				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.longestRunQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.longestRunMax)
 			rep.add(&m, Verdict{TestID: 4, Pass: pass, Statistic: sum, Threshold: ev.cv.longestRunMax})
@@ -255,9 +273,8 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			blockLen := int64(cfg.N / cfg.Params.NonOverlappingN)
 			muScaled := m.sub(blockLen, int64(tm-1)) // μ·2^m = M − m + 1
 			var d int64
-			for _, i := range regs.no {
-				w := ev.read(&m, i)
-				dev := m.sub(m.shl(w, uint(tm)), muScaled)
+			for _, w := range ev.read(&m, regs.no) {
+				dev := m.sub(m.shl(int64(w), uint(tm)), muScaled)
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.nonOvMax)
@@ -265,9 +282,8 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 
 		case 8:
 			var sum int64
-			for k, i := range regs.ov {
-				nu := ev.read(&m, i)
-				sum = m.add(sum, m.mul(m.sqr(nu), ev.cv.overlapQ16[k]))
+			for k, nu := range ev.read(&m, regs.ov) {
+				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.overlapQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.overlapMax)
 			rep.add(&m, Verdict{TestID: 8, Pass: pass, Statistic: sum, Threshold: ev.cv.overlapMax})
@@ -378,29 +394,28 @@ func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) Verdict {
 
 // sumSquares reads every pattern counter of one serial bank and
 // accumulates Σν².
-func (ev *Evaluator) sumSquares(m *meter, bank []int32) int64 {
+func (ev *Evaluator) sumSquares(m *meter, bk bank) int64 {
 	var sum int64
-	for _, i := range bank {
-		sum = m.add(sum, m.sqr(ev.read(m, i)))
+	for _, nu := range ev.read(m, bk) {
+		sum = m.add(sum, m.sqr(int64(nu)))
 	}
 	return sum
 }
 
 // phiQ16 computes φ_w = Σ (ν/n)·ln(ν/n) in Q16 through the PWL table over
 // one serial bank. n is a power of two, so ν/n in Q16 is a single shift.
-func (ev *Evaluator) phiQ16(m *meter, n int, bank []int32) int64 {
+func (ev *Evaluator) phiQ16(m *meter, n int, bk bank) int64 {
 	logN := uint(bits.Len(uint(n - 1)))
 	var phi int64
-	for _, i := range bank {
-		nu := ev.read(m, i)
+	for _, nu := range ev.read(m, bk) {
 		if nu == 0 {
 			continue
 		}
 		var xQ16 int64
 		if logN >= pwlFracBits {
-			xQ16 = m.shr(nu, logN-pwlFracBits)
+			xQ16 = m.shr(int64(nu), logN-pwlFracBits)
 		} else {
-			xQ16 = m.shl(nu, pwlFracBits-logN)
+			xQ16 = m.shl(int64(nu), pwlFracBits-logN)
 		}
 		phi = m.add(phi, ev.cv.pwl.evalQ16(m, xQ16))
 	}

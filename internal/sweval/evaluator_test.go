@@ -1,6 +1,7 @@
 package sweval
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,5 +98,29 @@ func TestEvaluateAllocs(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%s: Evaluate makes %.0f allocations, want at most 2", cfg.Name, allocs)
 		}
+	}
+}
+
+// TestEvaluateRejectsSplitBank gives the evaluator critical values that
+// expect one more longest-run counter than the block's bank holds, and
+// adds that register at the end of the register file, away from its bank:
+// the pass must fail with an error naming it, not read it on its own.
+func TestEvaluateRejectsSplitBank(t *testing.T) {
+	cfg := mustConfig(t, 128, hwblock.Medium)
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := *cv
+	wide.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
+	b := runBlock(t, cfg, trng.Read(trng.NewIdeal(45), cfg.N))
+	name := fmt.Sprintf("LR_NU_%d", len(cv.longestRunQ16))
+	b.RegFile().Add(name, 4, 8, func() uint64 { return 0 })
+	_, err = NewEvaluator(&wide).Evaluate(b)
+	if err == nil || !strings.Contains(err.Error(), name+`" does not follow`) {
+		t.Fatalf("err = %v, want %s rejected as outside its bank", err, name)
+	}
+	if _, err := NewEvaluator(cv).Evaluate(b); err != nil {
+		t.Fatalf("matching critical values: %v", err)
 	}
 }

@@ -464,6 +464,31 @@ func TestMeterDecomposesWideOperations(t *testing.T) {
 	}
 }
 
+// TestMeterWordsMatchesDivide checks the shift-based limb count against
+// ⌈max(bits(v), 1) / wordBits⌉ at both ends of every bit width, at every
+// word size, and for the magnitude abs64 gives math.MinInt64.
+func TestMeterWordsMatchesDivide(t *testing.T) {
+	for _, wb := range []int{WordSize16, WordSize32, WordSize64} {
+		m := meter{wide: wideShift(wb)}
+		for width := 0; width <= 64; width++ {
+			vs := []uint64{0}
+			if width > 0 {
+				lo := uint64(1) << uint(width-1)
+				vs = []uint64{lo, lo | (lo - 1)}
+			}
+			want := (max(width, 1) + wb - 1) / wb
+			for _, v := range vs {
+				if got := m.words(v); got != want {
+					t.Errorf("word size %d: words(%#x) = %d, want %d", wb, v, got, want)
+				}
+			}
+		}
+		if got, want := m.words(abs64(math.MinInt64)), 64/wb; got != want {
+			t.Errorf("word size %d: words(|MinInt64|) = %d, want %d", wb, got, want)
+		}
+	}
+}
+
 func TestPerTestCostsSumToTotal(t *testing.T) {
 	cfg := mustConfig(t, 128, hwblock.Medium)
 	s := trng.Read(trng.NewIdeal(23), cfg.N)
