@@ -144,7 +144,8 @@ func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
 		blkMax:  hwsim.NewMaxTracker(b.nl, "lr_max", uint64(hi)),
 		classes: hwsim.NewCounterBank(b.nl, "lr_class", hi-lo+1, uint64(nBlocks)),
 	}
-	b.rf.addBank(4, widthOf(uint64(nBlocks)), e.classes, func(i int) string { return fmt.Sprintf("LR_NU_%d", i) })
+	b.rf.addBank(4, widthOf(uint64(nBlocks)), e.classes,
+		func(i int) string { return fmt.Sprintf("LR_NU_%d", i) })
 	return e, nil
 }
 

@@ -109,7 +109,7 @@ func (rf *RegFile) CheckAddressSpace() error {
 }
 
 // SetPrepare installs a hook invoked once per read call (a ReadWord, or
-// a ReadRange/ReadIndex over any number of words), ahead of the value
+// a ReadValue or ReadRange over any number of words), ahead of the value
 // sampling. The fast ingest path uses it to publish its word-level state
 // into the structural primitives lazily, so a read issued at any bit
 // boundary — even mid-sequence — observes exactly the image the bit-serial
@@ -120,7 +120,7 @@ func (rf *RegFile) SetPrepare(f func()) { rf.prepare = f }
 
 // SetReadFault installs a hook through which every bus word passes before
 // reaching the caller: each ReadWord result, and each word of every entry
-// a ReadRange or ReadIndex reads. It is the fault-injection seam modelling
+// a ReadValue or ReadRange reads. It is the fault-injection seam modelling
 // a corrupted bus transaction (the probing/tampering surface the paper's
 // distributed-verdict design defends against). The hook sees the bus
 // address and the true word and returns the word the "microcontroller"
@@ -175,30 +175,24 @@ func (rf *RegFile) Lookup(name string) (Entry, bool) {
 }
 
 // Index returns the position of the named entry in Entries, for callers
-// that resolve names once and then read with ReadIndex.
+// that resolve names once and then read with ReadRange.
 func (rf *RegFile) Index(name string) (int, bool) {
 	i, ok := rf.byName[name]
 	return i, ok
 }
 
 // ReadValue reads a full named value by issuing one bus read per word and
-// reassembling, returning the value and the number of bus reads performed
-// (the quantity the paper's READ instruction count measures).
+// reassembling (a one-entry ReadRange), returning the value and the number
+// of bus reads performed (the quantity the paper's READ instruction count
+// measures).
 func (rf *RegFile) ReadValue(name string) (value uint64, busReads int, err error) {
 	i, ok := rf.byName[name]
 	if !ok {
 		return 0, 0, fmt.Errorf("hwblock: no register named %q", name)
 	}
-	value, busReads = rf.ReadIndex(i)
-	return value, busReads, nil
-}
-
-// ReadIndex is ReadValue for the entry at position i of Entries: a
-// one-entry ReadRange. It panics when i is out of range.
-func (rf *RegFile) ReadIndex(i int) (value uint64, busReads int) {
 	var v [1]uint64
 	busReads = rf.ReadRange(i, v[:])
-	return v[0], busReads
+	return v[0], busReads, nil
 }
 
 // ReadRange reads the consecutive entries first, first+1, … into dst, one

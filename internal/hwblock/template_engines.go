@@ -106,7 +106,8 @@ func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
 		inBlock:  hwsim.NewCounter(b.nl, "ov_fill", uint64(m)),
 		classes:  hwsim.NewCounterBank(b.nl, "ov_class", k+1, uint64(nBlocks)),
 	}
-	b.rf.addBank(8, widthOf(uint64(nBlocks)), e.classes, func(i int) string { return fmt.Sprintf("OV_NU_%d", i) })
+	b.rf.addBank(8, widthOf(uint64(nBlocks)), e.classes,
+		func(i int) string { return fmt.Sprintf("OV_NU_%d", i) })
 	return e
 }
 
@@ -155,7 +156,8 @@ func newSerialEngine(b *Block, m, n int) *serialEngine {
 	e.nu = make([]*hwsim.CounterBank, 3)
 	for i, w := range []int{m, m - 1, m - 2} {
 		e.nu[i] = hwsim.NewCounterBank(b.nl, fmt.Sprintf("serial_nu%d", w), 1<<uint(w), uint64(n))
-		b.rf.addBank(11, widthOf(uint64(n)), e.nu[i], func(pat int) string { return fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat) })
+		b.rf.addBank(11, widthOf(uint64(n)), e.nu[i],
+			func(pat int) string { return fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat) })
 	}
 	e.head = hwsim.NewRegister(b.nl, "serial_head", uint64(1<<uint(m-1))-1)
 	return e
