@@ -87,9 +87,9 @@ func (r *Report) add(m *meter, v Verdict) {
 // An Evaluator resolves the design's register names to register-file
 // entry ranges on its first pass over a block, one range per bank of
 // consecutive entries, and reads each bank with one RegFile.ReadRange call
-// after that, resolving again only when it meets a different block. It is not safe for
-// concurrent use: each core.Monitor owns its own, and one-off callers
-// (internal/tables) build a fresh one per call.
+// after that, resolving again only when it meets a different block. It is
+// not safe for concurrent use: each core.Monitor owns its own, and one-off
+// callers (internal/tables) build a fresh one per call.
 type Evaluator struct {
 	cv   *CriticalValues
 	wide uint // the meters' word size, as meter.wide
