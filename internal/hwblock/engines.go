@@ -63,7 +63,7 @@ func newRunsEngine(b *Block, n int) *runsEngine {
 		runs: hwsim.NewCounter(b.nl, "runs", uint64(n)),
 		prev: hwsim.NewRegister(b.nl, "runs_prev", 1),
 	}
-	b.rf.Add("N_RUNS", 3, e.runs.Width(), func() uint64 { return e.runs.Value() })
+	b.rf.addRef("N_RUNS", 3, e.runs.Width(), e.runs.Ref())
 	return e
 }
 
@@ -95,10 +95,8 @@ func newBlockFreqEngine(b *Block, m, nBlocks int) *blockFreqEngine {
 	}
 	e.bank = make([]*hwsim.Register, nBlocks)
 	for i := range e.bank {
-		i := i
 		e.bank[i] = hwsim.NewRegister(b.nl, fmt.Sprintf("bf_eps_%d", i), uint64(m))
-		b.rf.Add(fmt.Sprintf("BF_EPS_%d", i), 2, e.bank[i].Width(),
-			func() uint64 { return e.bank[i].Value() })
+		b.rf.addRef(fmt.Sprintf("BF_EPS_%d", i), 2, e.bank[i].Width(), e.bank[i].Ref())
 	}
 	return e
 }
@@ -144,8 +142,9 @@ func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
 		blkMax:  hwsim.NewMaxTracker(b.nl, "lr_max", uint64(hi)),
 		classes: hwsim.NewCounterBank(b.nl, "lr_class", hi-lo+1, uint64(nBlocks)),
 	}
-	b.rf.addBank(4, widthOf(uint64(nBlocks)), e.classes,
-		func(i int) string { return fmt.Sprintf("LR_NU_%d", i) })
+	for i := 0; i < e.classes.Len(); i++ {
+		b.rf.addRef(fmt.Sprintf("LR_NU_%d", i), 4, widthOf(uint64(nBlocks)), e.classes.Ref(i))
+	}
 	return e, nil
 }
 

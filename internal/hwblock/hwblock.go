@@ -274,7 +274,7 @@ func New(cfg Config) (*Block, error) {
 		rf:  NewRegFile(),
 	}
 	b.global = hwsim.NewCounter(b.nl, "global_bits", uint64(cfg.N))
-	b.rf.Add("GLOBAL_BITS", 0, b.global.Width(), func() uint64 { return b.global.Value() })
+	b.rf.addRef("GLOBAL_BITS", 0, b.global.Width(), b.global.Ref())
 
 	// The walk engine exists in every variant: it serves test 13 and, via
 	// S_final, tests 1 and 3 (the "omitted redundant counter").

@@ -3,7 +3,6 @@ package hwblock
 import (
 	"fmt"
 
-	"repro/internal/hwsim"
 	"repro/internal/obs"
 )
 
@@ -32,17 +31,16 @@ type Entry struct {
 	// Words is the number of 16-bit words the value occupies.
 	Words int
 
-	// The live value: counter idx of bank when bank is set (read straight
-	// from the bank), the read callback's result otherwise.
+	// The live value: *ref when ref is set, the read callback's result
+	// otherwise.
 	read func() uint64
-	bank *hwsim.CounterBank
-	idx  int
+	ref  *uint64
 }
 
 // value samples the entry's live hardware value.
 func (e *Entry) value() uint64 {
-	if e.bank != nil {
-		return e.bank.Value(e.idx)
+	if e.ref != nil {
+		return *e.ref
 	}
 	return e.read()
 }
@@ -73,12 +71,10 @@ func (rf *RegFile) Add(name string, testID, width int, read func() uint64) {
 	rf.add(Entry{Name: name, TestID: testID, Width: width, read: read})
 }
 
-// addBank exposes every counter of bank, in bank order, as a register of
-// the given width named name(i). The entries read the bank directly.
-func (rf *RegFile) addBank(testID, width int, bank *hwsim.CounterBank, name func(i int) string) {
-	for i := 0; i < bank.Len(); i++ {
-		rf.add(Entry{Name: name(i), TestID: testID, Width: width, bank: bank, idx: i})
-	}
+// addRef is Add for a value the hardware holds as is, in a primitive's
+// storage (see hwsim's Ref methods): reads load *ref, without a callback.
+func (rf *RegFile) addRef(name string, testID, width int, ref *uint64) {
+	rf.add(Entry{Name: name, TestID: testID, Width: width, ref: ref})
 }
 
 // add assigns e its address range and word count and appends it.

@@ -41,10 +41,8 @@ func newNonOverlapEngine(b *Block, tpl uint32, m, nBlocks, blockLen int) *nonOve
 	}
 	e.bank = make([]*hwsim.Register, nBlocks)
 	for i := range e.bank {
-		i := i
 		e.bank[i] = hwsim.NewRegister(b.nl, fmt.Sprintf("no_w_%d", i), uint64(blockLen/m+1))
-		b.rf.Add(fmt.Sprintf("NO_W_%d", i), 7, e.bank[i].Width(),
-			func() uint64 { return e.bank[i].Value() })
+		b.rf.addRef(fmt.Sprintf("NO_W_%d", i), 7, e.bank[i].Width(), e.bank[i].Ref())
 	}
 	return e
 }
@@ -106,8 +104,9 @@ func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
 		inBlock:  hwsim.NewCounter(b.nl, "ov_fill", uint64(m)),
 		classes:  hwsim.NewCounterBank(b.nl, "ov_class", k+1, uint64(nBlocks)),
 	}
-	b.rf.addBank(8, widthOf(uint64(nBlocks)), e.classes,
-		func(i int) string { return fmt.Sprintf("OV_NU_%d", i) })
+	for i := 0; i <= k; i++ {
+		b.rf.addRef(fmt.Sprintf("OV_NU_%d", i), 8, widthOf(uint64(nBlocks)), e.classes.Ref(i))
+	}
 	return e
 }
 
@@ -156,8 +155,9 @@ func newSerialEngine(b *Block, m, n int) *serialEngine {
 	e.nu = make([]*hwsim.CounterBank, 3)
 	for i, w := range []int{m, m - 1, m - 2} {
 		e.nu[i] = hwsim.NewCounterBank(b.nl, fmt.Sprintf("serial_nu%d", w), 1<<uint(w), uint64(n))
-		b.rf.addBank(11, widthOf(uint64(n)), e.nu[i],
-			func(pat int) string { return fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat) })
+		for pat := 0; pat < 1<<uint(w); pat++ {
+			b.rf.addRef(fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat), 11, widthOf(uint64(n)), e.nu[i].Ref(pat))
+		}
 	}
 	e.head = hwsim.NewRegister(b.nl, "serial_head", uint64(1<<uint(m-1))-1)
 	return e

@@ -55,6 +55,11 @@ func (c *Counter) Inc() {
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.value }
 
+// Ref returns the address of the live count, for a reader that samples it
+// without a call: a register-file multiplexer leg. Only the counter's own
+// methods write through it.
+func (c *Counter) Ref() *uint64 { return &c.value }
+
 // Load sets the count directly (mod 2^width) — the parallel load port the
 // word-level fast path uses to publish its state into the structural
 // register image. It adds no per-clock logic.
@@ -158,6 +163,11 @@ func (r *Register) Width() int { return r.width }
 
 // Value returns the stored value.
 func (r *Register) Value() uint64 { return r.value }
+
+// Ref returns the address of the live value, for a reader that samples it
+// without a call: a register-file multiplexer leg. Only the register's own
+// methods write through it.
+func (r *Register) Ref() *uint64 { return &r.value }
 
 // MinMaxTracker records the running minimum and maximum of a signed value —
 // the S_max/S_min registers of the cusum hardware: two registers plus two
@@ -406,6 +416,11 @@ func (b *CounterBank) Inc(i int) {
 
 // Value returns counter i.
 func (b *CounterBank) Value(i int) uint64 { return b.values[i] }
+
+// Ref returns the address of counter i's live value, for a reader that
+// samples it without a call: a register-file multiplexer leg. The bank
+// never reallocates its counters, and only its own methods write them.
+func (b *CounterBank) Ref(i int) *uint64 { return &b.values[i] }
 
 // Load sets counter i directly (mod 2^width) — the parallel load port for
 // the word-level fast path.

@@ -110,9 +110,10 @@ func wideShift(wordBits int) uint {
 // words returns the number of limbs a value of magnitude v occupies at
 // the meter's word size, at least one: ⌈max(bits(v), 1) / wordBits⌉,
 // computed as 1 + bits(v>>1) >> log2(wordBits), a shift in place of a
-// divide.
+// divide. The shift count is masked to 6 bits, its range anyway, so the
+// compiler emits the shift without the guard for counts of 64 and more.
 func (m *meter) words(v uint64) int {
-	return bits.Len64(v>>1)>>(4+m.wide) + 1
+	return bits.Len64(v>>1)>>((4+m.wide)&63) + 1
 }
 
 // add computes a+b, charging one ADD per limb of the wider operand.
