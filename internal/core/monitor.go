@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hwblock"
 	"repro/internal/hwfast"
@@ -52,6 +53,10 @@ func (e *SourceError) Unwrap() error { return e.Err }
 // be quarantined.
 var ErrReadoutMismatch = errors.New("core: register readout mismatch between verification passes")
 
+// ringSlots is the most history slots a bounded monitor allocates at its
+// first sequence: the fleet's default bound (fleet.DefaultKeepReports).
+const ringSlots = 16
+
 // SequenceReport is the outcome of one completed test sequence.
 type SequenceReport struct {
 	// Index is the sequence number since the monitor started (0-based).
@@ -71,8 +76,25 @@ type Monitor struct {
 
 	seq      int
 	bitsSeen int64
-	history  []SequenceReport
-	// KeepHistory bounds the retained reports (0 = keep everything).
+	// history holds the retained reports. Once KeepHistory > 0 of them
+	// are held it is a ring with the oldest at head: each completed
+	// sequence is evaluated into the report of the slot it evicts, so a
+	// full ring allocates nothing. It grows one slot per sequence until
+	// then, and Reset and TakeHistory drop it.
+	history []SequenceReport
+	head    int
+	// verify holds the verified feed's two passes (allocated on first
+	// use): a mismatch must leave the slot the sequence would evict intact.
+	verify [2]*sweval.Report
+
+	// KeepHistory bounds the retained reports (0 = keep everything). With
+	// KeepHistory = k, a report the monitor returns (from Feed, FeedWord,
+	// FeedWordVerified, Watch or History) stays valid until k more
+	// sequences complete: the k-th reuses its SequenceReport and its
+	// sweval.Report for the newest sequence. Copy what must outlive that.
+	// With KeepHistory = 0 every sequence gets a fresh report that the
+	// monitor never writes again. A change takes effect at the next
+	// completed sequence.
 	KeepHistory int
 
 	// Observability handles, cached once by SetObs. All of them are
@@ -116,10 +138,9 @@ func NewMonitorWithValues(cfg hwblock.Config, cv *sweval.CriticalValues) (*Monit
 		return nil, err
 	}
 	return &Monitor{
-		block:   block,
-		eval:    sweval.NewEvaluator(cv),
-		cv:      cv,
-		history: make([]SequenceReport, 0, 16),
+		block: block,
+		eval:  sweval.NewEvaluator(cv),
+		cv:    cv,
 	}, nil
 }
 
@@ -129,16 +150,15 @@ func NewMonitorWithValues(cfg hwblock.Config, cv *sweval.CriticalValues) (*Monit
 // reallocating the block or re-deriving the critical values. Worker pools
 // and the fleet layer reuse one monitor across many independent streams
 // this way, so Reset must restore *every* piece of per-run state: retained
-// history entries are zeroed, not just truncated, so a recycled monitor
-// holds no reference to a previous tenant's reports.
+// history entries are zeroed and the ring is dropped, so a recycled
+// monitor holds no reference to a previous tenant's reports and never
+// writes one again.
 func (m *Monitor) Reset() {
 	m.block.Reset()
 	m.seq = 0
 	m.bitsSeen = 0
-	for i := range m.history {
-		m.history[i] = SequenceReport{}
-	}
-	m.history = m.history[:0]
+	clear(m.history)
+	m.history, m.head = nil, 0
 }
 
 // SetObs attaches an observability registry: per-test verdict counters,
@@ -237,8 +257,10 @@ func (m *Monitor) Feed(bit byte) (*SequenceReport, error) {
 // the completed sequence is evaluated mid-word and the remaining bits open
 // the next one. When the word completes one or more sequences the report
 // of the last completed sequence is returned (with the standard designs,
-// N ≥ 128 ≥ nbits, at most one sequence can complete per call). The call
-// is allocation-free except at sequence boundaries.
+// N ≥ 128 ≥ nbits, at most one sequence can complete per call); it stays
+// valid for the window KeepHistory states. The call is allocation-free
+// except at the sequence boundaries that grow the history: every boundary
+// with KeepHistory = 0, the first KeepHistory boundaries otherwise.
 func (m *Monitor) FeedWord(w uint64, nbits int) (*SequenceReport, error) {
 	return m.feedWord(w, nbits, false)
 }
@@ -320,41 +342,86 @@ func (m *Monitor) clockBit(bit byte) (done bool, err error) {
 // software-side defense the paper's distributed-verdict design enables:
 // there is no single alarm wire to probe, and no single bus read to trust.
 func (m *Monitor) completeSequence(verify bool) (*SequenceReport, error) {
-	rep, err := m.eval.Evaluate(m.block)
-	if err != nil {
-		return nil, err
+	m.fitHistory()
+	full := m.KeepHistory > 0 && len(m.history) == m.KeepHistory
+	var rep *sweval.Report
+	if full {
+		rep = m.history[m.head].Report
 	}
 	if verify {
-		again, err := m.eval.Evaluate(m.block)
-		if err != nil {
-			return nil, err
+		for i, r := range m.verify {
+			if r == nil {
+				r = new(sweval.Report)
+				m.verify[i] = r
+			}
+			if err := m.eval.EvaluateInto(m.block, r); err != nil {
+				return nil, err
+			}
 		}
-		if !reportsAgree(rep, again) {
+		if !reportsAgree(m.verify[0], m.verify[1]) {
 			return nil, ErrReadoutMismatch
+		}
+		// The first pass becomes the sequence's report; the evicted one,
+		// if any, takes over as scratch.
+		rep, m.verify[0] = m.verify[0], rep
+	} else {
+		if rep == nil {
+			rep = new(sweval.Report)
+		}
+		if err := m.eval.EvaluateInto(m.block, rep); err != nil {
+			return nil, err
 		}
 	}
 	if m.obs != nil {
 		m.observeReport(rep)
 	}
-	sr := SequenceReport{
+	var slot *SequenceReport
+	if full {
+		slot = &m.history[m.head]
+		m.head = (m.head + 1) % len(m.history)
+	} else {
+		if m.history == nil && m.KeepHistory > 0 {
+			// One allocation holds a bounded ring's slots up to the usual
+			// bound; beyond it append grows them.
+			m.history = make([]SequenceReport, 0, min(m.KeepHistory, ringSlots))
+		}
+		m.history = append(m.history, SequenceReport{})
+		slot = &m.history[len(m.history)-1]
+	}
+	*slot = SequenceReport{
 		Index:    m.seq,
 		StartBit: m.bitsSeen - int64(m.block.Config().N),
 		Report:   rep,
 	}
 	m.seq++
-	m.history = append(m.history, sr)
-	if m.KeepHistory > 0 && len(m.history) > m.KeepHistory {
-		// Trim by copying to the front so the backing array is reused
-		// instead of leaking a growing prefix behind a resliced view; the
-		// vacated tail is zeroed so no stale report stays reachable.
-		n := copy(m.history, m.history[len(m.history)-m.KeepHistory:])
-		for i := n; i < len(m.history); i++ {
-			m.history[i] = SequenceReport{}
-		}
-		m.history = m.history[:n]
-	}
 	m.block.Reset()
-	return &sr, nil
+	return slot, nil
+}
+
+// fitHistory brings the ring in line with a KeepHistory changed since
+// the last sequence: it keeps only the newest KeepHistory reports when the
+// ring must shrink, zeroing the vacated slots so no stale report stays
+// reachable, and puts the reports in order when a wrapped ring must grow.
+func (m *Monitor) fitHistory() {
+	switch k := m.KeepHistory; {
+	case k > 0 && len(m.history) > k:
+		m.linearize()
+		n := copy(m.history, m.history[len(m.history)-k:])
+		clear(m.history[n:])
+		m.history = m.history[:n]
+	case m.head != 0 && len(m.history) != k:
+		m.linearize()
+	}
+}
+
+// linearize rotates the ring in place so that the oldest report is first.
+func (m *Monitor) linearize() {
+	if m.head != 0 && m.head != len(m.history) {
+		slices.Reverse(m.history[:m.head])
+		slices.Reverse(m.history[m.head:])
+		slices.Reverse(m.history)
+	}
+	m.head = 0
 }
 
 // observeReport folds one accepted evaluation into the attached registry.
@@ -364,7 +431,8 @@ func (m *Monitor) observeReport(rep *sweval.Report) {
 	} else {
 		m.obsSeqFail.Inc()
 	}
-	for _, v := range rep.Verdicts {
+	for i := range rep.Verdicts {
+		v := &rep.Verdicts[i]
 		h := m.obsVerdicts[v.TestID]
 		if v.Pass {
 			h[0].Inc()
@@ -383,7 +451,7 @@ func reportsAgree(a, b *sweval.Report) bool {
 		return false
 	}
 	for i := range a.Verdicts {
-		va, vb := a.Verdicts[i], b.Verdicts[i]
+		va, vb := &a.Verdicts[i], &b.Verdicts[i]
 		if va.TestID != vb.TestID || va.Pass != vb.Pass || va.Statistic != vb.Statistic {
 			return false
 		}
@@ -392,7 +460,8 @@ func reportsAgree(a, b *sweval.Report) bool {
 }
 
 // Watch drains bits from the source until the requested number of
-// sequences have been evaluated, returning their reports. A failed source
+// sequences have been evaluated, returning their reports; with
+// KeepHistory = k only the last k of them stay valid. A failed source
 // read aborts the watch with a *SourceError carrying the bit offset and
 // the already-completed reports; callers that can recover (see
 // Supervisor) inspect it with errors.As.
@@ -414,8 +483,28 @@ func (m *Monitor) Watch(src trng.Source, sequences int) ([]SequenceReport, error
 	return out, nil
 }
 
-// History returns the retained sequence reports.
-func (m *Monitor) History() []SequenceReport { return m.history }
+// History returns the retained sequence reports, oldest first: the
+// monitor's own storage when the ring's oldest slot is its first, an
+// ordered copy otherwise. Either way the reports are the monitor's, valid
+// for the window KeepHistory states.
+func (m *Monitor) History() []SequenceReport {
+	if m.head == 0 {
+		return m.history
+	}
+	return slices.Concat(m.history[m.head:], m.history[:m.head])
+}
+
+// TakeHistory returns the retained sequence reports, oldest first, and
+// hands them to the caller: the monitor forgets them and starts a new
+// history, so neither a later sequence nor Reset ever writes them. A
+// *SequenceReport the monitor returned earlier may now point at another of
+// the taken reports.
+func (m *Monitor) TakeHistory() []SequenceReport {
+	m.linearize()
+	h := m.history
+	m.history = nil
+	return h
+}
 
 // BitsSeen reports the total number of bits consumed.
 func (m *Monitor) BitsSeen() int64 { return m.bitsSeen }

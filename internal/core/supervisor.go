@@ -152,7 +152,8 @@ type SupervisorConfig struct {
 // sequence reports plus the operational verdict and incident timeline.
 type SupervisorReport struct {
 	// Reports are the sequence reports that were accepted (evaluated on
-	// trusted state). Quarantined sequences do not appear.
+	// trusted state), valid for the window Monitor.KeepHistory states.
+	// Quarantined sequences do not appear.
 	Reports []SequenceReport
 	// Condition is the overall verdict; see the Condition constants.
 	Condition Condition

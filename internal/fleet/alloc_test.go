@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/hwblock"
@@ -203,4 +204,65 @@ func BenchmarkFleetRegisterDetach(b *testing.B) {
 	}
 	b.StopTimer()
 	p.Shutdown()
+}
+
+// TestPushZeroAllocAcrossBoundary extends the zero-alloc claim across the
+// sequence boundary. On n128-medium a sequence completes every two words,
+// so each measured op pushes one whole sequence and waits for the shard to
+// fold its verdict: evaluation, the retained-report ring (the default 16
+// reports, full after 16 sequences) and full instrumentation together
+// allocate nothing once the stream is warm, on the plain and on the
+// verified readout.
+func TestPushZeroAllocAcrossBoundary(t *testing.T) {
+	design, err := hwblock.NewConfig(128, hwblock.Medium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, verify := range []bool{false, true} {
+		p, err := New(Config{
+			Design:        design,
+			Alpha:         0.01,
+			Shards:        1,
+			QueueDepth:    64,
+			KeepReports:   DefaultKeepReports,
+			VerifyReadout: verify,
+			Obs:           obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := p.Register("boundary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var words [256]uint64
+		rng := rand.New(rand.NewSource(3))
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		fo := &p.fobs
+		seq := 0
+		sequence := func() {
+			for k := 0; k < 2; k++ {
+				if err := s.Push(words[(2*seq+k)&255], 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seq++
+			for fo.seqPass.Value()+fo.seqFail.Value() < uint64(seq) {
+				runtime.Gosched()
+			}
+		}
+		for seq < DefaultKeepReports+4 {
+			sequence()
+		}
+		if allocs := testing.AllocsPerRun(200, sequence); allocs != 0 {
+			t.Errorf("verify=%v: a Push pair across a sequence boundary allocates %.2f times per op, want 0", verify, allocs)
+		}
+		if r := s.Detach(); r.Sequences != seq || r.Quarantined != 0 || len(r.Reports) != DefaultKeepReports {
+			t.Errorf("verify=%v: %d sequences, %d quarantined, %d reports; want %d, 0, %d",
+				verify, r.Sequences, r.Quarantined, len(r.Reports), seq, DefaultKeepReports)
+		}
+		p.Shutdown()
+	}
 }

@@ -184,7 +184,12 @@ type Config struct {
 	// readout mismatch — core.Supervisor's defense, per stream.
 	VerifyReadout bool
 	// KeepReports bounds each stream's retained sequence reports
-	// (0 = DefaultKeepReports; negative keeps everything).
+	// (0 = DefaultKeepReports; negative keeps everything). It is the
+	// stream monitor's core.Monitor.KeepHistory: the monitor reuses a
+	// retained report once KeepReports newer sequences have completed, so
+	// a *core.SequenceReport seen before Detach is valid only that long.
+	// The reports StreamReport.Reports carries belong to the tenant:
+	// Detach takes them from the monitor, which never writes them again.
 	KeepReports int
 
 	// BitSliced switches the shards to bit-sliced ingest: resident

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hwblock"
 	"repro/internal/obs"
+	"repro/internal/sweval"
 	"repro/internal/trng"
 )
 
@@ -439,6 +442,61 @@ func TestMonitorRecyclingDoesNotLeakAcrossTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertReportsIdentical(t, got, want)
+	p.Shutdown()
+}
+
+// TestDetachedReportsSurviveRecycling guards the ownership hand-over at
+// Detach: a detached stream's retained reports belong to its tenant, so
+// tenants that later run on the recycled monitors — long enough to wrap
+// their own report rings — must never write them. (A check that hashes
+// the reports at Detach cannot see such aliasing; this one compares them
+// against a deep copy afterwards.)
+func TestDetachedReportsSurviveRecycling(t *testing.T) {
+	design, err := hwblock.NewConfig(128, hwblock.Medium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Design: design, Alpha: 0.01, Shards: 2, QueueDepth: 64, KeepReports: 16}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushWords(t, a, 8, 2*40)
+	got := a.Detach()
+	if len(got.Reports) != 16 {
+		t.Fatalf("tenant a retained %d reports, want 16", len(got.Reports))
+	}
+	want := make([]core.SequenceReport, len(got.Reports))
+	for i, r := range got.Reports {
+		rep := *r.Report
+		rep.Verdicts = append([]sweval.Verdict(nil), rep.Verdicts...)
+		want[i] = core.SequenceReport{Index: r.Index, StartBit: r.StartBit, Report: &rep}
+	}
+	for g := 0; g < 3; g++ {
+		var next []*Stream
+		for i := 0; i < 4; i++ {
+			s, err := p.Register(fmt.Sprintf("g%d-%d", g, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, s)
+		}
+		for i, s := range next {
+			pushWords(t, s, int64(100*g+i), 2*24)
+		}
+		for _, s := range next {
+			if r := s.Detach(); r.Sequences != 24 {
+				t.Fatalf("tenant %s completed %d sequences, want 24", r.Tenant, r.Sequences)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.Reports, want) {
+		t.Fatal("tenant a's detached reports changed while later tenants ran on the recycled monitors")
+	}
 	p.Shutdown()
 }
 

@@ -428,9 +428,9 @@ func (s *Stream) feedMonitor(w uint64, nbits int) (stopped bool) {
 		var rep *core.SequenceReport
 		var err error
 		if s.pool.cfg.VerifyReadout {
-			rep, err = s.mon.FeedWordVerified(w, take) //trnglint:alloc core.Monitor feed is the measured ingest boundary
+			rep, err = s.mon.FeedWordVerified(w, take) //trnglint:alloc core.Monitor feed: allocation-free once the report ring is full (TestPushZeroAllocAcrossBoundary)
 		} else {
-			rep, err = s.mon.FeedWord(w, take) //trnglint:alloc core.Monitor feed is the measured ingest boundary
+			rep, err = s.mon.FeedWord(w, take) //trnglint:alloc core.Monitor feed: allocation-free once the report ring is full (TestPushZeroAllocAcrossBoundary)
 		}
 		// The chunk never straddles a boundary, so on any error the whole
 		// chunk was still clocked into the hardware; advance past it.
@@ -592,7 +592,7 @@ func (s *Stream) event(kind core.EventKind, detail string) {
 func (s *Stream) finalize() {
 	r := StreamReport{
 		Tenant:            s.tenant,
-		Reports:           append([]core.SequenceReport(nil), s.mon.History()...),
+		Reports:           s.mon.TakeHistory(),
 		Sequences:         s.sequences,
 		Passed:            s.seqPass,
 		Failed:            s.seqFail,

@@ -40,8 +40,8 @@ type Report struct {
 
 // Pass reports whether every implemented test accepted.
 func (r *Report) Pass() bool {
-	for _, v := range r.Verdicts {
-		if !v.Pass {
+	for i := range r.Verdicts {
+		if !r.Verdicts[i].Pass {
 			return false
 		}
 	}
@@ -51,8 +51,8 @@ func (r *Report) Pass() bool {
 // Failed lists the test numbers that rejected.
 func (r *Report) Failed() []int {
 	var out []int
-	for _, v := range r.Verdicts {
-		if !v.Pass {
+	for i := range r.Verdicts {
+		if v := &r.Verdicts[i]; !v.Pass {
 			out = append(out, v.TestID)
 		}
 	}
@@ -70,10 +70,14 @@ func (r *Report) TestCost(id int) Cost {
 	return Cost{}
 }
 
-// add appends a verdict carrying the cost its routine metered.
-func (r *Report) add(m *meter, v Verdict) {
+// add appends the verdict of test id, carrying the cost its routine
+// metered. It writes the verdict's fields in place, in the capacity
+// EvaluateInto reserved.
+func (r *Report) add(m *meter, id int, pass bool, stat, threshold int64, note string) {
+	r.Verdicts = r.Verdicts[:len(r.Verdicts)+1]
+	v := &r.Verdicts[len(r.Verdicts)-1]
+	v.TestID, v.Pass, v.Statistic, v.Threshold, v.Note = id, pass, stat, threshold, note
 	v.Cost = m.cost
-	r.Verdicts = append(r.Verdicts, v)
 	r.Cost.Add(m.cost)
 }
 
@@ -128,9 +132,9 @@ func NewEvaluatorWordSize(cv *CriticalValues, wordBits int) (*Evaluator, error) 
 
 // resolve looks up every register the block's tests read in its register
 // file, unless the evaluator already holds that file's ranges. Each bank
-// must occupy consecutive entries in name order. A missing register or a
-// bank that is not contiguous is an error and leaves the previous
-// resolution in place.
+// must occupy consecutive entries in name order. A test with no software
+// routine, a missing register or a bank that is not contiguous is an error
+// and leaves the previous resolution in place.
 func (ev *Evaluator) resolve(b *hwblock.Block) error {
 	rf := b.RegFile()
 	if ev.regs.rf == rf {
@@ -184,6 +188,11 @@ func (ev *Evaluator) resolve(b *hwblock.Block) error {
 				w := cfg.Params.SerialM - k
 				r.serial[k] = numbered(1<<uint(w), fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
 			}
+		case 1, 13: // the walk triple, resolved above
+		default:
+			if err == nil {
+				err = fmt.Errorf("sweval: no software routine for test %d", id)
+			}
 		}
 	}
 	if err != nil {
@@ -205,21 +214,37 @@ func (ev *Evaluator) read(m *meter, bk bank) []uint64 {
 	return vals
 }
 
-// Evaluate performs one software pass over the block's register file. The
-// block must have absorbed a full sequence.
+// Evaluate performs one software pass over the block's register file into
+// a newly allocated report. The block must have absorbed a full sequence.
 func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
+	rep := new(Report)
+	if err := ev.EvaluateInto(b, rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// EvaluateInto performs one software pass over the block's register file
+// and writes its verdicts into rep, replacing what rep held and reusing
+// rep.Verdicts when its capacity holds one verdict per test. Every check
+// that can fail runs before the first write, so an error leaves rep
+// untouched. The block must have absorbed a full sequence.
+func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 	if !b.Done() {
-		return nil, fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.Config().N)
+		return fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.Config().N)
 	}
 	if b.Config().Name != ev.cv.cfg.Name {
-		return nil, fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Config().Name)
+		return fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Config().Name)
 	}
 	if err := ev.resolve(b); err != nil {
-		return nil, err
+		return err
 	}
 	cfg := b.Config()
 	regs := &ev.regs
-	rep := &Report{Verdicts: make([]Verdict, 0, len(cfg.Tests))}
+	if cap(rep.Verdicts) < len(cfg.Tests) {
+		rep.Verdicts = make([]Verdict, 0, len(cfg.Tests))
+	}
+	rep.Verdicts, rep.Cost = rep.Verdicts[:0], Cost{}
 	n := int64(cfg.N)
 
 	// Shared walk values, charged to test 13 (their home) as in the
@@ -244,7 +269,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 				absS = m.sub(0, absS)
 			}
 			pass := !m.cmpGreater(absS, ev.cv.monobitSMax)
-			rep.add(&m, Verdict{TestID: 1, Pass: pass, Statistic: absS, Threshold: ev.cv.monobitSMax})
+			rep.add(&m, 1, pass, absS, ev.cv.monobitSMax, "")
 
 		case 2:
 			bigM := int64(cfg.Params.BlockFrequencyM)
@@ -254,11 +279,12 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.blockFreqMax)
-			rep.add(&m, Verdict{TestID: 2, Pass: pass, Statistic: d, Threshold: ev.cv.blockFreqMax})
+			rep.add(&m, 2, pass, d, ev.cv.blockFreqMax, "")
 
 		case 3:
 			v := int64(ev.read(&m, regs.runs)[0])
-			rep.add(&m, ev.evalRuns(&m, n, sFin, ones, zeros, v))
+			pass, stat, threshold, note := ev.evalRuns(&m, n, sFin, ones, zeros, v)
+			rep.add(&m, 3, pass, stat, threshold, note)
 
 		case 4:
 			var sum int64
@@ -266,7 +292,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.longestRunQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.longestRunMax)
-			rep.add(&m, Verdict{TestID: 4, Pass: pass, Statistic: sum, Threshold: ev.cv.longestRunMax})
+			rep.add(&m, 4, pass, sum, ev.cv.longestRunMax, "")
 
 		case 7:
 			tm := cfg.Params.TemplateM
@@ -278,7 +304,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 				d = m.add(d, m.sqr(dev))
 			}
 			pass := !m.cmpGreater(d, ev.cv.nonOvMax)
-			rep.add(&m, Verdict{TestID: 7, Pass: pass, Statistic: d, Threshold: ev.cv.nonOvMax})
+			rep.add(&m, 7, pass, d, ev.cv.nonOvMax, "")
 
 		case 8:
 			var sum int64
@@ -286,7 +312,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.overlapQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.overlapMax)
-			rep.add(&m, Verdict{TestID: 8, Pass: pass, Statistic: sum, Threshold: ev.cv.overlapMax})
+			rep.add(&m, 8, pass, sum, ev.cv.overlapMax, "")
 
 		case 11:
 			sm := cfg.Params.SerialM
@@ -308,7 +334,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			case fail2:
 				note = " del2-psi2"
 			}
-			rep.add(&m, Verdict{TestID: 11, Pass: !fail1 && !fail2, Statistic: x1, Threshold: ev.cv.serialMax1, Note: note})
+			rep.add(&m, 11, !fail1 && !fail2, x1, ev.cv.serialMax1, note)
 
 		case 12:
 			// φ_m in Q16 via the PWL table, reusing the serial counters
@@ -317,7 +343,7 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			phi3 := ev.phiQ16(&m, cfg.N, regs.serial[1])
 			apen := m.sub(phi3, phi4)
 			pass := !m.cmpGreater(ev.cv.apenMinQ16, apen)
-			rep.add(&m, Verdict{TestID: 12, Pass: pass, Statistic: apen, Threshold: ev.cv.apenMinQ16})
+			rep.add(&m, 12, pass, apen, ev.cv.apenMinQ16, "")
 
 		case 13:
 			m := &mWalk // inherits the shared walk reads
@@ -348,24 +374,22 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 			if zb > z {
 				z = zb
 			}
-			rep.add(m, Verdict{TestID: 13, Pass: !failF && !failB, Statistic: z, Threshold: ev.cv.cusumZMin, Note: note})
-
-		default:
-			return nil, fmt.Errorf("sweval: no software routine for test %d", id)
+			rep.add(m, 13, !failF && !failB, z, ev.cv.cusumZMin, note)
 		}
 	}
-	return rep, nil
+	return nil
 }
 
-// evalRuns dispatches on the configured runs-test method.
-func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) Verdict {
+// evalRuns dispatches on the configured runs-test method and returns the
+// test 3 verdict's fields.
+func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) (pass bool, stat, threshold int64, note string) {
 	absS := sFin
 	if m.cmpGreater(0, absS) {
 		absS = m.sub(0, absS)
 	}
 	// Frequency precondition: |S| ≥ 4√n means instant failure.
 	if !m.cmpGreater(ev.cv.runsPreSAbs, absS) {
-		return Verdict{TestID: 3, Pass: false, Statistic: v, Note: "precondition"}
+		return false, v, 0, "precondition"
 	}
 	switch ev.cv.runsMethod {
 	case RunsExact:
@@ -375,8 +399,7 @@ func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) Verdict {
 			lhs = m.sub(0, lhs)
 		}
 		rhs := m.shr(m.mul(ev.cv.runsKQ16, m.mul(ones, zeros)), pwlFracBits)
-		pass := !m.cmpGreater(lhs, rhs)
-		return Verdict{TestID: 3, Pass: pass, Statistic: lhs, Threshold: rhs}
+		return !m.cmpGreater(lhs, rhs), lhs, rhs, ""
 	default: // RunsTable
 		for _, row := range ev.cv.runsRows {
 			if m.cmpGreater(absS, row.sAbsMax) {
@@ -384,11 +407,11 @@ func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) Verdict {
 			}
 			failLo := m.cmpGreater(row.vLo, v)
 			failHi := m.cmpGreater(v, row.vHi)
-			return Verdict{TestID: 3, Pass: !failLo && !failHi, Statistic: v, Threshold: row.vHi}
+			return !failLo && !failHi, v, row.vHi, ""
 		}
 		// Beyond the last row (cannot happen when the precondition
 		// passed, kept for safety): reject.
-		return Verdict{TestID: 3, Pass: false, Statistic: v, Note: "table overflow"}
+		return false, v, 0, "table overflow"
 	}
 }
 

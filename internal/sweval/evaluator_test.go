@@ -74,8 +74,10 @@ func TestEvaluateRejectsMissingRegister(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllocs gates the per-sequence allocations of a pass: the
-// Report and its Verdicts, nothing else, on every shipped design.
+// TestEvaluateAllocs gates the per-sequence allocations of a pass on
+// every shipped design: Evaluate allocates the Report and its Verdicts,
+// nothing else, and EvaluateInto into a reused report allocates nothing
+// and reports what Evaluate reports.
 func TestEvaluateAllocs(t *testing.T) {
 	for _, cfg := range hwblock.AllConfigs() {
 		b, err := hwblock.New(cfg)
@@ -97,6 +99,88 @@ func TestEvaluateAllocs(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Errorf("%s: Evaluate makes %.0f allocations, want at most 2", cfg.Name, allocs)
+		}
+		var rep Report
+		allocs = testing.AllocsPerRun(20, func() {
+			if err := ev.EvaluateInto(b, &rep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: EvaluateInto into a reused report makes %.0f allocations, want 0", cfg.Name, allocs)
+		}
+		want, err := ev.Evaluate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&rep, want) {
+			t.Errorf("%s: EvaluateInto reports %+v, Evaluate %+v", cfg.Name, rep, *want)
+		}
+	}
+}
+
+// TestEvaluateIntoErrorLeavesReport fails a pass in each way it can fail
+// (an incomplete block, critical values of another design, a missing
+// register, a test with no software routine) into a report holding an
+// earlier pass, which must come back untouched, down to its Verdicts'
+// backing array.
+func TestEvaluateIntoErrorLeavesReport(t *testing.T) {
+	cfg := mustConfig(t, 128, hwblock.Medium)
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := runBlock(t, cfg, trng.Read(trng.NewBiased(0.6, 46), cfg.N))
+	var rep Report
+	if err := NewEvaluator(cv).EvaluateInto(done, &rep); err != nil {
+		t.Fatal(err)
+	}
+	kept := rep
+	backing := append([]Verdict(nil), rep.Verdicts[:cap(rep.Verdicts)]...)
+
+	partial, err := hwblock.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := partial.Clock(1); err != nil {
+		t.Fatal(err)
+	}
+	other := mustConfig(t, 128, hwblock.Light)
+	cvOther, err := NewCriticalValues(other, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := *cv
+	missing.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
+	unknown := cfg
+	unknown.Tests = append(cfg.Tests[:len(cfg.Tests):len(cfg.Tests)], 5)
+	cvUnknown := *cv
+	cvUnknown.cfg = unknown
+	unknownBlock, err := hwblock.New(unknown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unknownBlock.Run(bitstream.NewReader(trng.Read(trng.NewIdeal(47), cfg.N))); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cv   *CriticalValues
+		b    *hwblock.Block
+		want string
+	}{
+		{"incomplete block", cv, partial, "only seen 1 of 128 bits"},
+		{"other design", cvOther, done, "critical values are for design"},
+		{"missing register", &missing, done, "LR_NU_"},
+		{"no software routine", &cvUnknown, unknownBlock, "no software routine for test 5"},
+	} {
+		err := NewEvaluator(c.cv).EvaluateInto(c.b, &rep)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if !reflect.DeepEqual(rep, kept) || &rep.Verdicts[:1][0] != &kept.Verdicts[:1][0] ||
+			!reflect.DeepEqual(rep.Verdicts[:cap(rep.Verdicts)], backing) {
+			t.Fatalf("%s: the failed pass wrote the report", c.name)
 		}
 	}
 }
