@@ -420,8 +420,9 @@ var ruleReset = &Rule{
 				"%s: Reset left nonzero state (%s)", p.PrimName(), left))
 		}
 		for _, p := range d.Netlist.Primitives() {
-			// State is planted through the parallel-load ports — the
-			// block's data path is never clocked.
+			// State is planted through the parallel-load ports (a bank's
+			// through one increment per counter) — the block's data path
+			// is never clocked.
 			switch v := p.(type) {
 			case *hwsim.Counter:
 				v.Load(^uint64(0))
@@ -461,7 +462,7 @@ var ruleReset = &Rule{
 				}
 			case *hwsim.CounterBank:
 				for i := 0; i < v.Len(); i++ {
-					v.Load(i, ^uint64(0))
+					v.Inc(i)
 				}
 				v.Reset()
 				for i := 0; i < v.Len(); i++ {

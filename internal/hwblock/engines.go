@@ -3,6 +3,7 @@ package hwblock
 import (
 	"fmt"
 
+	"repro/internal/hwfast"
 	"repro/internal/hwsim"
 	"repro/internal/nist"
 )
@@ -74,28 +75,22 @@ func (e *runsEngine) clock(bit byte, t int) {
 	e.prev.Load(uint64(bit))
 }
 
-func (e *runsEngine) resetLocal() {}
-
 // blockFreqEngine implements the hardware half of test 2: one ones counter
 // for the current block and a register bank holding the completed blocks'
-// counts ε_1..ε_N. Block boundaries are bits of the global counter (M is a
-// power of two).
+// counts ε_1..ε_N. Block boundaries, and the bank register a boundary
+// loads, are bits of the global counter (M is a power of two).
 type blockFreqEngine struct {
-	m, nBlocks int
-	eps        *hwsim.Counter
-	bank       []*hwsim.Register
-	cur        int
+	m    int
+	eps  *hwsim.Counter
+	bank []*hwsim.Register
 }
 
 func newBlockFreqEngine(b *Block, m, nBlocks int) *blockFreqEngine {
-	e := &blockFreqEngine{
-		m:       m,
-		nBlocks: nBlocks,
-		eps:     hwsim.NewCounter(b.nl, "bf_eps", uint64(m)),
-	}
+	store := b.bankStorage(nBlocks, (*hwfast.State).BlockFreqBank)
+	e := &blockFreqEngine{m: m, eps: hwsim.NewCounter(b.nl, "bf_eps", uint64(m))}
 	e.bank = make([]*hwsim.Register, nBlocks)
 	for i := range e.bank {
-		e.bank[i] = hwsim.NewRegister(b.nl, fmt.Sprintf("bf_eps_%d", i), uint64(m))
+		e.bank[i] = hwsim.NewRegisterAt(b.nl, fmt.Sprintf("bf_eps_%d", i), uint64(m), &store[i])
 		b.rf.addRef(fmt.Sprintf("BF_EPS_%d", i), 2, e.bank[i].Width(), e.bank[i].Ref())
 	}
 	return e
@@ -106,15 +101,10 @@ func (e *blockFreqEngine) clock(bit byte, t int) {
 		e.eps.Inc()
 	}
 	if (t+1)%e.m == 0 { // block boundary: a global-counter bit edge
-		if e.cur < e.nBlocks {
-			e.bank[e.cur].Load(e.eps.Value())
-			e.cur++
-		}
+		e.bank[t/e.m].Load(e.eps.Value())
 		e.eps.Reset()
 	}
 }
-
-func (e *blockFreqEngine) resetLocal() { e.cur = 0 }
 
 // longestRunEngine implements the hardware half of test 4: a saturating
 // current-run counter, a per-block maximum tracker, and one class counter
@@ -135,12 +125,13 @@ func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
 		return nil, err
 	}
 	e := &longestRunEngine{
-		m:       m,
-		lo:      lo,
-		hi:      hi,
-		run:     hwsim.NewCounter(b.nl, "lr_run", uint64(hi)),
-		blkMax:  hwsim.NewMaxTracker(b.nl, "lr_max", uint64(hi)),
-		classes: hwsim.NewCounterBank(b.nl, "lr_class", hi-lo+1, uint64(nBlocks)),
+		m:      m,
+		lo:     lo,
+		hi:     hi,
+		run:    hwsim.NewCounter(b.nl, "lr_run", uint64(hi)),
+		blkMax: hwsim.NewMaxTracker(b.nl, "lr_max", uint64(hi)),
+		classes: hwsim.NewCounterBankOver(b.nl, "lr_class",
+			b.bankStorage(hi-lo+1, (*hwfast.State).LongestRunClasses), uint64(nBlocks)),
 	}
 	for i := 0; i < e.classes.Len(); i++ {
 		b.rf.addRef(fmt.Sprintf("LR_NU_%d", i), 4, widthOf(uint64(nBlocks)), e.classes.Ref(i))
@@ -181,5 +172,3 @@ func (e *longestRunEngine) clock(bit byte, t int) {
 		e.run.Reset()
 	}
 }
-
-func (e *longestRunEngine) resetLocal() {}

@@ -273,6 +273,20 @@ func New(cfg Config) (*Block, error) {
 		nl:  hwsim.NewNetlist(cfg.Name),
 		rf:  NewRegFile(),
 	}
+	// The word-level functional model is the default ingest path. Designs
+	// it cannot model fall back to the cycle-accurate structural path: no
+	// NewConfig or NewCustomConfig design does, but hand-built Params do
+	// (a template length of 10, a serial length of 2; see
+	// TestCycleAccurateFallback). Such a block has no fast model, so
+	// SetPath(FastPath), SetSliced(true) and the word-stats hand-back
+	// refuse it. The model is built first: the engines' counter banks
+	// share its bank storage.
+	if fast, err := hwfast.New(cfg.N, cfg.Tests, cfg.Params); err == nil {
+		b.fast = fast
+		b.rf.SetPrepare(b.publish)
+	} else {
+		b.path = CycleAccurate
+	}
 	b.global = hwsim.NewCounter(b.nl, "global_bits", uint64(cfg.N))
 	b.rf.addRef("GLOBAL_BITS", 0, b.global.Width(), b.global.Ref())
 
@@ -320,20 +334,18 @@ func New(cfg Config) (*Block, error) {
 	if err := b.rf.CheckAddressSpace(); err != nil {
 		return nil, err
 	}
-	// The word-level functional model is the default ingest path. Designs
-	// it cannot model fall back to the cycle-accurate structural path: no
-	// NewConfig or NewCustomConfig design does, but hand-built Params do
-	// (a template length of 10, a serial length of 2; see
-	// TestCycleAccurateFallback). Such a block has no fast model, so
-	// SetPath(FastPath), SetSliced(true) and the word-stats hand-back
-	// refuse it.
-	if fast, err := hwfast.New(cfg.N, cfg.Tests, cfg.Params); err == nil {
-		b.fast = fast
-		b.rf.SetPrepare(b.publish)
-	} else {
-		b.path = CycleAccurate
-	}
 	return b, nil
+}
+
+// bankStorage returns the storage a counter bank of n counters is built
+// over: with a fast model, the model's own bank (which fast selects), so
+// the register file reads the fast path's live counts and a sequence
+// boundary copies nothing; without one, fresh storage.
+func (b *Block) bankStorage(n int, fast func(*hwfast.State) []uint64) []uint64 {
+	if b.fast == nil {
+		return make([]uint64, n)
+	}
+	return fast(b.fast)
 }
 
 // SetObs attaches an observability registry: bits-ingested counters per
@@ -362,6 +374,8 @@ func (b *Block) Path() IngestPath { return b.path }
 
 // SetPath selects the ingest path. Switching is only allowed at a sequence
 // boundary — before any bit of the next sequence has been clocked in.
+// The cycle-accurate path takes over a fresh sequence from a power-on
+// netlist, which the fast path's Reset leaves alone.
 func (b *Block) SetPath(p IngestPath) error {
 	if p == b.path {
 		return nil
@@ -373,6 +387,10 @@ func (b *Block) SetPath(p IngestPath) error {
 		return fmt.Errorf("hwblock: cannot switch ingest path %d bits into a sequence", b.bits)
 	}
 	b.path = p
+	if p == CycleAccurate && b.bits == 0 {
+		b.resetNetlist()
+		b.dirty = false
+	}
 	return nil
 }
 
@@ -531,11 +549,13 @@ func (b *Block) seqDone() {
 	b.obsSeqs.Inc()
 }
 
-// publish loads the functional model's statistics into the structural
-// primitives so the register file presents the exact image the bit-serial
-// hardware would hold after the same stream prefix. It runs lazily, from
-// the register file's prepare hook, and only when fast-path clocks have
-// landed since the last publish.
+// publish loads the functional model's scalars (the bit count, the walk
+// triple and the runs counter) into the structural primitives so the
+// register file presents the exact image the bit-serial hardware would
+// hold after the same stream prefix. The counter banks share the model's
+// storage, so they need no copy, only the serial banks' lazy marginals a
+// sync. It runs lazily, from the register file's prepare hook, and only
+// when fast-path clocks or a Reset have landed since the last publish.
 func (b *Block) publish() {
 	if !b.dirty {
 		return
@@ -549,32 +569,8 @@ func (b *Block) publish() {
 	if b.runs != nil {
 		b.runs.runs.Load(b.fast.Runs())
 	}
-	if b.blockFreq != nil {
-		for i, v := range b.fast.BlockFreqBank() {
-			b.blockFreq.bank[i].Load(v)
-		}
-	}
-	if b.longestRun != nil {
-		for i, v := range b.fast.LongestRunClasses() {
-			b.longestRun.classes.Load(i, v)
-		}
-	}
-	if b.nonOv != nil {
-		for i, v := range b.fast.NonOverlapBank() {
-			b.nonOv.bank[i].Load(v)
-		}
-	}
-	if b.overlap != nil {
-		for i, v := range b.fast.OverlapClasses() {
-			b.overlap.classes.Load(i, v)
-		}
-	}
 	if b.serial != nil {
-		for i := 0; i < 3; i++ {
-			for pat, v := range b.fast.SerialCounts(i) {
-				b.serial.nu[i].Load(pat, v)
-			}
-		}
+		b.fast.SerialCounts(0) // brings the narrower banks up to date
 	}
 }
 
@@ -672,32 +668,30 @@ func (b *Block) runWords(wr bitstream.WordReader) error {
 }
 
 // Reset returns every engine to its power-on state so the next sequence can
-// begin.
+// begin. On the fast path only the functional model is reset: the counter
+// banks share its storage, the scalars the register file exposes are
+// republished from it on the next read, and the rest of the netlist is
+// idle until SetPath hands the block to the cycle-accurate path.
 func (b *Block) Reset() {
-	b.nl.Reset()
-	if b.runs != nil {
-		b.runs.resetLocal()
-	}
-	if b.blockFreq != nil {
-		b.blockFreq.resetLocal()
-	}
-	if b.longestRun != nil {
-		b.longestRun.resetLocal()
-	}
-	if b.nonOv != nil {
-		b.nonOv.resetLocal()
-	}
-	if b.overlap != nil {
-		b.overlap.resetLocal()
-	}
-	if b.serial != nil {
-		b.serial.resetLocal()
+	if b.path == CycleAccurate {
+		b.resetNetlist()
 	}
 	if b.fast != nil {
 		b.fast.Reset()
 	}
 	b.pendW, b.pendN = 0, 0
-	b.dirty = false
+	b.dirty = b.path == FastPath
 	b.bits = 0
 	b.done = false
+}
+
+// resetNetlist returns the structural engines to their power-on state.
+func (b *Block) resetNetlist() {
+	b.nl.Reset()
+	if b.nonOv != nil {
+		b.nonOv.resetLocal()
+	}
+	if b.serial != nil {
+		b.serial.resetLocal()
+	}
 }

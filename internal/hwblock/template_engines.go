@@ -3,6 +3,7 @@ package hwblock
 import (
 	"fmt"
 
+	"repro/internal/hwfast"
 	"repro/internal/hwsim"
 )
 
@@ -10,12 +11,12 @@ import (
 // register's 9-bit window is compared against the fixed template; a hit
 // increments the current block's occurrence counter and arms a hold-off
 // counter that suppresses matching for the next m−1 bits (non-overlapping
-// scan). Completed blocks' counts W_i sit in a register bank.
+// scan). Completed blocks' counts W_i sit in a register bank, indexed by
+// bits of the global counter.
 type nonOverlapEngine struct {
 	tpl      uint32
 	m        int
 	blockLen int
-	nBlocks  int
 
 	shift   *hwsim.ShiftReg
 	cmp     *hwsim.EqComparator
@@ -23,7 +24,6 @@ type nonOverlapEngine struct {
 	holdoff *hwsim.Counter // down-counter modelled as count-up-to-m−1
 	inBlock *hwsim.Counter // bits seen in the current block (window validity)
 	bank    []*hwsim.Register
-	cur     int
 	hold    int
 }
 
@@ -32,16 +32,16 @@ func newNonOverlapEngine(b *Block, tpl uint32, m, nBlocks, blockLen int) *nonOve
 		tpl:      tpl,
 		m:        m,
 		blockLen: blockLen,
-		nBlocks:  nBlocks,
 		shift:    b.shift,
 		cmp:      hwsim.NewEqComparator(b.nl, "no_cmp", m),
 		w:        hwsim.NewCounter(b.nl, "no_w", uint64(blockLen/m+1)),
 		holdoff:  hwsim.NewCounter(b.nl, "no_hold", uint64(m)),
 		inBlock:  hwsim.NewCounter(b.nl, "no_fill", uint64(m)),
 	}
+	store := b.bankStorage(nBlocks, (*hwfast.State).NonOverlapBank)
 	e.bank = make([]*hwsim.Register, nBlocks)
 	for i := range e.bank {
-		e.bank[i] = hwsim.NewRegister(b.nl, fmt.Sprintf("no_w_%d", i), uint64(blockLen/m+1))
+		e.bank[i] = hwsim.NewRegisterAt(b.nl, fmt.Sprintf("no_w_%d", i), uint64(blockLen/m+1), &store[i])
 		b.rf.addRef(fmt.Sprintf("NO_W_%d", i), 7, e.bank[i].Width(), e.bank[i].Ref())
 	}
 	return e
@@ -61,9 +61,8 @@ func (e *nonOverlapEngine) clock(t int) {
 		e.hold = e.m - 1
 	}
 	if (t+1)%e.blockLen == 0 {
-		if e.cur < e.nBlocks {
-			e.bank[e.cur].Load(e.w.Value())
-			e.cur++
+		if i := t / e.blockLen; i < len(e.bank) { // n·blockLen may fall short of N
+			e.bank[i].Load(e.w.Value())
 		}
 		e.w.Reset()
 		e.inBlock.Reset()
@@ -71,7 +70,7 @@ func (e *nonOverlapEngine) clock(t int) {
 	}
 }
 
-func (e *nonOverlapEngine) resetLocal() { e.cur, e.hold = 0, 0 }
+func (e *nonOverlapEngine) resetLocal() { e.hold = 0 }
 
 // overlapEngine implements the hardware half of test 8: the same shared
 // shift register window is compared against the all-ones template every
@@ -102,7 +101,8 @@ func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
 		cmp:      hwsim.NewEqComparator(b.nl, "ov_cmp", m),
 		occ:      hwsim.NewCounter(b.nl, "ov_occ", uint64(k)),
 		inBlock:  hwsim.NewCounter(b.nl, "ov_fill", uint64(m)),
-		classes:  hwsim.NewCounterBank(b.nl, "ov_class", k+1, uint64(nBlocks)),
+		classes: hwsim.NewCounterBankOver(b.nl, "ov_class",
+			b.bankStorage(k+1, (*hwfast.State).OverlapClasses), uint64(nBlocks)),
 	}
 	for i := 0; i <= k; i++ {
 		b.rf.addRef(fmt.Sprintf("OV_NU_%d", i), 8, widthOf(uint64(nBlocks)), e.classes.Ref(i))
@@ -128,8 +128,6 @@ func (e *overlapEngine) clock(t int) {
 	}
 }
 
-func (e *overlapEngine) resetLocal() {}
-
 // serialEngine implements the hardware half of tests 11 and 12: counter
 // banks for all m-, (m−1)- and (m−2)-bit overlapping patterns, decoded from
 // the low bits of the shared shift register. A small register captures the
@@ -154,7 +152,8 @@ func newSerialEngine(b *Block, m, n int) *serialEngine {
 	}
 	e.nu = make([]*hwsim.CounterBank, 3)
 	for i, w := range []int{m, m - 1, m - 2} {
-		e.nu[i] = hwsim.NewCounterBank(b.nl, fmt.Sprintf("serial_nu%d", w), 1<<uint(w), uint64(n))
+		store := b.bankStorage(1<<uint(w), func(st *hwfast.State) []uint64 { return st.SerialCounts(i) })
+		e.nu[i] = hwsim.NewCounterBankOver(b.nl, fmt.Sprintf("serial_nu%d", w), store, uint64(n))
 		for pat := 0; pat < 1<<uint(w); pat++ {
 			b.rf.addRef(fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat), 11, widthOf(uint64(n)), e.nu[i].Ref(pat))
 		}

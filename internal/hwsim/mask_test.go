@@ -131,29 +131,33 @@ func TestRegisterLoadMasks(t *testing.T) {
 	}
 }
 
-// TestCounterBankLoadMasks: the banked load port applies the same
-// per-lane mask, independently per counter.
-func TestCounterBankLoadMasks(t *testing.T) {
+// TestSharedStoragePrimitives: a bank built over shared storage counts in
+// that storage, each lane masked to the bank width on its own, and a
+// register built at a shared word loads it through the same mask.
+func TestSharedStoragePrimitives(t *testing.T) {
 	for _, w := range maskWidths {
 		nl := NewNetlist("t")
-		b := NewCounterBank(nl, "b", 4, 1<<uint(w)-1)
 		mask := uint64(1)<<uint(w) - 1
-		for i := 0; i < b.Len(); i++ {
-			b.Load(i, ^uint64(0))
-			if got := b.Value(i); got != mask {
-				t.Errorf("width %d lane %d: Load(^0) = %#x, want %#x", w, i, got, mask)
-			}
+		store := []uint64{mask, mask, mask - 1, mask}
+		b := NewCounterBankOver(nl, "b", store, mask)
+		if b.Len() != len(store) || b.Ref(1) != &store[1] {
+			t.Fatalf("width %d: bank of %d counters does not live in the %d-word store", w, b.Len(), len(store))
 		}
-		b.Load(2, mask+2)
-		if got := b.Value(2); got != 1 {
-			t.Errorf("width %d: Load(mask+2) = %#x, want 1", w, got)
-		}
-		if got := b.Value(1); got != mask {
-			t.Errorf("width %d: neighbouring lane disturbed: %#x", w, got)
-		}
+		b.Inc(2)
 		b.Inc(3) // wrap from all-ones
-		if got := b.Value(3); got != 0 {
-			t.Errorf("width %d: bank Inc from all-ones = %#x, want 0", w, got)
+		if store[2] != mask || store[3] != 0 || store[1] != mask {
+			t.Errorf("width %d: store after Inc(2), Inc(3) = %#x, want [%#x %#x %#x 0]", w, store, mask, mask, mask)
+		}
+		r := NewRegisterAt(nl, "r", mask, &store[0])
+		r.Load(mask + 2)
+		if store[0] != 1 || r.Value() != 1 || r.Ref() != &store[0] {
+			t.Errorf("width %d: Load(mask+2) stored %#x, want 1", w, store[0])
+		}
+		nl.Reset()
+		for i, v := range store {
+			if v != 0 {
+				t.Errorf("width %d: Reset left %#x in store word %d", w, v, i)
+			}
 		}
 	}
 }

@@ -128,12 +128,18 @@ func (c *UpDownCounter) Load(v int64) { c.value = v }
 type Register struct {
 	name  string
 	width int
-	value uint64
+	value *uint64
 }
 
 // NewRegister creates a register wide enough to hold max.
 func NewRegister(nl *Netlist, name string, max uint64) *Register {
-	r := &Register{name: name, width: widthFor(max)}
+	return NewRegisterAt(nl, name, max, new(uint64))
+}
+
+// NewRegisterAt is NewRegister for a register that stores its value at v,
+// storage it shares with another model of the same hardware.
+func NewRegisterAt(nl *Netlist, name string, max uint64, v *uint64) *Register {
+	r := &Register{name: name, width: widthFor(max), value: v}
 	nl.add(r)
 	return r
 }
@@ -153,21 +159,21 @@ func (r *Register) Resources() Resources {
 }
 
 // Reset implements Primitive.
-func (r *Register) Reset() { r.value = 0 }
+func (r *Register) Reset() { *r.value = 0 }
 
 // Load stores v.
-func (r *Register) Load(v uint64) { r.value = v & (1<<uint(r.width) - 1) }
+func (r *Register) Load(v uint64) { *r.value = v & (1<<uint(r.width) - 1) }
 
 // Width returns the register width in bits.
 func (r *Register) Width() int { return r.width }
 
 // Value returns the stored value.
-func (r *Register) Value() uint64 { return r.value }
+func (r *Register) Value() uint64 { return *r.value }
 
 // Ref returns the address of the live value, for a reader that samples it
 // without a call: a register-file multiplexer leg. Only the register's own
-// methods write through it.
-func (r *Register) Ref() *uint64 { return &r.value }
+// methods and the storage's other model (NewRegisterAt) write through it.
+func (r *Register) Ref() *uint64 { return r.value }
 
 // MinMaxTracker records the running minimum and maximum of a signed value —
 // the S_max/S_min registers of the cusum hardware: two registers plus two
@@ -375,7 +381,14 @@ type CounterBank struct {
 
 // NewCounterBank creates n counters, each wide enough to count to max.
 func NewCounterBank(nl *Netlist, name string, n int, max uint64) *CounterBank {
-	b := &CounterBank{name: name, n: n, width: widthFor(max), values: make([]uint64, n)}
+	return NewCounterBankOver(nl, name, make([]uint64, n), max)
+}
+
+// NewCounterBankOver creates one counter per element of values, each wide
+// enough to count to max, storing its counts in values: storage the bank
+// shares with another model of the same hardware.
+func NewCounterBankOver(nl *Netlist, name string, values []uint64, max uint64) *CounterBank {
+	b := &CounterBank{name: name, n: len(values), width: widthFor(max), values: values}
 	nl.add(b)
 	return b
 }
@@ -419,14 +432,9 @@ func (b *CounterBank) Value(i int) uint64 { return b.values[i] }
 
 // Ref returns the address of counter i's live value, for a reader that
 // samples it without a call: a register-file multiplexer leg. The bank
-// never reallocates its counters, and only its own methods write them.
+// never reallocates its counters; only its own methods and the storage's
+// other model (NewCounterBankOver) write them.
 func (b *CounterBank) Ref(i int) *uint64 { return &b.values[i] }
-
-// Load sets counter i directly (mod 2^width) — the parallel load port for
-// the word-level fast path.
-func (b *CounterBank) Load(i int, v uint64) {
-	b.values[i] = v & (1<<uint(b.width) - 1)
-}
 
 // Len returns the number of counters in the bank.
 func (b *CounterBank) Len() int { return b.n }
