@@ -281,7 +281,7 @@ func (m *Monitor) feedWord(w uint64, nbits int, verify bool) (*SequenceReport, e
 	}
 	var last *SequenceReport
 	for nbits > 0 {
-		take := m.block.Config().N - m.block.BitsSeen()
+		take := m.block.N() - m.block.BitsSeen()
 		if take > nbits {
 			take = nbits
 		}
@@ -302,8 +302,33 @@ func (m *Monitor) feedWord(w uint64, nbits int, verify bool) (*SequenceReport, e
 	return last, nil
 }
 
+// errBurstBoundary rejects a FeedWords burst that would reach the
+// sequence boundary; it is preallocated so the rejection allocates nothing.
+var errBurstBoundary = errors.New("core: word burst reaches the sequence boundary")
+
+// FeedWords clocks a burst of whole 64-bit words, ws[0] first, that ends
+// strictly before the current sequence's last bit — the bit-sliced lane
+// feed, where a mid-sequence burst can complete no sequence, so nothing is
+// evaluated, verified or reported inside it. The precondition is checked
+// once per call; a burst that would reach the boundary returns an error
+// and clocks nothing. The bits count toward BitsSeen as FeedWord's do.
+//
+//trnglint:hotpath
+func (m *Monitor) FeedWords(ws []uint64) error {
+	if len(ws) > (m.block.N()-m.block.BitsSeen()-1)/64 {
+		return errBurstBoundary
+	}
+	if err := m.block.ClockWords(ws); err != nil {
+		return err
+	}
+	m.bitsSeen += int64(64 * len(ws))
+	return nil
+}
+
 // SequenceBits reports how many bits of the current (in-flight) sequence
 // the hardware has absorbed — 0 exactly at a sequence boundary.
+//
+//trnglint:hotpath
 func (m *Monitor) SequenceBits() int { return m.block.BitsSeen() }
 
 // QuarantineInFlight discards the in-flight (or completed-but-unevaluated)
@@ -390,7 +415,7 @@ func (m *Monitor) completeSequence(verify bool) (*SequenceReport, error) {
 	}
 	*slot = SequenceReport{
 		Index:    m.seq,
-		StartBit: m.bitsSeen - int64(m.block.Config().N),
+		StartBit: m.bitsSeen - int64(m.block.N()),
 		Report:   rep,
 	}
 	m.seq++

@@ -237,18 +237,21 @@ func (g *laneGroup) tryAdvance(sh *shard, force bool) {
 	}
 }
 
-// step advances the group by a burst of tiles. Non-final tiles are
-// gathered tile-major (up to tileBurst at a time, bounded by the
-// shallowest lane) and absorbed back to back, so the per-lane fifo
-// bookkeeping amortizes across the burst; when the design has residual
-// engines each lane's monitor runs the same 64 bits through them in
-// external mode — the original lane-major words are kept, never
-// reconstructed from the transposed form. Mid-sequence feeds never stop a
-// stream (evaluation, verification and alarms all happen at sequence
-// end), which is what makes consuming a whole burst from the fifos before
-// feeding safe. The final tile of a sequence never enters the engine:
-// finalTile hands each lane its sliceable state back and finishes the
-// sequence on the full internal path.
+// step advances the group by a burst of k tiles, every one short of the
+// sequence's final tile. The burst is gathered tile-major (up to tileBurst
+// words per lane, bounded by the shallowest lane) and absorbed back to
+// back, so the per-lane fifo bookkeeping amortizes across it. The lanes
+// are then fed lane-major: each lane's online tracker takes its k words
+// and, when the design has residual engines, its monitor clocks the same
+// k words through them in external mode in one FeedWords call — the
+// original lane-major words, never reconstructed from the transposed
+// form. A mid-sequence burst reaches no sequence boundary, so nothing
+// inside it can evaluate, stop, quarantine or alarm a stream: that is what
+// makes consuming the whole burst from the fifos before feeding, and
+// feeding each lane's words in one call, safe. The final tile of a
+// sequence never enters the engine: finalTile hands each lane its
+// sliceable state back and finishes the sequence on the full internal
+// path, one word per lane through feedMonitor.
 func (g *laneGroup) step(sh *shard) {
 	fo := &sh.pool.fobs
 	eng := g.eng
@@ -307,30 +310,31 @@ func (g *laneGroup) step(sh *shard) {
 	if err := eng.AbsorbTiles(g.lwK[:k]); err != nil {
 		panic("fleet: lane group out of step: " + err.Error()) //trnglint:alloc impossible-state panic on the failure path
 	}
-	// With no residual engines the monitors have nothing to clock
-	// mid-sequence: the boundary hand-back fast-forwards them. Feeding
-	// after the whole burst preserves each stream's bit order (tile j
-	// before j+1 per lane); the engine and the monitors share no state
-	// between boundaries.
-	if !sh.pool.skipFeed {
-		for j := 0; j < k; j++ {
-			for l := 0; l < nl; l++ {
-				if s := g.lanes[l]; s != nil {
-					s.feedMonitor(g.lwK[j][l], 64)
-				}
-			}
-		}
-	} else if sh.pool.cfg.Online != nil {
-		// With the monitor feed skipped, the online trackers would never
-		// see mid-sequence bits: feed them here, in the same per-lane tile
-		// order the feedMonitor loop (and the serial path) would use, so a
-		// stream's score trajectory is byte-identical either way. Lanes
-		// run outside and tiles inside, so each tracker takes its k words
-		// back to back while its window state is in cache.
+	// Feeding after the whole burst preserves each stream's bit order
+	// (tile j before j+1 per lane); the engine and the monitors share no
+	// state between boundaries. With no residual engines (skipFeed) the
+	// monitors have nothing to clock mid-sequence: the boundary hand-back
+	// fast-forwards them, and only the trackers need the words. A tracker
+	// takes its lane's words in the order the serial path pushes them, so
+	// a stream's score trajectory is byte-identical either way.
+	if feed := !sh.pool.skipFeed; feed || sh.pool.cfg.Online != nil {
+		var ws [tileBurst]uint64
 		for l := 0; l < nl; l++ {
-			if s := g.lanes[l]; s != nil {
+			s := g.lanes[l]
+			if s == nil {
+				continue
+			}
+			if s.tracker != nil {
 				for j := 0; j < k; j++ {
 					s.tracker.Push(g.lwK[j][l], 64)
+				}
+			}
+			if feed {
+				for j := range ws[:k] {
+					ws[j] = g.lwK[j][l]
+				}
+				if err := s.mon.FeedWords(ws[:k]); err != nil {
+					panic(err)
 				}
 			}
 		}

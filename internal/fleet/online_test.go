@@ -325,3 +325,97 @@ func TestOnlineConfigValidation(t *testing.T) {
 		t.Fatal("invalid online window did not error")
 	}
 }
+
+// TestOnlineResidualBitSlicedMatchesSerial covers the bit-sliced tile
+// path that feeds both a lane's tracker and its monitor mid-sequence: a
+// design with residual engines (templates and serial, tests 7, 8, 11, 12)
+// keeps the monitor feed on, so each tile burst reaches every lane as
+// tracker pushes plus one FeedWords call. Sixty-four tenants fill one lane
+// group, one in eight biased hard enough for its tracker to alarm and one
+// in eight pushing ragged 40-bit batches, in observation and in
+// quarantine mode. Every report must equal its serial replay.
+func TestOnlineResidualBitSlicedMatchesSerial(t *testing.T) {
+	const tenants = 64 // one full lane group, so tiles absorb without pressure
+	const batches = 256
+	design, err := hwblock.NewCustomConfig("residual-1024", 1024, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([][]Op, tenants)
+	for i := range ops {
+		rng := rand.New(rand.NewSource(int64(7_000 + i)))
+		ops[i] = make([]Op, batches)
+		for j := range ops[i] {
+			switch i % 8 {
+			case 0: // three ones in four
+				ops[i][j] = Op{Kind: OpRun, Ws: []uint64{rng.Uint64() | rng.Uint64()}}
+			case 1:
+				ops[i][j] = Op{Kind: OpWord, W: rng.Uint64() & (1<<40 - 1), N: 40}
+			default:
+				ops[i][j] = Op{Kind: OpRun, Ws: []uint64{rng.Uint64()}}
+			}
+		}
+	}
+	for _, quarantine := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		cfg := Config{
+			Design:           design,
+			Alpha:            0.01,
+			Shards:           1,
+			QueueDepth:       64,
+			Policy:           Block,
+			BitSliced:        true,
+			Online:           &online.Config{},
+			OnlineQuarantine: quarantine,
+			Obs:              reg,
+		}
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.skipFeed {
+			t.Fatal("a design with residual engines selected the skip-feed path")
+		}
+		streams := make([]*Stream, tenants)
+		for i := range streams {
+			if streams[i], err = p.Register(fmt.Sprintf("resid-%02d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < batches; j++ {
+			for i, s := range streams {
+				if err := ops[i][j].Apply(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reports := make([]StreamReport, tenants)
+		for i, s := range streams {
+			reports[i] = s.Detach()
+		}
+		p.Shutdown()
+
+		serialCfg := cfg
+		serialCfg.BitSliced, serialCfg.Obs = false, nil
+		alarmed := 0
+		for i, r := range reports {
+			if r.OnlineAlarmed {
+				alarmed++
+			}
+			want, err := ReplaySerial(serialCfg, r.Tenant, ops[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertReportsIdentical(t, r, want)
+		}
+		if alarmed == 0 {
+			t.Fatalf("quarantine=%v: no tracker alarmed: trajectory identity was vacuous", quarantine)
+		}
+		if v := reg.Counter("fleet_online_alarms_total", "").Value(); v != uint64(alarmed) {
+			t.Fatalf("quarantine=%v: fleet_online_alarms_total = %d, want %d", quarantine, v, alarmed)
+		}
+		if v := reg.Counter("fleet_sliced_tiles_total", "").Value(); v == 0 {
+			t.Fatalf("quarantine=%v: no tile was absorbed", quarantine)
+		}
+	}
+}

@@ -113,9 +113,9 @@ type Stream struct {
 
 	// Online anomaly tracking (Config.Online; nil otherwise). The tracker
 	// is fed exactly the bits the monitor consumes, in consumption order —
-	// inside feedMonitor on the serial path, and directly from the tile
-	// loop on the skip-feed bit-sliced path — so its trajectory is
-	// byte-identical between the two. alarmCounted makes the aggregate
+	// inside feedMonitor on the serial path and for a sequence's final
+	// tile, and directly from the tile loop for mid-sequence tiles — so
+	// its trajectory is byte-identical between the two. alarmCounted makes the aggregate
 	// alarm counter fire once per stream.
 	tracker      *online.Tracker
 	alarmCounted bool
@@ -406,15 +406,17 @@ func (s *Stream) ingestWord(w uint64, nbits int) {
 // fragment), splitting it at sequence boundaries and handling
 // verified-readout mismatches with the Supervisor's quarantine semantics.
 // No batch accounting happens here — it is the shared core of ingestWord
-// and the bit-sliced tile path, which accounts at consumption instead. It
-// reports whether it stopped early, dropping the remaining bits (breaker
-// opened on an evaluation error, or the alarm latched): on a tile-aligned
-// feed nothing is ever left unconsumed, but the flag tells the caller the
-// serial contract for buffered bits of a batch that straddles the feed.
+// and of the bit-sliced final tile and eviction drain, which account at
+// consumption instead (mid-sequence tiles bypass it: laneGroup.step feeds
+// whole bursts through Monitor.FeedWords). It reports whether it stopped
+// early, dropping the remaining bits (breaker opened on an evaluation
+// error, or the alarm latched): on a tile-aligned feed nothing is ever
+// left unconsumed, but the flag tells the caller the serial contract for
+// buffered bits of a batch that straddles the feed.
 func (s *Stream) feedMonitor(w uint64, nbits int) (stopped bool) {
 	fo := &s.pool.fobs
 	for nbits > 0 {
-		take := s.pool.cfg.Design.N - s.mon.SequenceBits() //trnglint:alloc core.Monitor boundary, measured by its own benchmarks
+		take := s.pool.cfg.Design.N - s.mon.SequenceBits()
 		if take > nbits {
 			take = nbits
 		}

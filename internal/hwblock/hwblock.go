@@ -23,15 +23,16 @@
 // Blocks and register files accept an optional internal/obs registry
 // (SetObs): ingested bits, completed sequences and bus transactions are
 // then counted on the live exposition endpoint. The instrumentation is
-// nil-safe and purely observational — the fast path pays one atomic add
-// per 64-bit word, and the bit-exact equivalence between the two ingest
-// paths is unaffected.
+// nil-safe and purely observational — the fast path pays its atomic adds
+// once per 64-bit word (once per burst through ClockWords), and the
+// bit-exact equivalence between the two ingest paths is unaffected.
 //
 //trnglint:bus16
 //trnglint:deterministic
 package hwblock
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -255,8 +256,8 @@ type Block struct {
 
 	// Observability handles, cached by SetObs; nil-safe no-ops otherwise.
 	// Fast-path bits are counted a word at a time (in flushPending and
-	// ClockWord) so the instrumented hot path pays one atomic add per 64
-	// bits, not per bit.
+	// ClockWord), or a burst at a time (ClockWords), so the instrumented
+	// hot path pays its atomic adds per 64 bits or per burst, not per bit.
 	obsBitsFast  *obs.Counter
 	obsBitsCycle *obs.Counter
 	obsWords     *obs.Counter
@@ -457,6 +458,12 @@ func (b *Block) LoadWordStats(ws *hwfast.WordStats) error {
 // Config returns the block's design configuration.
 func (b *Block) Config() Config { return b.cfg }
 
+// N returns the sequence length, without the copy of the whole design
+// configuration that Config makes.
+//
+//trnglint:hotpath
+func (b *Block) N() int { return b.cfg.N }
+
 // Netlist returns the structural inventory, the input to the area model.
 func (b *Block) Netlist() *hwsim.Netlist { return b.nl }
 
@@ -464,6 +471,8 @@ func (b *Block) Netlist() *hwsim.Netlist { return b.nl }
 func (b *Block) RegFile() *RegFile { return b.rf }
 
 // BitsSeen reports how many bits have been clocked in since reset.
+//
+//trnglint:hotpath
 func (b *Block) BitsSeen() int { return b.bits }
 
 // Done reports whether the block has absorbed a full N-bit sequence (and
@@ -519,6 +528,52 @@ func (b *Block) ClockWord(w uint64, nbits int) error {
 	b.dirty = true
 	b.obsBitsFast.Add(uint64(nbits))
 	b.obsWords.Inc()
+	if b.fast.Done() {
+		b.seqDone()
+	}
+	return nil
+}
+
+// Errors of the burst entry point ClockWords. They are preallocated so
+// that a rejected burst allocates nothing.
+var (
+	errBurstDone = errors.New("hwblock: sequence complete; Reset before feeding more bits")
+	errBurstLong = errors.New("hwblock: word burst passes the end of the sequence")
+)
+
+// ClockWords feeds a burst of whole 64-bit words, ws[0] first, as
+// ClockWord(w, 64) would word by word, with the checks made once for the
+// whole burst: the words must fit in what remains of the sequence (a
+// burst may end exactly at its end), and a rejected burst clocks nothing.
+// On the fast path the ingest counters advance once per call, by the same
+// totals the per-word feed adds. The cycle-accurate path clocks the words
+// one by one through ClockWord.
+//
+//trnglint:hotpath
+func (b *Block) ClockWords(ws []uint64) error {
+	if b.done {
+		return errBurstDone
+	}
+	if len(ws) > (b.cfg.N-b.bits)/64 {
+		return errBurstLong
+	}
+	if b.path != FastPath || b.fast == nil {
+		for _, w := range ws {
+			if err := b.ClockWord(w, 64); err != nil { //trnglint:alloc cycle-accurate reference path: the per-bit netlist simulation, never a bit-sliced lane's (those require the fast path)
+				return err
+			}
+		}
+		return nil
+	}
+	b.flushPending()
+	if err := b.fast.ClockWords(ws); err != nil {
+		return err
+	}
+	n := 64 * len(ws)
+	b.bits += n
+	b.dirty = true
+	b.obsBitsFast.Add(uint64(n))
+	b.obsWords.Add(uint64(len(ws)))
 	if b.fast.Done() {
 		b.seqDone()
 	}

@@ -10,9 +10,12 @@ import (
 // one 64-bit word per op: the model runs in external mode on the
 // n65536-high parameters, as each lane of a bit-sliced fleet group does,
 // so the sliceable engines are skipped and only the template engines
-// (tests 7, 8), the serial engine (tests 11, 12) or both do work.
+// (tests 7, 8), the serial engine (tests 11, 12) or both do work. Each
+// engine set has a per-word row (one ClockWord call per word) and a
+// "-burst16" row feeding the same words 16 per ClockWords call, the
+// bit-sliced lane feed; ns/op is per word in both.
 func BenchmarkHWFastResidual(b *testing.B) {
-	const n = 65536
+	const n, burst = 65536, 16
 	for _, bc := range []struct {
 		name  string
 		tests []int
@@ -21,13 +24,16 @@ func BenchmarkHWFastResidual(b *testing.B) {
 		{"serial", []int{1, 2, 3, 4, 11, 12, 13}},
 		{"both", []int{1, 2, 3, 4, 7, 8, 11, 12, 13}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
+		newState := func(b *testing.B) (*State, []uint64) {
 			st, err := New(n, bc.tests, nist.RecommendedParams(n))
 			if err != nil {
 				b.Fatal(err)
 			}
 			st.SetExternal(true)
-			words := sequenceWords(n, 1)
+			return st, sequenceWords(n, 1)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			st, words := newState(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -37,6 +43,24 @@ func BenchmarkHWFastResidual(b *testing.B) {
 				if err := st.ClockWord(words[i%len(words)], 64); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(bc.name+"-burst16", func(b *testing.B) {
+			st, words := newState(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				if st.Done() {
+					st.Reset()
+				}
+				// n/64 is a multiple of the burst, so a burst never
+				// straddles the sequence end; only the last may be short.
+				w := st.BitsSeen() / 64
+				k := min(burst, b.N-i)
+				if err := st.ClockWords(words[w : w+k]); err != nil {
+					b.Fatal(err)
+				}
+				i += k
 			}
 		})
 	}

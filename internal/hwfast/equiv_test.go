@@ -89,6 +89,40 @@ func feedChunked(t testing.TB, b *hwblock.Block, seq *bitstream.Sequence, chunk 
 	}
 }
 
+// feedBursts pushes the sequence into the block alternating one word of
+// at most chunk bits (ClockWord) with a run of up to burst whole 64-bit
+// words (one ClockWords call), so bursts start at every bit offset the
+// chunking reaches.
+func feedBursts(t testing.TB, b *hwblock.Block, seq *bitstream.Sequence, chunk, burst int) {
+	t.Helper()
+	r := bitstream.NewReader(seq)
+	ws := make([]uint64, 0, burst)
+	for fed := 0; fed < seq.Len(); {
+		w, got, err := r.ReadWord64(min(chunk, seq.Len()-fed))
+		if err != nil {
+			t.Fatalf("ReadWord64 at bit %d: %v", fed, err)
+		}
+		if err := b.ClockWord(w, got); err != nil {
+			t.Fatalf("ClockWord at bit %d: %v", fed, err)
+		}
+		fed += got
+		ws = ws[:0]
+		for len(ws) < burst && seq.Len()-fed >= 64 {
+			w, _, err := r.ReadWord64(64)
+			if err != nil {
+				t.Fatalf("ReadWord64 at bit %d: %v", fed, err)
+			}
+			ws = append(ws, w)
+			fed += 64
+		}
+		if len(ws) > 0 {
+			if err := b.ClockWords(ws); err != nil {
+				t.Fatalf("ClockWords(%d words) ending at bit %d: %v", len(ws), fed, err)
+			}
+		}
+	}
+}
+
 func randomSequence(n int, seed int64) *bitstream.Sequence {
 	rng := rand.New(rand.NewSource(seed))
 	s := bitstream.New(n)
@@ -406,13 +440,15 @@ func TestNewSerialRange(t *testing.T) {
 // FuzzFastPathEquivalence feeds fuzz-chosen streams and word chunkings
 // through the fast and structural paths on designs covering every engine:
 // both n=128 variants, the all-tests custom design, the serial-length
-// designs, and the full n=65536 high design. Register-file images must
+// designs, and the full n=65536 high design. A second fast block takes the
+// same chunking interleaved with runs of fuzz-chosen length (1–16) of
+// whole words, each run one ClockWords burst. Register-file images must
 // agree mid-sequence and at the end.
 func FuzzFastPathEquivalence(f *testing.F) {
-	f.Add([]byte{0x00}, uint8(1))
-	f.Add([]byte{0xff, 0x0f, 0xf0}, uint8(64))
-	f.Add([]byte{0xaa, 0x55, 0x01, 0x80, 0x3c}, uint8(9))
-	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}, uint8(13))
+	f.Add([]byte{0x00}, uint8(1), uint8(0))
+	f.Add([]byte{0xff, 0x0f, 0xf0}, uint8(64), uint8(15))
+	f.Add([]byte{0xaa, 0x55, 0x01, 0x80, 0x3c}, uint8(9), uint8(3))
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}, uint8(13), uint8(7))
 
 	configs := []hwblock.Config{}
 	for _, cfg := range hwblock.AllConfigs() {
@@ -432,8 +468,8 @@ func FuzzFastPathEquivalence(f *testing.F) {
 	}
 	configs = append(configs, big)
 
-	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		chunkN := int(chunk%64) + 1
+	f.Fuzz(func(t *testing.T, data []byte, chunk, burst uint8) {
+		chunkN, burstN := int(chunk%64)+1, int(burst%16)+1
 		for _, cfg := range configs {
 			// Tile the fuzz input out to N bits, MSB-first per byte.
 			seq := bitstream.New(cfg.N)
@@ -445,14 +481,22 @@ func FuzzFastPathEquivalence(f *testing.F) {
 				seq.AppendBit(b)
 			}
 			fast, gold := newPair(t, cfg)
+			bursty, err := hwblock.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			prefix := cfg.N/2 + 1
 			head, tail := seq.Slice(0, prefix), seq.Slice(prefix, cfg.N)
 			feedChunked(t, fast, head, chunkN)
+			feedBursts(t, bursty, head, chunkN, burstN)
 			feedChunked(t, gold, head, 0)
 			compareImages(t, fast, gold, cfg.Name+"/mid")
+			compareImages(t, bursty, gold, cfg.Name+"/mid/bursts")
 			feedChunked(t, fast, tail, chunkN)
+			feedBursts(t, bursty, tail, chunkN, burstN)
 			feedChunked(t, gold, tail, 0)
 			compareImages(t, fast, gold, cfg.Name+"/final")
+			compareImages(t, bursty, gold, cfg.Name+"/final/bursts")
 		}
 	})
 }

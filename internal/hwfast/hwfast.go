@@ -213,6 +213,8 @@ func (st *State) BitsSeen() int { return st.bits }
 
 // Done reports whether a full N-bit sequence has been absorbed (including
 // the end-of-sequence wrap-around feed of the serial test).
+//
+//trnglint:hotpath
 func (st *State) Done() bool { return st.done }
 
 // Walk returns the cumulative-sums state: the current walk value S and the

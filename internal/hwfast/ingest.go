@@ -1,6 +1,7 @@
 package hwfast
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -64,8 +65,41 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 	if rem := st.n - st.bits; nbits > rem {
 		return fmt.Errorf("hwfast: %d bits exceed the %d remaining in the sequence", nbits, rem) //trnglint:alloc argument-validation error path, never taken at line rate
 	}
-	v := w & lowMask(nbits)
+	st.ingest(w&lowMask(nbits), nbits)
+	return nil
+}
 
+// Errors of the burst entry point ClockWords. They are preallocated so
+// that a rejected burst allocates nothing.
+var (
+	errBurstDone = errors.New("hwfast: sequence complete; Reset before feeding more bits")
+	errBurstLong = errors.New("hwfast: word burst passes the end of the sequence")
+)
+
+// ClockWords ingests a burst of whole 64-bit words, ws[0] first, with the
+// argument checks made once for the whole burst: the words must fit in
+// what remains of the sequence (a burst may end exactly at its end). A
+// rejected burst clocks nothing. Each word goes through the same per-word
+// engine code as ClockWord(w, 64), so the two feeds leave identical state.
+//
+//trnglint:hotpath
+func (st *State) ClockWords(ws []uint64) error {
+	if st.done {
+		return errBurstDone
+	}
+	if len(ws) > (st.n-st.bits)/64 {
+		return errBurstLong
+	}
+	for _, w := range ws {
+		st.ingest(w, 64)
+	}
+	return nil
+}
+
+// ingest runs nbits validated bits of v (1..64, bits above nbits clear)
+// through every engine — the one copy of the per-word engine code behind
+// ClockWord and ClockWords.
+func (st *State) ingest(v uint64, nbits int) {
 	// In external (bit-sliced assist) mode the four sliceable engines are
 	// advanced by the lane group; only the residual per-stream-order
 	// engines below run here.
@@ -109,7 +143,6 @@ func (st *State) ClockWord(w uint64, nbits int) error {
 	if st.bits == st.n {
 		st.finalize()
 	}
-	return nil
 }
 
 // Walk folds nbits bits of v (1..64, chronological, LSB first) into the
