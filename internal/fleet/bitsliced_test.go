@@ -583,3 +583,32 @@ func TestVerifyReadoutSlicedMatchesSerial(t *testing.T) {
 		t.Fatal("no transposed tile was ever absorbed")
 	}
 }
+
+// TestRecycleFifo pins the lane-fifo recycler's guard: a fifo still
+// holding bits never returns to the pool, and a drained one comes back
+// empty with its ring rewound. (sync.Pool may drop what it is given, so
+// the acquired fifo is either the recycled one or a fresh one; both must
+// be empty.) TestChaosBitSlicedMatchesSerial's second churn generation
+// runs on recycled fifos end to end.
+func TestRecycleFifo(t *testing.T) {
+	p := &Pool{}
+	f := &laneFifo{}
+	for i := 0; i < 3; i++ {
+		f.put(uint64(i), 64)
+	}
+	f.put(7, 5)
+	p.recycleFifo(f)
+	if p.acquireFifo() == f {
+		t.Fatal("a fifo holding bits was recycled")
+	}
+	for f.n > 0 {
+		_, nb := f.pop()
+		f.bits -= int(nb)
+	}
+	p.recycleFifo(f)
+	g := p.acquireFifo()
+	if g.head != 0 || g.tail != 0 || g.n != 0 || g.bits != 0 || g.cursor != 0 || g.ragged != 0 {
+		t.Fatalf("acquired fifo not empty and rewound: head %d tail %d n %d bits %d cursor %d ragged %d",
+			g.head, g.tail, g.n, g.bits, g.cursor, g.ragged)
+	}
+}

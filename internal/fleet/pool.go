@@ -37,6 +37,14 @@ type Pool struct {
 	// trackers recycles detached streams' online anomaly trackers under
 	// the same discipline (Config.Online pools only).
 	trackers sync.Pool
+	// fifos recycles detached streams' lane fifos (bit-sliced pools
+	// only). A fifo goes back only at finalize, after the detach eviction
+	// has drained it and unlinked its lane; it is touched only on the
+	// shard goroutine, so no producer can still reach it. The staging
+	// buffer is not recycled: Stream.stage writes its slots after its
+	// detached check, so a producer racing Detach could write into a
+	// buffer already handed to another tenant.
+	fifos sync.Pool
 
 	mu sync.Mutex
 	//trnglint:guardedby mu
@@ -157,7 +165,7 @@ func (p *Pool) Register(tenant string) (*Stream, error) {
 		s.credits = make(chan struct{}, 1)
 		s.credits <- struct{}{}
 		s.stg = &stageBuf{}
-		s.fifo = &laneFifo{}
+		s.fifo = p.acquireFifo()
 	}
 	if p.cfg.PerTenantObs && p.cfg.Obs != nil {
 		s.tobs = newTenantObs(p.cfg.Obs, tenant)
@@ -314,6 +322,25 @@ func (p *Pool) acquireTracker() (*online.Tracker, error) {
 func (p *Pool) recycleTracker(t *online.Tracker) {
 	t.Reset()
 	p.trackers.Put(t)
+}
+
+// acquireFifo pops a recycled lane fifo or allocates an empty one.
+func (p *Pool) acquireFifo() *laneFifo {
+	if f, ok := p.fifos.Get().(*laneFifo); ok {
+		return f
+	}
+	return &laneFifo{}
+}
+
+// recycleFifo returns a finalized stream's lane fifo to the pool. The
+// detach drain has popped every batch, so only the ring position is left
+// to rewind; a fifo that still holds bits is dropped, not recycled.
+func (p *Pool) recycleFifo(f *laneFifo) {
+	if f.n != 0 || f.bits != 0 || f.cursor != 0 || f.ragged != 0 {
+		return
+	}
+	f.head, f.tail = 0, 0
+	p.fifos.Put(f)
 }
 
 // removeStream unlinks a finalized stream (shard goroutine only).

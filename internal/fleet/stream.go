@@ -121,9 +121,9 @@ type Stream struct {
 	alarmCounted bool
 
 	// Bit-sliced shard-side state: the stream's lane group and lane index
-	// while sliced (grp nil on the serial path), its lane fifo (like stg,
-	// 2,352 B allocated only for bit-sliced pools), and a reusable scratch
-	// for the sliceable-state hand-back.
+	// while sliced (grp nil on the serial path), its lane fifo (2,352 B,
+	// bit-sliced pools only, recycled through Pool.fifos at finalize), and
+	// a reusable scratch for the sliceable-state hand-back.
 	grp  *laneGroup
 	lane int
 	fifo *laneFifo
@@ -630,6 +630,11 @@ func (s *Stream) finalize() {
 	s.tobs.condition.Set(float64(r.Condition))
 	s.pool.recycleMonitor(s.mon)
 	s.mon = nil
+	if s.fifo != nil {
+		// Detach evicted the stream first, so no lane holds the fifo.
+		s.pool.recycleFifo(s.fifo)
+		s.fifo = nil
+	}
 	s.policy = nil
 	s.pool.removeStream(s)
 	close(s.done)

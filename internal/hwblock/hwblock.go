@@ -464,6 +464,10 @@ func (b *Block) Config() Config { return b.cfg }
 //trnglint:hotpath
 func (b *Block) N() int { return b.cfg.N }
 
+// Name returns the design name, without the copy of the whole design
+// configuration that Config makes.
+func (b *Block) Name() string { return b.cfg.Name }
+
 // Netlist returns the structural inventory, the input to the area model.
 func (b *Block) Netlist() *hwsim.Netlist { return b.nl }
 

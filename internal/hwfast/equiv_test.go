@@ -360,12 +360,15 @@ func TestWordEdgeStraddle(t *testing.T) {
 	}
 }
 
-// serialConfigs are custom designs whose serial pattern length differs
-// from the shipped designs' m = 4: m = 3 and m = 5 beside the 9-bit
-// template tests, m = 5 beside a 3-bit template (so the serial window,
-// not the template, sets the shared lane count), and m = 6, the widest
-// serial length whose banks fit a Block's register space (a serial-only
-// n=128 design).
+// serialConfigs are hand-built designs whose residual window shapes
+// differ from the shipped designs' (serial m = 4, 9-bit templates with
+// B = 000000001), so they take the lane network and the countPatterns
+// tree rather than the straight-line kernels: m = 3 and m = 5 beside the
+// 9-bit template tests, m = 5 beside a 3-bit template (so the serial
+// window, not the template, sets the shared lane count), m = 6, the
+// widest serial length whose banks fit a Block's register space (a
+// serial-only n=128 design), and two other 9-bit templates beside m = 4:
+// the periodic 010101010 and 111100000, whose runs cross word edges.
 func serialConfigs(t testing.TB) []hwblock.Config {
 	t.Helper()
 	all := []int{1, 2, 3, 4, 7, 8, 11, 12, 13}
@@ -382,6 +385,8 @@ func serialConfigs(t testing.TB) []hwblock.Config {
 			p.SerialM, p.TemplateM, p.TemplateB = 5, 3, 0b101
 		}},
 		{"serial-m6-n128", 128, []int{11, 12}, func(p *nist.Params) { p.SerialM = 6 }},
+		{"tpl-periodic-n1024", 1024, all, func(p *nist.Params) { p.TemplateB = 0b010101010 }},
+		{"tpl-runs-n512", 512, []int{1, 3, 7, 8, 11, 12}, func(p *nist.Params) { p.TemplateB = 0b111100000 }},
 	} {
 		cfg, err := hwblock.NewCustomConfig(d.name, d.n, d.tests)
 		if err != nil {
@@ -420,6 +425,47 @@ func TestEquivalenceSerialLengths(t *testing.T) {
 				fast.Reset()
 				gold.Reset()
 			}
+		}
+	}
+}
+
+// TestResidualKernelSelection pins which designs take the straight-line
+// residual kernels: every shipped design and every NewCustomConfig design
+// (whose parameters come from nist.RecommendedParams) at n = 128, 1024,
+// 65536 and 2^20 must, and every hand-built serialConfigs design must
+// not. A parameter change that moved the shipped designs back onto the
+// lane network would fail here, not only in a benchmark.
+func TestResidualKernelSelection(t *testing.T) {
+	designs := hwblock.AllConfigs()
+	subsets := [][]int{{1, 2, 3, 4, 7, 8, 11, 12, 13}, {7}, {8}, {7, 8}, {11}, {12}, {11, 12}, {1, 7, 12}, {3, 8, 11}}
+	for _, n := range []int{128, 1024, 65536, 1 << 20} {
+		for i, tests := range subsets {
+			cfg, err := hwblock.NewCustomConfig(fmt.Sprintf("custom-n%d-%d", n, i), n, tests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			designs = append(designs, cfg)
+		}
+	}
+	residual := 0
+	for _, cfg := range designs {
+		st := newModel(t, cfg)
+		if !st.Residual() {
+			continue
+		}
+		residual++
+		if !st.StraightLine() {
+			t.Errorf("%s: takes the lane network, want the straight-line kernels", cfg.Name)
+		}
+	}
+	// Five shipped designs have residual engines: n128-medium and the
+	// medium and high designs at n = 65536 and 2^20.
+	if want := 5 + 4*len(subsets); residual != want {
+		t.Errorf("%d designs with residual engines, want %d", residual, want)
+	}
+	for _, cfg := range serialConfigs(t) {
+		if newModel(t, cfg).StraightLine() {
+			t.Errorf("%s: takes the straight-line kernels, want the lane network", cfg.Name)
 		}
 	}
 }

@@ -50,6 +50,12 @@
 //     2^m patterns, and each mask's popcount is added to the m-bit bank.
 //     Warm-up fill gating is a valid mask; the narrower banks are lazy
 //     marginals and the cyclic wrap-around feed reuses the same kernel.
+//   - the shipped window shapes (9-bit templates with B = 000000001,
+//     serial m = 4, every design nist.RecommendedParams yields) skip the
+//     lane array: the template masks are erosions of the word and of its
+//     complement over the 8-bit context with compile-time shifts
+//     (erode8), and the m = 4 counts a straight-line split into sixteen
+//     popcounts. The network and tree above serve every other shape.
 //
 //trnglint:deterministic
 package hwfast

@@ -128,13 +128,48 @@ func (st *State) ingest(v uint64, nbits int) {
 		}
 	}
 	if st.Residual() {
-		var lanes [maxTemplateM]uint64
-		st.buildLanes(&lanes, v)
-		if st.hasNO || st.hasOV {
-			st.ingestTemplates(&lanes, nbits)
-		}
-		if st.hasSer {
-			st.ingestSerial(&lanes, v, nbits)
+		valid := lowMask(nbits)
+		if st.shippedShapes() {
+			// Straight-line kernels over the word and its context, held
+			// as the low half of a 128-bit shift (see erode8).
+			lo := st.ctx << uint(64-st.ctxW)
+			if st.hasNO {
+				st.scanNonOverlap(matchNO(v, lo)&valid, nbits)
+			}
+			if st.hasOV {
+				st.scanOverlap(matchOV(v, lo)&valid, nbits)
+			}
+			if st.hasSer {
+				// m = 4: lanes 3 and 2 split the positions to count four
+				// ways, lanes 1 and 0 every position four ways; the
+				// sixteen pattern counts are the pairwise ANDs'
+				// popcounts (bank index lane3·8 + lane2·4 + lane1·2 +
+				// lane0, as in countPatterns).
+				x := st.serialValid(v, valid)
+				l1, l2, l3 := v<<1|lo>>63, v<<2|lo>>62, v<<3|lo>>61
+				x0, x1 := x&^l3, x&l3
+				r0, r1, r2, r3 := ^(l1 | v), v&^l1, l1&^v, l1&v
+				nu := (*[16]uint64)(st.serNu[0])
+				countRow4((*[4]uint64)(nu[0:4]), x0&^l2, r0, r1, r2, r3)
+				countRow4((*[4]uint64)(nu[4:8]), x0&l2, r0, r1, r2, r3)
+				countRow4((*[4]uint64)(nu[8:12]), x1&^l2, r0, r1, r2, r3)
+				countRow4((*[4]uint64)(nu[12:16]), x1&l2, r0, r1, r2, r3)
+			}
+		} else {
+			var lanes [maxTemplateM]uint64
+			st.buildLanes(&lanes, v)
+			if st.hasNO || st.hasOV {
+				mmNO, mmOV := st.templateMasks(&lanes)
+				if st.hasNO {
+					st.scanNonOverlap(mmNO&valid, nbits)
+				}
+				if st.hasOV {
+					st.scanOverlap(mmOV&valid, nbits)
+				}
+			}
+			if st.hasSer {
+				st.countPatterns(&lanes, st.serialValid(v, valid))
+			}
 		}
 		st.slideContext(v, nbits)
 	}
@@ -245,24 +280,20 @@ func (st *State) slideContext(v uint64, nbits int) {
 	}
 }
 
-// ingestTemplates builds the per-word match bitmaps for both template
-// tests with an m-lane AND network, then applies the per-block scan rules
-// to the (rare) set bits. The fixed template enters as an XOR flip mask
-// per lane (all ones where its bit is 0), so the network has no branch.
-func (st *State) ingestTemplates(lanes *[maxTemplateM]uint64, nbits int) {
-	mmNO := ^uint64(0) // windows equal to the fixed template
-	mmOV := ^uint64(0) // windows equal to all ones
+// templateMasks is the template tests' lane network: an m-lane AND
+// network builds the per-word match bitmaps, bit t set iff the window
+// ending at t equals the fixed template (mmNO) or all ones (mmOV). The
+// template enters as an XOR flip mask per lane (all ones where its bit is
+// 0), so the network has no branch. Validity masking, the non-overlapping
+// hold-off scan and the saturating per-block counts then touch only the
+// (rare) set bits.
+func (st *State) templateMasks(lanes *[maxTemplateM]uint64) (mmNO, mmOV uint64) {
+	mmNO, mmOV = ^uint64(0), ^uint64(0)
 	for k, lane := range lanes[:st.winM] {
 		mmNO &= lane ^ (st.noTpl>>uint(k)&1 - 1)
 		mmOV &= lane
 	}
-	valid := lowMask(nbits)
-	if st.hasNO {
-		st.scanNonOverlap(mmNO&valid, nbits)
-	}
-	if st.hasOV {
-		st.scanOverlap(mmOV&valid, nbits)
-	}
+	return mmNO, mmOV
 }
 
 // scanNonOverlap applies block validity and the non-overlapping hold-off
@@ -325,21 +356,20 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 	}
 }
 
-// ingestSerial counts the word's m-bit windows into the m-bit bank. Only
-// that bank is maintained per word; the (m-1)- and (m-2)-bit banks are
-// exact marginals of it, rebuilt lazily by serialSync. During the first
-// m-1 bits of a sequence the word also fills the head register for the
-// cyclic wrap-around feed, and windows that end before bit m-1 are masked
-// off, as the hardware gates its bank on window fill.
-func (st *State) ingestSerial(lanes *[maxTemplateM]uint64, v uint64, nbits int) {
-	m := st.serM
-	valid := lowMask(nbits)
-	if st.bits < m-1 {
-		st.serHead |= v << uint(st.bits) & lowMask(m-1)
-		valid &^= lowMask(m - 1 - st.bits)
+// serialValid narrows valid, the word's positions, to those whose m-bit
+// windows the serial engine counts into the m-bit bank. Only that bank is
+// maintained per word; the (m-1)- and (m-2)-bit banks are exact marginals
+// of it, rebuilt lazily by serialSync. During the first m-1 bits of a
+// sequence the word also fills the head register for the cyclic
+// wrap-around feed, and windows that end before bit m-1 are masked off, as
+// the hardware gates its bank on window fill.
+func (st *State) serialValid(v, valid uint64) uint64 {
+	if fill := st.serM - 1 - st.bits; fill > 0 {
+		st.serHead |= v << uint(st.bits) & (1<<uint(st.serM-1) - 1)
+		valid &^= 1<<uint(fill) - 1
 	}
-	st.countPatterns(lanes, valid)
 	st.serSynced = false
+	return valid
 }
 
 // countPatterns is the serial engine's kernel, the word-level form of the
@@ -378,6 +408,73 @@ func (st *State) countPatterns(lanes *[maxTemplateM]uint64, valid uint64) {
 		c[2] += uint64(bits.OnesCount64(x1 &^ l0))
 		c[3] += uint64(bits.OnesCount64(x1 & l0))
 	}
+}
+
+// shippedShapes reports whether the design's residual engines have the
+// window shapes of every design nist.RecommendedParams yields: 9-bit
+// templates with the non-overlapping template B = 000000001, and serial
+// m = 4. Such designs take the straight-line kernels (matchNO, matchOV,
+// countRow4); any other shape takes the lane network and the
+// countPatterns tree. With 9-bit templates the context is eight bits
+// wide, as the template kernels require.
+func (st *State) shippedShapes() bool {
+	tplOK := !st.hasNO && !st.hasOV || st.winM == 9 && (!st.hasNO || st.noTpl == 1)
+	return tplOK && (!st.hasSer || st.serM == 4)
+}
+
+// erode8 returns, for every bit t of the word hi, the AND of stream bits
+// t-7…t, three erosion steps (by 1, 2 and 4) with compile-time shifts.
+// The bits before the word come from lo, its context: a 128-bit value
+// hi:lo with the eight context bits in lo's top byte, chronological (the
+// bit one clock before the word at bit 63). The second result is lo
+// eroded alike; its bit 63 is the AND over the eight context bits, which
+// delays the erosion by one more clock (e<<1 | elo>>63). The ANDs of
+// lanes 0…7 of the lane network come out of three steps instead of eight
+// lane builds.
+//
+//trnglint:hotpath
+func erode8(hi, lo uint64) (e, elo uint64) {
+	hi &= hi<<1 | lo>>63
+	lo &= lo << 1
+	hi &= hi<<2 | lo>>62
+	lo &= lo << 2
+	hi &= hi<<4 | lo>>60
+	lo &= lo << 4
+	return hi, lo
+}
+
+// matchOV is the overlapping test's match bitmap for the shipped 9-bit
+// all-ones template: the word and its context eroded by 1, 2 and 4 (the
+// ANDs of lanes 0…7), then ANDed with lane 8.
+//
+//trnglint:hotpath
+func matchOV(v, lo uint64) uint64 {
+	e, _ := erode8(v, lo)
+	return e & (v<<8 | lo>>56)
+}
+
+// matchNO is the non-overlapping test's match bitmap for the shipped
+// template B = 000000001, the newest bit set and the eight before it
+// clear: the complement eroded by 1, 2 and 4 and delayed one clock (the
+// ANDs of the complemented lanes 1…8), ANDed with the word (lane 0).
+//
+//trnglint:hotpath
+func matchNO(v, lo uint64) uint64 {
+	z, zlo := erode8(^v, ^lo)
+	return v & (z<<1 | zlo>>63)
+}
+
+// countRow4 is the m = 4 serial kernel's row: it adds the popcount of
+// q & r_j to c[j] for j = 0…3, where q holds the positions whose window
+// has one value of lanes 3 and 2 and r0…r3 split every position by lanes
+// 1 and 0.
+//
+//trnglint:hotpath
+func countRow4(c *[4]uint64, q, r0, r1, r2, r3 uint64) {
+	c[0] += uint64(bits.OnesCount64(q & r0))
+	c[1] += uint64(bits.OnesCount64(q & r1))
+	c[2] += uint64(bits.OnesCount64(q & r2))
+	c[3] += uint64(bits.OnesCount64(q & r3))
 }
 
 // serialSync rebuilds the (m-1)- and (m-2)-bit pattern banks from the
@@ -420,7 +517,9 @@ func reverse(x uint64, w int) uint64 { return bits.Reverse64(x) >> uint(64-w) }
 // wrap-around feed, which continues the stream with the captured head —
 // one more (m-1)-bit word through the pattern kernel. Only the m-bit bank
 // is fed; the wrap makes every bank hold exactly n cyclic windows, so the
-// narrower banks follow from marginalization alone (serialSync).
+// narrower banks follow from marginalization alone (serialSync). It runs
+// once per sequence, so every design takes the lane network and the
+// countPatterns tree here, the shipped m = 4 designs included.
 func (st *State) finalize() {
 	if st.hasSer {
 		var lanes [maxTemplateM]uint64

@@ -130,17 +130,18 @@ func NewEvaluatorWordSize(cv *CriticalValues, wordBits int) (*Evaluator, error) 
 	return nil, fmt.Errorf("sweval: unsupported word size %d", wordBits)
 }
 
-// resolve looks up every register the block's tests read in its register
-// file, unless the evaluator already holds that file's ranges. Each bank
-// must occupy consecutive entries in name order. A test with no software
-// routine, a missing register or a bank that is not contiguous is an error
-// and leaves the previous resolution in place.
+// resolve looks up every register the design's tests read in the block's
+// register file (the caller has checked that the block is the critical
+// values' design), unless the evaluator already holds that file's ranges.
+// Each bank must occupy consecutive entries in name order. A test with no
+// software routine, a missing register or a bank that is not contiguous
+// is an error and leaves the previous resolution in place.
 func (ev *Evaluator) resolve(b *hwblock.Block) error {
 	rf := b.RegFile()
 	if ev.regs.rf == rf {
 		return nil
 	}
-	cfg := b.Config()
+	cfg := &ev.cv.cfg
 	var err error
 	span := func(names ...string) bank {
 		bk := bank{n: len(names)}
@@ -231,15 +232,17 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 // untouched. The block must have absorbed a full sequence.
 func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 	if !b.Done() {
-		return fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.Config().N)
+		return fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.N())
 	}
-	if b.Config().Name != ev.cv.cfg.Name {
-		return fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Config().Name)
+	if b.Name() != ev.cv.cfg.Name {
+		return fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Name())
 	}
 	if err := ev.resolve(b); err != nil {
 		return err
 	}
-	cfg := b.Config()
+	// The block is the design the critical values were built for: read
+	// its tests and parameters in place, without copying the Config.
+	cfg := &ev.cv.cfg
 	regs := &ev.regs
 	if cap(rep.Verdicts) < len(cfg.Tests) {
 		rep.Verdicts = make([]Verdict, 0, len(cfg.Tests))
