@@ -130,6 +130,29 @@ func (c Config) Has(id int) bool {
 	return false
 }
 
+// CheckParams reports an error if a block parameter of an implemented
+// test is below 1: the block-frequency and longest-run block lengths, the
+// non-overlapping test's block count and the overlapping test's block
+// length, which New and the software evaluator (internal/sweval) divide
+// N by.
+func (c Config) CheckParams() error {
+	for _, f := range []struct {
+		test int
+		name string
+		v    int
+	}{
+		{2, "BlockFrequencyM", c.Params.BlockFrequencyM},
+		{4, "LongestRunM", c.Params.LongestRunM},
+		{7, "NonOverlappingN", c.Params.NonOverlappingN},
+		{8, "OverlappingM", c.Params.OverlappingM},
+	} {
+		if c.Has(f.test) && f.v < 1 {
+			return fmt.Errorf("hwblock: design %s: %s = %d, want at least 1", c.Name, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // TestsFor returns the test subset of a variant at sequence length n,
 // following the paper's Table III dot matrix (see DESIGN.md for the
 // inference): light is the five quick-failure tests everywhere; medium adds
@@ -269,16 +292,20 @@ func New(cfg Config) (*Block, error) {
 	if cfg.N < 8 {
 		return nil, fmt.Errorf("hwblock: sequence length %d too small", cfg.N)
 	}
+	if err := cfg.CheckParams(); err != nil {
+		return nil, err
+	}
 	b := &Block{
 		cfg: cfg,
 		nl:  hwsim.NewNetlist(cfg.Name),
 		rf:  NewRegFile(),
 	}
-	// The word-level functional model is the default ingest path. Designs
-	// it cannot model fall back to the cycle-accurate structural path: no
-	// NewConfig or NewCustomConfig design does, but hand-built Params do
-	// (a template length of 10, a serial length of 2; see
-	// TestCycleAccurateFallback). Such a block has no fast model, so
+	// The word-level functional model is the default ingest path. It has
+	// only the window shapes every NewConfig and NewCustomConfig design
+	// uses (9-bit templates with B = 000000001, serial m = 4); a design
+	// with hand-built Params of another shape falls back to the
+	// cycle-accurate structural path (see TestCycleAccurateFallback).
+	// Such a block has no fast model, so
 	// SetPath(FastPath), SetSliced(true) and the word-stats hand-back
 	// refuse it. The model is built first: the engines' counter banks
 	// share its bank storage.

@@ -13,33 +13,22 @@ import (
 // (tests 7, 8), the serial engine (tests 11, 12) or both do work. Each
 // engine set has a per-word row (one ClockWord call per word) and a
 // "-burst16" row feeding the same words 16 per ClockWords call, the
-// bit-sliced lane feed; ns/op is per word in both. The shipped window
-// shapes take the straight-line kernels; "both-generic" runs the same
-// engines with the periodic template 010101010, a hand-built shape that
-// takes the lane network and the countPatterns tree, so the generic
-// path's cost sits beside the shipped rows of the same run.
+// bit-sliced lane feed; ns/op is per word in both, and both rows index
+// the sequence by the model's own bit position.
 func BenchmarkHWFastResidual(b *testing.B) {
 	const n, burst = 65536, 16
-	high := []int{1, 2, 3, 4, 7, 8, 11, 12, 13}
 	for _, bc := range []struct {
 		name  string
 		tests []int
-		tpl   uint32
 	}{
-		{"templates", []int{1, 2, 3, 4, 7, 8, 13}, 0b000000001},
-		{"serial", []int{1, 2, 3, 4, 11, 12, 13}, 0b000000001},
-		{"both", high, 0b000000001},
-		{"both-generic", high, 0b010101010},
+		{"templates", []int{1, 2, 3, 4, 7, 8, 13}},
+		{"serial", []int{1, 2, 3, 4, 11, 12, 13}},
+		{"both", []int{1, 2, 3, 4, 7, 8, 11, 12, 13}},
 	} {
 		newState := func(b *testing.B) (*State, []uint64) {
-			p := nist.RecommendedParams(n)
-			p.TemplateB = bc.tpl
-			st, err := New(n, bc.tests, p)
+			st, err := New(n, bc.tests, nist.RecommendedParams(n))
 			if err != nil {
 				b.Fatal(err)
-			}
-			if st.shippedShapes() != (bc.tpl == 0b000000001) {
-				b.Fatalf("%s: straight-line kernels %v", bc.name, st.shippedShapes())
 			}
 			st.SetExternal(true)
 			return st, sequenceWords(n, 1)
@@ -52,7 +41,7 @@ func BenchmarkHWFastResidual(b *testing.B) {
 				if st.Done() {
 					st.Reset()
 				}
-				if err := st.ClockWord(words[i%len(words)], 64); err != nil {
+				if err := st.ClockWord(words[st.BitsSeen()/64], 64); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -360,49 +360,32 @@ func TestWordEdgeStraddle(t *testing.T) {
 	}
 }
 
-// serialConfigs are hand-built designs whose residual window shapes
-// differ from the shipped designs' (serial m = 4, 9-bit templates with
-// B = 000000001), so they take the lane network and the countPatterns
-// tree rather than the straight-line kernels: m = 3 and m = 5 beside the
-// 9-bit template tests, m = 5 beside a 3-bit template (so the serial
-// window, not the template, sets the shared lane count), m = 6, the
-// widest serial length whose banks fit a Block's register space (a
-// serial-only n=128 design), and two other 9-bit templates beside m = 4:
-// the periodic 010101010 and 111100000, whose runs cross word edges.
+// serialConfigs are the designs with a serial engine that the ragged
+// warm-up schedules run on: the shipped n128-medium and the all-tests
+// NewCustomConfig designs at n = 256 and 1024, where the serial window
+// shares the pattern context with both 9-bit templates.
 func serialConfigs(t testing.TB) []hwblock.Config {
 	t.Helper()
-	all := []int{1, 2, 3, 4, 7, 8, 11, 12, 13}
-	var out []hwblock.Config
-	for _, d := range []struct {
-		name  string
-		n     int
-		tests []int
-		tune  func(p *nist.Params)
-	}{
-		{"serial-m3-n1024", 1024, all, func(p *nist.Params) { p.SerialM = 3 }},
-		{"serial-m5-n256", 256, all, func(p *nist.Params) { p.SerialM = 5 }},
-		{"serial-m5-tpl3-n256", 256, []int{1, 7, 8, 11, 12}, func(p *nist.Params) {
-			p.SerialM, p.TemplateM, p.TemplateB = 5, 3, 0b101
-		}},
-		{"serial-m6-n128", 128, []int{11, 12}, func(p *nist.Params) { p.SerialM = 6 }},
-		{"tpl-periodic-n1024", 1024, all, func(p *nist.Params) { p.TemplateB = 0b010101010 }},
-		{"tpl-runs-n512", 512, []int{1, 3, 7, 8, 11, 12}, func(p *nist.Params) { p.TemplateB = 0b111100000 }},
-	} {
-		cfg, err := hwblock.NewCustomConfig(d.name, d.n, d.tests)
+	medium, err := hwblock.NewConfig(128, hwblock.Medium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []hwblock.Config{medium}
+	for _, n := range []int{256, 1024} {
+		cfg, err := hwblock.NewCustomConfig(fmt.Sprintf("serial-n%d", n), n, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.tune(&cfg.Params)
 		out = append(out, cfg)
 	}
 	return out
 }
 
-// TestEquivalenceSerialLengths runs the serial-length designs under
-// ragged chunk schedules whose first words end inside, at and just past
-// the m-1 warm-up bits, comparing images after every chunk through the
-// warm-up (so the lazy narrower banks are read with a partial head) and
-// at the end, then reuses both blocks for a second sequence after Reset.
+// TestEquivalenceSerialLengths runs the serial designs under ragged chunk
+// schedules whose first words end inside, at and just past the m-1
+// warm-up bits, comparing images after every chunk through the warm-up
+// (so the lazy narrower banks are read with a partial head) and at the
+// end, then reuses both blocks for a second sequence after Reset.
 func TestEquivalenceSerialLengths(t *testing.T) {
 	for _, cfg := range serialConfigs(t) {
 		m := cfg.Params.SerialM
@@ -429,12 +412,12 @@ func TestEquivalenceSerialLengths(t *testing.T) {
 	}
 }
 
-// TestResidualKernelSelection pins which designs take the straight-line
-// residual kernels: every shipped design and every NewCustomConfig design
-// (whose parameters come from nist.RecommendedParams) at n = 128, 1024,
-// 65536 and 2^20 must, and every hand-built serialConfigs design must
-// not. A parameter change that moved the shipped designs back onto the
-// lane network would fail here, not only in a benchmark.
+// TestResidualKernelSelection pins which designs the residual kernels
+// serve: every shipped design and every NewCustomConfig design (whose
+// parameters come from nist.RecommendedParams) at n = 128, 1024, 65536
+// and 2^20 builds a fast model and runs on the fast path. A parameter
+// change that moved the shipped designs off the model's window shapes
+// would fail here, not only in a benchmark.
 func TestResidualKernelSelection(t *testing.T) {
 	designs := hwblock.AllConfigs()
 	subsets := [][]int{{1, 2, 3, 4, 7, 8, 11, 12, 13}, {7}, {8}, {7, 8}, {11}, {12}, {11, 12}, {1, 7, 12}, {3, 8, 11}}
@@ -449,13 +432,15 @@ func TestResidualKernelSelection(t *testing.T) {
 	}
 	residual := 0
 	for _, cfg := range designs {
-		st := newModel(t, cfg)
-		if !st.Residual() {
-			continue
+		if newModel(t, cfg).Residual() {
+			residual++
 		}
-		residual++
-		if !st.StraightLine() {
-			t.Errorf("%s: takes the lane network, want the straight-line kernels", cfg.Name)
+		b, err := hwblock.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Path() != hwblock.FastPath {
+			t.Errorf("%s: runs on the %v path, want the fast path", cfg.Name, b.Path())
 		}
 	}
 	// Five shipped designs have residual engines: n128-medium and the
@@ -463,30 +448,45 @@ func TestResidualKernelSelection(t *testing.T) {
 	if want := 5 + 4*len(subsets); residual != want {
 		t.Errorf("%d designs with residual engines, want %d", residual, want)
 	}
-	for _, cfg := range serialConfigs(t) {
-		if newModel(t, cfg).StraightLine() {
-			t.Errorf("%s: takes the straight-line kernels, want the lane network", cfg.Name)
-		}
-	}
 }
 
-// TestNewSerialRange pins the serial lengths the fast model accepts:
-// [3, 6], m = 6 being the widest whose banks fit a Block's register space.
+// TestNewSerialRange pins the window shapes the fast model accepts: a
+// 9-bit template, the non-overlapping template 000000001 and serial
+// m = 4, each checked on the tests that use it. Every other shape is an
+// error (hwblock runs such a design cycle-accurate).
 func TestNewSerialRange(t *testing.T) {
-	for m := 2; m <= 7; m++ {
-		p := nist.RecommendedParams(128)
-		p.SerialM = m
-		_, err := hwfast.New(128, []int{11, 12}, p)
-		if ok := m >= 3 && m <= 6; (err == nil) != ok {
-			t.Errorf("New with SerialM %d: err = %v, want accepted = %v", m, err, ok)
+	for _, tc := range []struct {
+		name  string
+		tests []int
+		edit  func(*nist.Params)
+		ok    bool
+	}{
+		{"shipped", []int{7, 8, 11, 12}, func(*nist.Params) {}, true},
+		{"serial-m2", []int{11, 12}, func(p *nist.Params) { p.SerialM = 2 }, false},
+		{"serial-m3", []int{11}, func(p *nist.Params) { p.SerialM = 3 }, false},
+		{"serial-m5", []int{12}, func(p *nist.Params) { p.SerialM = 5 }, false},
+		{"serial-m6", []int{11, 12}, func(p *nist.Params) { p.SerialM = 6 }, false},
+		{"template-m3", []int{8}, func(p *nist.Params) { p.TemplateM, p.TemplateB = 3, 0b101 }, false},
+		{"template-m10", []int{7, 8}, func(p *nist.Params) { p.TemplateM = 10 }, false},
+		{"template-010101010", []int{7}, func(p *nist.Params) { p.TemplateB = 0b010101010 }, false},
+		{"template-111100000", []int{7, 8}, func(p *nist.Params) { p.TemplateB = 0b111100000 }, false},
+		// Shapes of tests the design does not implement do not matter.
+		{"serial-m5-without-serial", []int{1, 7, 8}, func(p *nist.Params) { p.SerialM = 5 }, true},
+		{"template-without-templates", []int{1, 11, 12}, func(p *nist.Params) { p.TemplateM, p.TemplateB = 3, 0b101 }, true},
+		{"overlapping-ignores-B", []int{8}, func(p *nist.Params) { p.TemplateB = 0b010101010 }, true},
+	} {
+		p := nist.RecommendedParams(1024)
+		tc.edit(&p)
+		if _, err := hwfast.New(1024, tc.tests, p); (err == nil) != tc.ok {
+			t.Errorf("%s: New err = %v, want accepted = %v", tc.name, err, tc.ok)
 		}
 	}
 }
 
 // FuzzFastPathEquivalence feeds fuzz-chosen streams and word chunkings
 // through the fast and structural paths on designs covering every engine:
-// both n=128 variants, the all-tests custom design, the serial-length
-// designs, and the full n=65536 high design. A second fast block takes the
+// both n=128 variants, the all-tests custom designs at n = 256 and 1024,
+// and the full n=65536 high design. A second fast block takes the
 // same chunking interleaved with runs of fuzz-chosen length (1–16) of
 // whole words, each run one ClockWords burst. Register-file images must
 // agree mid-sequence and at the end.
@@ -502,12 +502,13 @@ func FuzzFastPathEquivalence(f *testing.F) {
 			configs = append(configs, cfg)
 		}
 	}
-	custom, err := hwblock.NewCustomConfig("fuzz-n1024", 1024, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
-	if err != nil {
-		f.Fatal(err)
+	for _, n := range []int{256, 1024} {
+		custom, err := hwblock.NewCustomConfig(fmt.Sprintf("fuzz-n%d", n), n, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
+		if err != nil {
+			f.Fatal(err)
+		}
+		configs = append(configs, custom)
 	}
-	configs = append(configs, custom)
-	configs = append(configs, serialConfigs(f)...)
 	big, err := hwblock.NewConfig(65536, hwblock.High)
 	if err != nil {
 		f.Fatal(err)

@@ -34,28 +34,24 @@
 //     (x &= x>>1). Like the netlist's lr_run and lr_max registers, the
 //     carried run and the block maximum saturate at the top class bound
 //     hi, so the word needs no data-dependent exit.
-//   - shared pattern lanes (tests 7, 8, 11, 12): as in the hardware, one
-//     pattern shift register feeds the template and serial engines. Each
-//     word builds the window lanes once from a single chronological
-//     context register: lane k holds, at bit t, the stream bit from k
-//     clocks ago.
-//   - template tests (7, 8): an m-lane AND network, with the template
-//     applied as an XOR flip mask, builds a per-word match bitmap (bit t
-//     set iff the m-bit window ending at t equals the template); validity
-//     masking, the non-overlapping hold-off scan and the saturating
-//     per-block counts then touch only the set bits.
+//   - shared pattern context (tests 7, 8, 11, 12): as in the hardware,
+//     one 9-bit pattern shift register feeds the template and serial
+//     engines; the model keeps its eight older bits as a context
+//     register, read with the word as one 128-bit value.
+//   - template tests (7, 8): the match bitmaps (bit t set iff the 9-bit
+//     window ending at t equals the template) are erosions of the word
+//     and of its complement by 1, 2 and 4 (erode8); validity masking, the
+//     non-overlapping hold-off scan and the saturating per-block counts
+//     then touch only the set bits.
 //   - serial / approximate entropy (11, 12): the hardware's parallel
-//     pattern counters as pattern masks — a binary AND tree over lanes
-//     0…m-1 yields, per word, the bitmap of windows equal to each of the
-//     2^m patterns, and each mask's popcount is added to the m-bit bank.
-//     Warm-up fill gating is a valid mask; the narrower banks are lazy
-//     marginals and the cyclic wrap-around feed reuses the same kernel.
-//   - the shipped window shapes (9-bit templates with B = 000000001,
-//     serial m = 4, every design nist.RecommendedParams yields) skip the
-//     lane array: the template masks are erosions of the word and of its
-//     complement over the 8-bit context with compile-time shifts
-//     (erode8), and the m = 4 counts a straight-line split into sixteen
-//     popcounts. The network and tree above serve every other shape.
+//     pattern counters as sixteen pattern masks, two window bits split
+//     against the other two, whose popcounts are added to the m-bit
+//     bank; warm-up fill gating is a valid mask and the narrower banks
+//     are lazy marginals.
+//
+// These are the only window shapes: 9-bit templates with B = 000000001
+// and serial m = 4, as every nist.RecommendedParams design has. New
+// rejects any other, and hwblock runs such a design cycle-accurate.
 //
 //trnglint:deterministic
 package hwfast
@@ -105,18 +101,12 @@ type State struct {
 	lrClasses []uint64
 
 	// shared pattern context for the template and serial engines: the
-	// last ctxW = max(template m, serial m) - 1 bits before the current
-	// word, chronological (oldest at bit 0). The window lanes are built
-	// from it once per word.
-	ctxW int
-	ctx  uint64
-
-	// template length (tests 7, 8)
-	winM int
+	// last ctxW bits before the current word, chronological (oldest at
+	// bit 0).
+	ctx uint64
 
 	// non-overlapping template (test 7)
 	hasNO      bool
-	noTpl      uint64
 	noBlockLen int
 	noNBlocks  int
 	noPos      int // bits into the current block
@@ -135,16 +125,27 @@ type State struct {
 
 	// serial / approximate entropy (tests 11, 12)
 	hasSer    bool
-	serM      int
 	serHead   uint64      // first m-1 bits of the sequence, chronological
 	serNu     [3][]uint64 // widths m, m-1, m-2
 	serSynced bool        // narrower banks up to date (see serialSync)
 	serCyclic bool        // wrap-around feed applied; marginals are exact
 }
 
+// The window shapes the model has (see the package doc): the template
+// length, the non-overlapping template and the serial pattern length.
+// The context holds the eight bits a 9-bit window reaches back; the serial
+// windows read its newest three.
+const (
+	tplM = 9
+	tplB = 0b000000001
+	serM = 4
+	ctxW = tplM - 1
+)
+
 // New builds the functional model for a design of n bits implementing the
 // given SP800-22 test subset with parameters p — the same inputs
-// hwblock.New derives its engines from.
+// hwblock.New derives its engines from. Window shapes other than the
+// model's (tplM, tplB, serM) are an error.
 func New(n int, tests []int, p nist.Params) (*State, error) {
 	if n < 8 {
 		return nil, fmt.Errorf("hwfast: sequence length %d too small", n)
@@ -176,15 +177,14 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 		st.lr = lr
 		st.lrClasses = make([]uint64, hi-lo+1)
 	}
-	if has(7) || has(8) {
-		st.winM = p.TemplateM
-		if st.winM < 1 || st.winM > maxTemplateM {
-			return nil, fmt.Errorf("hwfast: template length %d out of range", st.winM)
-		}
+	if (has(7) || has(8)) && p.TemplateM != tplM {
+		return nil, fmt.Errorf("hwfast: template length %d; the model has only %d-bit windows", p.TemplateM, tplM)
 	}
 	if has(7) {
+		if p.TemplateB != tplB {
+			return nil, fmt.Errorf("hwfast: non-overlapping template %0*b; the model has only %0*b", tplM, p.TemplateB, tplM, tplB)
+		}
 		st.hasNO = true
-		st.noTpl = uint64(p.TemplateB)
 		st.noNBlocks = p.NonOverlappingN
 		st.noBlockLen = n / p.NonOverlappingN
 		st.noBank = make([]uint64, p.NonOverlappingN)
@@ -196,18 +196,14 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 		st.ovClasses = make([]uint64, st.ovK+1)
 	}
 	if has(11) || has(12) {
-		// m = 6 is the widest serial length whose three banks fit the
-		// 7-bit register address space (hwblock.New checks that first).
-		if p.SerialM < 3 || p.SerialM > maxSerialM {
-			return nil, fmt.Errorf("hwfast: serial pattern length %d out of range [3,%d]", p.SerialM, maxSerialM)
+		if p.SerialM != serM {
+			return nil, fmt.Errorf("hwfast: serial pattern length %d; the model has only m = %d", p.SerialM, serM)
 		}
 		st.hasSer = true
-		st.serM = p.SerialM
-		for i, w := range []int{p.SerialM, p.SerialM - 1, p.SerialM - 2} {
-			st.serNu[i] = make([]uint64, 1<<uint(w))
+		for i := range st.serNu {
+			st.serNu[i] = make([]uint64, 1<<(serM-i))
 		}
 	}
-	st.ctxW = max(st.winM, st.serM, 1) - 1
 	return st, nil
 }
 

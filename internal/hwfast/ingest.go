@@ -128,48 +128,30 @@ func (st *State) ingest(v uint64, nbits int) {
 		}
 	}
 	if st.Residual() {
-		valid := lowMask(nbits)
-		if st.shippedShapes() {
-			// Straight-line kernels over the word and its context, held
-			// as the low half of a 128-bit shift (see erode8).
-			lo := st.ctx << uint(64-st.ctxW)
-			if st.hasNO {
-				st.scanNonOverlap(matchNO(v, lo)&valid, nbits)
-			}
-			if st.hasOV {
-				st.scanOverlap(matchOV(v, lo)&valid, nbits)
-			}
-			if st.hasSer {
-				// m = 4: lanes 3 and 2 split the positions to count four
-				// ways, lanes 1 and 0 every position four ways; the
-				// sixteen pattern counts are the pairwise ANDs'
-				// popcounts (bank index lane3·8 + lane2·4 + lane1·2 +
-				// lane0, as in countPatterns).
-				x := st.serialValid(v, valid)
-				l1, l2, l3 := v<<1|lo>>63, v<<2|lo>>62, v<<3|lo>>61
-				x0, x1 := x&^l3, x&l3
-				r0, r1, r2, r3 := ^(l1 | v), v&^l1, l1&^v, l1&v
-				nu := (*[16]uint64)(st.serNu[0])
-				countRow4((*[4]uint64)(nu[0:4]), x0&^l2, r0, r1, r2, r3)
-				countRow4((*[4]uint64)(nu[4:8]), x0&l2, r0, r1, r2, r3)
-				countRow4((*[4]uint64)(nu[8:12]), x1&^l2, r0, r1, r2, r3)
-				countRow4((*[4]uint64)(nu[12:16]), x1&l2, r0, r1, r2, r3)
-			}
-		} else {
-			var lanes [maxTemplateM]uint64
-			st.buildLanes(&lanes, v)
-			if st.hasNO || st.hasOV {
-				mmNO, mmOV := st.templateMasks(&lanes)
-				if st.hasNO {
-					st.scanNonOverlap(mmNO&valid, nbits)
-				}
-				if st.hasOV {
-					st.scanOverlap(mmOV&valid, nbits)
-				}
-			}
-			if st.hasSer {
-				st.countPatterns(&lanes, st.serialValid(v, valid))
-			}
+		// The word and its context, held as the low half of a 128-bit
+		// shift (see erode8).
+		valid, lo := lowMask(nbits), st.ctx<<(64-ctxW)
+		if st.hasNO {
+			st.scanNonOverlap(matchNO(v, lo)&valid, nbits)
+		}
+		if st.hasOV {
+			st.scanOverlap(matchOV(v, lo)&valid, nbits)
+		}
+		if st.hasSer {
+			// Lane k holds, at bit t, the stream bit from k clocks ago;
+			// a window's pattern index is lane3·8 + lane2·4 + lane1·2 +
+			// lane0. Lanes 3 and 2 split the positions to count four
+			// ways, lanes 1 and 0 every position four ways; the sixteen
+			// pattern counts are the pairwise ANDs' popcounts.
+			x := st.serialValid(v, valid)
+			l1, l2, l3 := v<<1|lo>>63, v<<2|lo>>62, v<<3|lo>>61
+			x0, x1 := x&^l3, x&l3
+			r0, r1, r2, r3 := ^(l1 | v), v&^l1, l1&^v, l1&v
+			nu := (*[16]uint64)(st.serNu[0])
+			countRow4((*[4]uint64)(nu[0:4]), x0&^l2, r0, r1, r2, r3)
+			countRow4((*[4]uint64)(nu[4:8]), x0&l2, r0, r1, r2, r3)
+			countRow4((*[4]uint64)(nu[8:12]), x1&^l2, r0, r1, r2, r3)
+			countRow4((*[4]uint64)(nu[12:16]), x1&l2, r0, r1, r2, r3)
 		}
 		st.slideContext(v, nbits)
 	}
@@ -254,52 +236,20 @@ func (st *State) ingestRuns(v uint64, nbits int) {
 	st.prev = byte(v >> uint(nbits-1) & 1)
 }
 
-// The widest windows the engines accept; lanes 0…m-1 serve an m-bit
-// window, so the template limit also sizes the lane array.
-const maxTemplateM, maxSerialM = 9, 6
-
-// buildLanes fills lanes 0…ctxW for the word v: lane k holds, at bit t,
-// the stream bit from k clocks ago, so bit t of lanes 0…m-1 together is
-// the m-bit window ending at t. Bits older than the word come from the
-// shared context register.
-func (st *State) buildLanes(lanes *[maxTemplateM]uint64, v uint64) {
-	w := st.ctxW
-	for k := range lanes[:w+1] {
-		lanes[k] = v<<uint(k) | st.ctx>>uint(w-k)
-	}
-}
-
 // slideContext moves the shared ctxW-bit context register past the
 // ingested word.
 func (st *State) slideContext(v uint64, nbits int) {
-	w := st.ctxW
-	if nbits >= w {
-		st.ctx = v >> uint(nbits-w) & lowMask(w)
+	if nbits >= ctxW {
+		st.ctx = v >> uint(nbits-ctxW) & lowMask(ctxW)
 	} else {
-		st.ctx = (st.ctx | v<<uint(w)) >> uint(nbits) & lowMask(w)
+		st.ctx = (st.ctx | v<<ctxW) >> uint(nbits) & lowMask(ctxW)
 	}
-}
-
-// templateMasks is the template tests' lane network: an m-lane AND
-// network builds the per-word match bitmaps, bit t set iff the window
-// ending at t equals the fixed template (mmNO) or all ones (mmOV). The
-// template enters as an XOR flip mask per lane (all ones where its bit is
-// 0), so the network has no branch. Validity masking, the non-overlapping
-// hold-off scan and the saturating per-block counts then touch only the
-// (rare) set bits.
-func (st *State) templateMasks(lanes *[maxTemplateM]uint64) (mmNO, mmOV uint64) {
-	mmNO, mmOV = ^uint64(0), ^uint64(0)
-	for k, lane := range lanes[:st.winM] {
-		mmNO &= lane ^ (st.noTpl>>uint(k)&1 - 1)
-		mmOV &= lane
-	}
-	return mmNO, mmOV
 }
 
 // scanNonOverlap applies block validity and the non-overlapping hold-off
 // to the match bitmap. A match ending at in-block position p counts only
-// if the whole window lies inside the block (p ≥ m-1) and no counted match
-// ended within the previous m-1 bits.
+// if the whole window lies inside the block (p ≥ 8) and no counted match
+// ended within the previous eight bits.
 func (st *State) scanNonOverlap(mm uint64, nbits int) {
 	off := 0
 	for off < nbits {
@@ -308,13 +258,13 @@ func (st *State) scanNonOverlap(mm uint64, nbits int) {
 			take = rem
 		}
 		seg := mm >> uint(off) & lowMask(take)
-		if inv := st.winM - 1 - st.noPos; inv > 0 {
+		if inv := tplM - 1 - st.noPos; inv > 0 {
 			seg &^= lowMask(inv)
 		}
 		for s := seg; s != 0; s &= s - 1 {
 			if p := st.noPos + bits.TrailingZeros64(s); p >= st.noNext {
 				st.noW++
-				st.noNext = p + st.winM
+				st.noNext = p + tplM
 			}
 		}
 		st.noPos += take
@@ -339,7 +289,7 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 			take = rem
 		}
 		seg := mm >> uint(off) & lowMask(take)
-		if inv := st.winM - 1 - st.ovPos; inv > 0 {
+		if inv := tplM - 1 - st.ovPos; inv > 0 {
 			seg &^= lowMask(inv)
 		}
 		if c := bits.OnesCount64(seg); c > 0 {
@@ -364,62 +314,12 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 // wrap-around feed, and windows that end before bit m-1 are masked off, as
 // the hardware gates its bank on window fill.
 func (st *State) serialValid(v, valid uint64) uint64 {
-	if fill := st.serM - 1 - st.bits; fill > 0 {
-		st.serHead |= v << uint(st.bits) & (1<<uint(st.serM-1) - 1)
+	if fill := serM - 1 - st.bits; fill > 0 {
+		st.serHead |= v << uint(st.bits) & (1<<(serM-1) - 1)
 		valid &^= 1<<uint(fill) - 1
 	}
 	st.serSynced = false
 	return valid
-}
-
-// countPatterns is the serial engine's kernel, the word-level form of the
-// hardware's parallel pattern counters. A binary AND tree over lanes
-// m-1…0, rooted at valid, splits the positions to count into the 2^m
-// pattern masks (mask p has bit t set iff the window ending at t equals
-// p, newest bit as p's LSB), and each mask's popcount is added to its
-// counter in the m-bit bank: 2^(m+1) ANDs and 2^m popcounts per word, with
-// no memory dependency chain between the counters.
-//
-//trnglint:hotpath
-func (st *State) countPatterns(lanes *[maxTemplateM]uint64, valid uint64) {
-	m := st.serM
-	// After the level for lane k, masks[i] marks the valid positions
-	// whose window bits m-1…k spell i. The last two levels (lanes 1 and
-	// 0) are fused into the popcounts, four patterns per mask.
-	var masks [1 << (maxSerialM - 2)]uint64
-	masks[0] = valid
-	n := 1
-	for k := m - 1; k > 1; k-- {
-		lane := lanes[k]
-		for i := n - 1; i >= 0; i-- {
-			x := masks[i]
-			masks[2*i+1] = x & lane
-			masks[2*i] = x &^ lane
-		}
-		n *= 2
-	}
-	l1, l0 := lanes[1], lanes[0]
-	nu0 := st.serNu[0][:4*n]
-	for i, x := range masks[:n] {
-		x0, x1 := x&^l1, x&l1
-		c := nu0[4*i : 4*i+4]
-		c[0] += uint64(bits.OnesCount64(x0 &^ l0))
-		c[1] += uint64(bits.OnesCount64(x0 & l0))
-		c[2] += uint64(bits.OnesCount64(x1 &^ l0))
-		c[3] += uint64(bits.OnesCount64(x1 & l0))
-	}
-}
-
-// shippedShapes reports whether the design's residual engines have the
-// window shapes of every design nist.RecommendedParams yields: 9-bit
-// templates with the non-overlapping template B = 000000001, and serial
-// m = 4. Such designs take the straight-line kernels (matchNO, matchOV,
-// countRow4); any other shape takes the lane network and the
-// countPatterns tree. With 9-bit templates the context is eight bits
-// wide, as the template kernels require.
-func (st *State) shippedShapes() bool {
-	tplOK := !st.hasNO && !st.hasOV || st.winM == 9 && (!st.hasNO || st.noTpl == 1)
-	return tplOK && (!st.hasSer || st.serM == 4)
 }
 
 // erode8 returns, for every bit t of the word hi, the AND of stream bits
@@ -428,9 +328,9 @@ func (st *State) shippedShapes() bool {
 // hi:lo with the eight context bits in lo's top byte, chronological (the
 // bit one clock before the word at bit 63). The second result is lo
 // eroded alike; its bit 63 is the AND over the eight context bits, which
-// delays the erosion by one more clock (e<<1 | elo>>63). The ANDs of
-// lanes 0…7 of the lane network come out of three steps instead of eight
-// lane builds.
+// delays the erosion by one more clock (e<<1 | elo>>63). The AND over a
+// window's eight newest bits comes out of three steps instead of eight
+// shifted copies of the word.
 //
 //trnglint:hotpath
 func erode8(hi, lo uint64) (e, elo uint64) {
@@ -443,9 +343,9 @@ func erode8(hi, lo uint64) (e, elo uint64) {
 	return hi, lo
 }
 
-// matchOV is the overlapping test's match bitmap for the shipped 9-bit
-// all-ones template: the word and its context eroded by 1, 2 and 4 (the
-// ANDs of lanes 0…7), then ANDed with lane 8.
+// matchOV is the overlapping test's match bitmap for the 9-bit all-ones
+// template: the word and its context eroded by 1, 2 and 4 (the AND of
+// the window's eight newest bits), then ANDed with its oldest bit.
 //
 //trnglint:hotpath
 func matchOV(v, lo uint64) uint64 {
@@ -453,10 +353,10 @@ func matchOV(v, lo uint64) uint64 {
 	return e & (v<<8 | lo>>56)
 }
 
-// matchNO is the non-overlapping test's match bitmap for the shipped
-// template B = 000000001, the newest bit set and the eight before it
-// clear: the complement eroded by 1, 2 and 4 and delayed one clock (the
-// ANDs of the complemented lanes 1…8), ANDed with the word (lane 0).
+// matchNO is the non-overlapping test's match bitmap for the template
+// B = 000000001, the newest bit set and the eight before it clear: the
+// complement eroded by 1, 2 and 4 and delayed one clock (the AND of the
+// complemented eight older bits), ANDed with the word (the newest bit).
 //
 //trnglint:hotpath
 func matchNO(v, lo uint64) uint64 {
@@ -464,7 +364,7 @@ func matchNO(v, lo uint64) uint64 {
 	return v & (z<<1 | zlo>>63)
 }
 
-// countRow4 is the m = 4 serial kernel's row: it adds the popcount of
+// countRow4 is a row of the serial kernel: it adds the popcount of
 // q & r_j to c[j] for j = 0…3, where q holds the positions whose window
 // has one value of lanes 3 and 2 and r0…r3 split every position by lanes
 // 1 and 0.
@@ -490,7 +390,7 @@ func (st *State) serialSync() {
 	if !st.hasSer || st.serSynced {
 		return
 	}
-	m := st.serM
+	const m = serM
 	nu0, nu1, nu2 := st.serNu[0], st.serNu[1], st.serNu[2]
 	top0 := 1 << uint(m-1)
 	for p := range nu1 {
@@ -514,17 +414,18 @@ func (st *State) serialSync() {
 func reverse(x uint64, w int) uint64 { return bits.Reverse64(x) >> uint(64-w) }
 
 // finalize runs the end-of-sequence fixups: the serial test's cyclic
-// wrap-around feed, which continues the stream with the captured head —
-// one more (m-1)-bit word through the pattern kernel. Only the m-bit bank
-// is fed; the wrap makes every bank hold exactly n cyclic windows, so the
-// narrower banks follow from marginalization alone (serialSync). It runs
-// once per sequence, so every design takes the lane network and the
-// countPatterns tree here, the shipped m = 4 designs included.
+// wrap-around feed, which continues the stream with the captured head.
+// The m-1 windows ending in the head are counted one at a time from the
+// tail context and the head (oldest bit the pattern's most significant).
+// Only the m-bit bank is fed; the wrap makes every bank hold exactly n
+// cyclic windows, so the narrower banks follow from marginalization alone
+// (serialSync).
 func (st *State) finalize() {
 	if st.hasSer {
-		var lanes [maxTemplateM]uint64
-		st.buildLanes(&lanes, st.serHead)
-		st.countPatterns(&lanes, lowMask(st.serM-1))
+		x := st.ctx | st.serHead<<ctxW
+		for end := ctxW; end < ctxW+serM-1; end++ {
+			st.serNu[0][reverse(x>>(end-serM+1), serM)]++
+		}
 		st.serCyclic = true
 		st.serSynced = false
 	}

@@ -10,22 +10,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/nist"
 )
 
-// TestErosionMatchesNetwork checks the straight-line template kernels
-// against the lane network they replace: for every 8-bit context, edge
-// and random words and word sizes down to one bit, matchNO and matchOV
-// must equal the network's match bitmaps on every valid position.
+// TestErosionMatchesNetwork checks the template kernels against the AND
+// network over the nine window bits, evaluated one position at a time: for
+// every 8-bit context, edge and random words and word sizes down to one
+// bit, matchNO and matchOV must equal a per-position scan of the 9-bit
+// window over the context and the word on every valid position.
 func TestErosionMatchesNetwork(t *testing.T) {
-	st, err := New(65536, []int{7, 8, 11, 12}, nist.RecommendedParams(65536))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ctxW != 8 || !st.shippedShapes() {
-		t.Fatalf("n65536 template design: ctxW %d, shipped shapes %v; want 8, true", st.ctxW, st.shippedShapes())
-	}
 	words := []uint64{
 		0, ^uint64(0), 1, 1 << 63, 1 << 8, 1<<8 | 1, 0x1ff, 0x1ff << 55, 0xff << 56,
 		1 << 56, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa, 0x8040201008040201,
@@ -36,20 +28,37 @@ func TestErosionMatchesNetwork(t *testing.T) {
 		words = append(words, rng.Uint64(), rng.Uint64()&rng.Uint64()&rng.Uint64(), rng.Uint64()|rng.Uint64())
 	}
 	for ctx := uint64(0); ctx < 256; ctx++ {
-		st.ctx = ctx
 		lo := ctx << 56
 		for _, w := range words {
 			for _, nbits := range []int{1, 2, 7, 8, 9, 31, 63, 64} {
 				valid := lowMask(nbits)
 				v := w & valid
-				var lanes [maxTemplateM]uint64
-				st.buildLanes(&lanes, v)
-				no, ov := st.templateMasks(&lanes)
-				if got := matchNO(v, lo) & valid; got != no&valid {
-					t.Fatalf("ctx %#02x word %#016x nbits %d: matchNO %#016x, network %#016x", ctx, v, nbits, got, no&valid)
+				// bit(i) is the stream bit i clocks after the word's
+				// first; the context holds bits -8…-1.
+				bit := func(i int) uint64 {
+					if i < 0 {
+						return ctx >> uint(i+8) & 1
+					}
+					return v >> uint(i) & 1
 				}
-				if got := matchOV(v, lo) & valid; got != ov&valid {
-					t.Fatalf("ctx %#02x word %#016x nbits %d: matchOV %#016x, network %#016x", ctx, v, nbits, got, ov&valid)
+				var no, ov uint64
+				for end := 0; end < nbits; end++ {
+					ones := 0
+					for k := 0; k < tplM; k++ {
+						ones += int(bit(end - k))
+					}
+					if ones == tplM {
+						ov |= 1 << uint(end)
+					}
+					if ones == 1 && bit(end) == 1 {
+						no |= 1 << uint(end)
+					}
+				}
+				if got := matchNO(v, lo) & valid; got != no {
+					t.Fatalf("ctx %#02x word %#016x nbits %d: matchNO %#016x, scan %#016x", ctx, v, nbits, got, no)
+				}
+				if got := matchOV(v, lo) & valid; got != ov {
+					t.Fatalf("ctx %#02x word %#016x nbits %d: matchOV %#016x, scan %#016x", ctx, v, nbits, got, ov)
 				}
 			}
 		}

@@ -107,6 +107,9 @@ func NewCriticalValues(cfg hwblock.Config, alpha float64, opts ...Option) (*Crit
 	if alpha <= 0 || alpha >= 0.5 {
 		return nil, fmt.Errorf("sweval: alpha %g out of range", alpha)
 	}
+	if err := cfg.CheckParams(); err != nil {
+		return nil, err
+	}
 	n := float64(cfg.N)
 	cv := &CriticalValues{
 		Alpha:      alpha,
