@@ -91,21 +91,23 @@ func TestCycleAccurateFallback(t *testing.T) {
 }
 
 // TestZeroBlockParams pins that a hand-built design with a block
-// parameter of 0 is an error, not an integer-division panic, in every
+// parameter of 0, or with more non-overlapping blocks than bits (0-bit
+// blocks), is an error, not an integer-division panic, in every
 // constructor that derives bank sizes from it: hwblock.New,
 // sweval.NewCriticalValues and fleet.New (serial and bit-sliced).
 func TestZeroBlockParams(t *testing.T) {
 	for _, tc := range []struct {
-		field string
-		edit  func(*nist.Params)
+		name, field string
+		edit        func(*nist.Params)
 	}{
-		{"BlockFrequencyM", func(p *nist.Params) { p.BlockFrequencyM = 0 }},
-		{"LongestRunM", func(p *nist.Params) { p.LongestRunM = 0 }},
-		{"NonOverlappingN", func(p *nist.Params) { p.NonOverlappingN = 0 }},
-		{"OverlappingM", func(p *nist.Params) { p.OverlappingM = 0 }},
+		{"BlockFrequencyM", "BlockFrequencyM", func(p *nist.Params) { p.BlockFrequencyM = 0 }},
+		{"LongestRunM", "LongestRunM", func(p *nist.Params) { p.LongestRunM = 0 }},
+		{"NonOverlappingN", "NonOverlappingN", func(p *nist.Params) { p.NonOverlappingN = 0 }},
+		{"OverlappingM", "OverlappingM", func(p *nist.Params) { p.OverlappingM = 0 }},
+		{"NonOverlappingN-above-N", "NonOverlappingN", func(p *nist.Params) { p.NonOverlappingN = 1025 }},
 	} {
-		t.Run(tc.field, func(t *testing.T) {
-			cfg, err := hwblock.NewCustomConfig("zero-"+tc.field, 1024, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := hwblock.NewCustomConfig("zero-"+tc.name, 1024, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -134,7 +134,8 @@ func (c Config) Has(id int) bool {
 // test is below 1: the block-frequency and longest-run block lengths, the
 // non-overlapping test's block count and the overlapping test's block
 // length, which New and the software evaluator (internal/sweval) divide
-// N by.
+// N by. A non-overlapping block count above N, whose blocks would be 0
+// bits long, is an error too.
 func (c Config) CheckParams() error {
 	for _, f := range []struct {
 		test int
@@ -149,6 +150,9 @@ func (c Config) CheckParams() error {
 		if c.Has(f.test) && f.v < 1 {
 			return fmt.Errorf("hwblock: design %s: %s = %d, want at least 1", c.Name, f.name, f.v)
 		}
+	}
+	if c.Has(7) && c.Params.NonOverlappingN > c.N {
+		return fmt.Errorf("hwblock: design %s: NonOverlappingN = %d leaves 0-bit blocks of an %d-bit sequence", c.Name, c.Params.NonOverlappingN, c.N)
 	}
 	return nil
 }

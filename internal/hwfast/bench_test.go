@@ -6,6 +6,9 @@ import (
 	"repro/internal/nist"
 )
 
+// serialSink keeps BenchmarkHWFastResidual's bank reads live.
+var serialSink []uint64
+
 // BenchmarkHWFastResidual measures the residual per-stream engines alone,
 // one 64-bit word per op: the model runs in external mode on the
 // n65536-high parameters, as each lane of a bit-sliced fleet group does,
@@ -14,7 +17,11 @@ import (
 // engine set has a per-word row (one ClockWord call per word) and a
 // "-burst16" row feeding the same words 16 per ClockWords call, the
 // bit-sliced lane feed; ns/op is per word in both, and both rows index
-// the sequence by the model's own bit position.
+// the sequence by the model's own bit position. The n128-serial row is
+// per sequence instead: a Reset, the two words of an n128-medium sequence
+// in one ClockWords call and one SerialCounts read, so it shows the
+// pattern banks' once-per-sequence rebuild, which a short sequence pays
+// at every boundary.
 func BenchmarkHWFastResidual(b *testing.B) {
 	const n, burst = 65536, 16
 	for _, bc := range []struct {
@@ -65,4 +72,21 @@ func BenchmarkHWFastResidual(b *testing.B) {
 			}
 		})
 	}
+	b.Run("n128-serial", func(b *testing.B) {
+		const n = 128
+		st, err := New(n, []int{1, 2, 3, 4, 11, 12, 13}, nist.RecommendedParams(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		words := sequenceWords(n, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.Reset()
+			if err := st.ClockWords(words); err != nil {
+				b.Fatal(err)
+			}
+			serialSink = st.SerialCounts(0)
+		}
+	})
 }

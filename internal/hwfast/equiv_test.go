@@ -483,6 +483,56 @@ func TestNewSerialRange(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBlockParams pins New's parameter guard: a block parameter
+// below 1 on a test the design implements (a non-overlapping block count
+// above n too, which leaves 0-bit blocks) is an error, so a direct caller
+// gets no model whose first word would divide by zero or scan forever.
+// Rejected designs are never clocked; each accepted one runs a whole
+// sequence.
+func TestNewRejectsBlockParams(t *testing.T) {
+	const n = 65536
+	for _, tc := range []struct {
+		name  string
+		tests []int
+		edit  func(*nist.Params)
+		ok    bool
+	}{
+		{"shipped", []int{2, 4, 7, 8}, func(*nist.Params) {}, true},
+		{"block-frequency-0", []int{2}, func(p *nist.Params) { p.BlockFrequencyM = 0 }, false},
+		{"longest-run-0", []int{4}, func(p *nist.Params) { p.LongestRunM = 0 }, false},
+		{"non-overlapping-0", []int{7}, func(p *nist.Params) { p.NonOverlappingN = 0 }, false},
+		{"non-overlapping-negative", []int{7}, func(p *nist.Params) { p.NonOverlappingN = -8 }, false},
+		{"non-overlapping-above-n", []int{7}, func(p *nist.Params) { p.NonOverlappingN = n + 1 }, false},
+		{"non-overlapping-n", []int{7}, func(p *nist.Params) { p.NonOverlappingN = n }, true},
+		{"overlapping-0", []int{8}, func(p *nist.Params) { p.OverlappingM = 0 }, false},
+		{"overlapping-negative", []int{8, 11}, func(p *nist.Params) { p.OverlappingM = -1 }, false},
+		{"overlapping-1", []int{8}, func(p *nist.Params) { p.OverlappingM = 1 }, true},
+		// Parameters of tests the design does not implement do not matter.
+		{"zeros-without-their-tests", []int{1, 3, 11, 12, 13}, func(p *nist.Params) {
+			p.BlockFrequencyM, p.LongestRunM, p.NonOverlappingN, p.OverlappingM = 0, 0, 0, 0
+		}, true},
+	} {
+		p := nist.RecommendedParams(n)
+		tc.edit(&p)
+		st, err := hwfast.New(n, tc.tests, p)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New err = %v, want accepted = %v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		for _, w := range randomWords(n/64, 5) {
+			if err := st.ClockWord(w, 64); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !st.Done() {
+			t.Errorf("%s: not done after %d bits", tc.name, n)
+		}
+	}
+}
+
 // FuzzFastPathEquivalence feeds fuzz-chosen streams and word chunkings
 // through the fast and structural paths on designs covering every engine:
 // both n=128 variants, the all-tests custom designs at n = 256 and 1024,

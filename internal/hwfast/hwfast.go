@@ -42,12 +42,17 @@
 //     window ending at t equals the template) are erosions of the word
 //     and of its complement by 1, 2 and 4 (erode8); validity masking, the
 //     non-overlapping hold-off scan and the saturating per-block counts
-//     then touch only the set bits.
+//     then touch only the set bits, and only in the words that need them:
+//     inside a block, a word without a non-overlapping match just
+//     advances the block position, and past a block's first eight
+//     positions the overlapping count adds the word's popcount in place.
 //   - serial / approximate entropy (11, 12): the hardware's parallel
-//     pattern counters as sixteen pattern masks, two window bits split
-//     against the other two, whose popcounts are added to the m-bit
-//     bank; warm-up fill gating is a valid mask and the narrower banks
-//     are lazy marginals.
+//     pattern counters as eight lane-set counts per word, the windows
+//     with ones on every lane of each lane set that holds the newest bit
+//     (countLaneSets); at readout a shift, an edge correction and a
+//     Möbius pass rebuild the m-bit bank from them (serialSync), and the
+//     narrower banks are its marginals. Warm-up fill gating is a valid
+//     mask.
 //
 // These are the only window shapes: 9-bit templates with B = 000000001
 // and serial m = 4, as every nist.RecommendedParams design has. New
@@ -70,33 +75,36 @@ import (
 type State struct {
 	n    int
 	bits int
-	done bool
 
-	// external marks the word-parallelizable engines (walk/cusum, runs,
-	// block frequency, longest run) as externally maintained: ClockWord
-	// still validates, advances the bit position and runs the residual
-	// per-stream engines (templates, serial), but skips the four sliceable
-	// engines — a bit-sliced lane group (internal/hwslice) advances them
-	// for 64 streams at once and hands the state back via LoadWordStats.
-	// The flag is a mode, not state: Reset preserves it.
-	external bool
+	// Flags, packed together: a bool per engine group padded to eight
+	// bytes would push State out of its 480-byte size class (one State
+	// per stream). external marks the word-parallelizable engines
+	// (walk/cusum, runs, block frequency, longest run) as externally
+	// maintained: ClockWord still validates, advances the bit position
+	// and runs the residual per-stream engines (templates, serial), but
+	// skips the four sliceable engines — a bit-sliced lane group
+	// (internal/hwslice) advances them for 64 streams at once and hands
+	// the state back via LoadWordStats. It is a mode, not state: Reset
+	// preserves it. The has flags select the engines the design
+	// implements.
+	done, external                              bool
+	hasRuns, hasBF, hasLR, hasNO, hasOV, hasSer bool
+	serSynced                                   bool // ν banks up to date (see serialSync)
+	serCyclic                                   bool // wrap-around feed applied: the counts are cyclic
 
 	// cumulative-sums walk (tests 1, 3, 13): current value and extrema.
 	s, sMin, sMax int64
 
 	// runs (test 3)
-	hasRuns bool
-	runs    uint64
-	prev    byte
+	runs uint64
+	prev byte
 
 	// block frequency (test 2): in-flight block and completed blocks
-	hasBF  bool
 	bf     BlockFreq
 	bfBank []uint64
 	bfCur  int
 
 	// longest run of ones (test 4): in-flight block and class counters
-	hasLR     bool
 	lr        LongestRun
 	lrClasses []uint64
 
@@ -106,7 +114,6 @@ type State struct {
 	ctx uint64
 
 	// non-overlapping template (test 7)
-	hasNO      bool
 	noBlockLen int
 	noNBlocks  int
 	noPos      int // bits into the current block
@@ -116,19 +123,19 @@ type State struct {
 	noCur      int
 
 	// overlapping template (test 8)
-	hasOV      bool
 	ovBlockLen int
-	ovK        int
 	ovPos      int
 	ovOcc      int
 	ovClasses  []uint64
 
-	// serial / approximate entropy (tests 11, 12)
-	hasSer    bool
-	serHead   uint64      // first m-1 bits of the sequence, chronological
-	serNu     [3][]uint64 // widths m, m-1, m-2
-	serSynced bool        // narrower banks up to date (see serialSync)
-	serCyclic bool        // wrap-around feed applied; marginals are exact
+	// serial / approximate entropy (tests 11, 12): the lane-set counters
+	// the per-word kernel feeds (serQ[i] counts the windows whose lane 0
+	// and lanes {k+1 : bit k of i} are all ones; see countLaneSets), the
+	// sequence head for the wrap-around feed, and the pattern banks
+	// serialSync rebuilds from them.
+	serQ    [8]uint64
+	serHead uint64      // first m-1 bits of the sequence, chronological
+	serNu   [3][]uint64 // widths m, m-1, m-2
 }
 
 // The window shapes the model has (see the package doc): the template
@@ -141,6 +148,10 @@ const (
 	serM = 4
 	ctxW = tplM - 1
 )
+
+// ovK is the overlapping test's top occurrence class: a block's count
+// saturates there (classes ν_0…ν_5).
+const ovK = 5
 
 // New builds the functional model for a design of n bits implementing the
 // given SP800-22 test subset with parameters p — the same inputs
@@ -158,9 +169,28 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 		}
 		return false
 	}
+	// A block parameter below 1 would divide by zero or never close a
+	// block; hwblock.Config.CheckParams rejects the same designs.
+	for _, f := range []struct {
+		test int
+		name string
+		v    int
+	}{
+		{2, "BlockFrequencyM", p.BlockFrequencyM},
+		{4, "LongestRunM", p.LongestRunM},
+		{7, "NonOverlappingN", p.NonOverlappingN},
+		{8, "OverlappingM", p.OverlappingM},
+	} {
+		if has(f.test) && f.v < 1 {
+			return nil, fmt.Errorf("hwfast: %s = %d, want at least 1", f.name, f.v)
+		}
+	}
+	if has(7) && p.NonOverlappingN > n {
+		return nil, fmt.Errorf("hwfast: NonOverlappingN = %d leaves no bit per block of an %d-bit sequence", p.NonOverlappingN, n)
+	}
 	st := &State{n: n, hasRuns: has(3)}
 	if has(2) {
-		if p.BlockFrequencyM < 1 || n%p.BlockFrequencyM != 0 {
+		if n%p.BlockFrequencyM != 0 {
 			return nil, fmt.Errorf("hwfast: block frequency M=%d does not divide n=%d", p.BlockFrequencyM, n)
 		}
 		st.hasBF = true
@@ -192,8 +222,7 @@ func New(n int, tests []int, p nist.Params) (*State, error) {
 	if has(8) {
 		st.hasOV = true
 		st.ovBlockLen = p.OverlappingM
-		st.ovK = 5
-		st.ovClasses = make([]uint64, st.ovK+1)
+		st.ovClasses = make([]uint64, ovK+1)
 	}
 	if has(11) || has(12) {
 		if p.SerialM != serM {
@@ -370,6 +399,7 @@ func (st *State) Reset() {
 	zero(st.noBank)
 	st.ovPos, st.ovOcc = 0, 0
 	zero(st.ovClasses)
+	st.serQ = [8]uint64{}
 	st.serHead = 0
 	st.serSynced, st.serCyclic = false, false
 	for i := range st.serNu {

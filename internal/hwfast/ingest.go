@@ -131,27 +131,30 @@ func (st *State) ingest(v uint64, nbits int) {
 		// The word and its context, held as the low half of a 128-bit
 		// shift (see erode8).
 		valid, lo := lowMask(nbits), st.ctx<<(64-ctxW)
+		// The block scans run only for a word with a match to place or
+		// a block end to close; any other word just advances its block.
 		if st.hasNO {
-			st.scanNonOverlap(matchNO(v, lo)&valid, nbits)
+			if mm := matchNO(v, lo) & valid; mm != 0 || st.noPos+nbits >= st.noBlockLen {
+				st.scanNonOverlap(mm, nbits)
+			} else {
+				st.noPos += nbits
+			}
 		}
 		if st.hasOV {
-			st.scanOverlap(matchOV(v, lo)&valid, nbits)
+			mm := matchOV(v, lo) & valid
+			if st.ovPos >= tplM-1 && st.ovPos+nbits < st.ovBlockLen {
+				st.ovOcc = min(st.ovOcc+bits.OnesCount64(mm), ovK)
+				st.ovPos += nbits
+			} else {
+				st.scanOverlap(mm, nbits)
+			}
 		}
 		if st.hasSer {
-			// Lane k holds, at bit t, the stream bit from k clocks ago;
-			// a window's pattern index is lane3·8 + lane2·4 + lane1·2 +
-			// lane0. Lanes 3 and 2 split the positions to count four
-			// ways, lanes 1 and 0 every position four ways; the sixteen
-			// pattern counts are the pairwise ANDs' popcounts.
-			x := st.serialValid(v, valid)
+			// Lane k holds, at bit t, the stream bit from k clocks ago.
+			a := st.serialValid(v, valid) & v
 			l1, l2, l3 := v<<1|lo>>63, v<<2|lo>>62, v<<3|lo>>61
-			x0, x1 := x&^l3, x&l3
-			r0, r1, r2, r3 := ^(l1 | v), v&^l1, l1&^v, l1&v
-			nu := (*[16]uint64)(st.serNu[0])
-			countRow4((*[4]uint64)(nu[0:4]), x0&^l2, r0, r1, r2, r3)
-			countRow4((*[4]uint64)(nu[4:8]), x0&l2, r0, r1, r2, r3)
-			countRow4((*[4]uint64)(nu[8:12]), x1&^l2, r0, r1, r2, r3)
-			countRow4((*[4]uint64)(nu[12:16]), x1&l2, r0, r1, r2, r3)
+			countLaneSets((*[4]uint64)(st.serQ[:4]), a, l1, l2)
+			countLaneSets((*[4]uint64)(st.serQ[4:]), a&l3, l1, l2)
 		}
 		st.slideContext(v, nbits)
 	}
@@ -292,11 +295,7 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 		if inv := tplM - 1 - st.ovPos; inv > 0 {
 			seg &^= lowMask(inv)
 		}
-		if c := bits.OnesCount64(seg); c > 0 {
-			if st.ovOcc += c; st.ovOcc > st.ovK {
-				st.ovOcc = st.ovK
-			}
-		}
+		st.ovOcc = min(st.ovOcc+bits.OnesCount64(seg), ovK)
 		st.ovPos += take
 		if st.ovPos == st.ovBlockLen {
 			st.ovClasses[st.ovOcc]++
@@ -307,12 +306,11 @@ func (st *State) scanOverlap(mm uint64, nbits int) {
 }
 
 // serialValid narrows valid, the word's positions, to those whose m-bit
-// windows the serial engine counts into the m-bit bank. Only that bank is
-// maintained per word; the (m-1)- and (m-2)-bit banks are exact marginals
-// of it, rebuilt lazily by serialSync. During the first m-1 bits of a
-// sequence the word also fills the head register for the cyclic
-// wrap-around feed, and windows that end before bit m-1 are masked off, as
-// the hardware gates its bank on window fill.
+// windows the serial engine counts. Only the lane-set counters are
+// maintained per word; serialSync rebuilds the pattern banks from them.
+// During the first m-1 bits of a sequence the word also fills the head
+// register for the cyclic wrap-around feed, and windows that end before
+// bit m-1 are masked off, as the hardware gates its bank on window fill.
 func (st *State) serialValid(v, valid uint64) uint64 {
 	if fill := serM - 1 - st.bits; fill > 0 {
 		st.serHead |= v << uint(st.bits) & (1<<(serM-1) - 1)
@@ -364,49 +362,100 @@ func matchNO(v, lo uint64) uint64 {
 	return v & (z<<1 | zlo>>63)
 }
 
-// countRow4 is a row of the serial kernel: it adds the popcount of
-// q & r_j to c[j] for j = 0…3, where q holds the positions whose window
-// has one value of lanes 3 and 2 and r0…r3 split every position by lanes
-// 1 and 0.
+// countLaneSets is the serial kernel, for the lane sets S that hold lane
+// 0: the windows ending at a set bit of a have ones on lane 0 and on the
+// lanes a was ANDed with (none, or lane 3), and c[i] gains those that
+// also have ones on lanes {k+1 : bit k of i}, the lanes l1 and l2. Two
+// calls, eight popcounts, count a word into the serQ lane-set counters;
+// the sixteen pattern counts follow from these sums at readout
+// (serialSync).
 //
 //trnglint:hotpath
-func countRow4(c *[4]uint64, q, r0, r1, r2, r3 uint64) {
-	c[0] += uint64(bits.OnesCount64(q & r0))
-	c[1] += uint64(bits.OnesCount64(q & r1))
-	c[2] += uint64(bits.OnesCount64(q & r2))
-	c[3] += uint64(bits.OnesCount64(q & r3))
+func countLaneSets(c *[4]uint64, a, l1, l2 uint64) {
+	a1 := a & l1
+	c[0] += uint64(bits.OnesCount64(a))
+	c[1] += uint64(bits.OnesCount64(a1))
+	c[2] += uint64(bits.OnesCount64(a & l2))
+	c[3] += uint64(bits.OnesCount64(a1 & l2))
 }
 
-// serialSync rebuilds the (m-1)- and (m-2)-bit pattern banks from the
-// m-bit bank. A width-(m-1) window ending at bit i is the low m-1 bits of
-// the width-m window ending at i, so summing the m-bit bank over its top
-// bit yields every (m-1)-bit count except the single window that ends at
-// bit m-2 — before the m-bit bank has started counting. That window is
-// exactly the captured sequence head, added back as a +1 correction
-// (likewise one head window for the (m-2)-bit bank). After the cyclic
-// wrap-around feed every bank holds exactly n windows and the marginals
-// are exact with no correction.
+// serialSync rebuilds the three pattern banks from the lane-set counters.
+// P(S), the number of counted windows with ones on every lane of S (bit k
+// of S is lane k, the pattern index's bit k), is Q(S shifted down to lane
+// 0) counted min(S) clocks later; serialEdges corrects that shift in a
+// partial sequence, and after the wrap-around feed the counts are cyclic
+// and need no correction. A Möbius pass over the four lanes turns the
+// P(S) into the sixteen m-bit pattern counts.
+//
+// A width-(m-1) window ending at bit i is the low m-1 bits of the width-m
+// window ending at i, so summing the m-bit bank over its top bit yields
+// every (m-1)-bit count except the single window that ends at bit m-2 —
+// before the m-bit bank has started counting. That window is exactly the
+// captured sequence head, added back as a +1 correction (likewise one head
+// window for the (m-2)-bit bank). After the wrap-around every bank holds
+// exactly n windows and the marginals are exact with no correction.
 func (st *State) serialSync() {
 	if !st.hasSer || st.serSynced {
 		return
 	}
 	const m = serM
-	nu0, nu1, nu2 := st.serNu[0], st.serNu[1], st.serNu[2]
-	top0 := 1 << uint(m-1)
-	for p := range nu1 {
-		nu1[p] = nu0[p] + nu0[p|top0]
+	q, p := &st.serQ, (*[16]uint64)(st.serNu[0])
+	p[0], p[1], p[2], p[3] = uint64(max(st.bits-(m-1), 0)), q[0], q[0], q[1]
+	p[4], p[5], p[6], p[7] = q[0], q[2], q[1], q[3]
+	p[8], p[9], p[10], p[11] = q[0], q[4], q[2], q[5]
+	p[12], p[13], p[14], p[15] = q[1], q[6], q[3], q[7]
+	if st.serCyclic {
+		p[0] = uint64(st.n)
+	} else {
+		st.serialEdges(p)
+	}
+	// Möbius pass, one lane per line: after the line for lane k, p[T]
+	// counts the windows with ones on the lanes of T and zeros on the
+	// other lanes up to k.
+	p[0], p[2], p[4], p[6], p[8], p[10], p[12], p[14] = p[0]-p[1], p[2]-p[3], p[4]-p[5], p[6]-p[7], p[8]-p[9], p[10]-p[11], p[12]-p[13], p[14]-p[15]
+	p[0], p[1], p[4], p[5], p[8], p[9], p[12], p[13] = p[0]-p[2], p[1]-p[3], p[4]-p[6], p[5]-p[7], p[8]-p[10], p[9]-p[11], p[12]-p[14], p[13]-p[15]
+	p[0], p[1], p[2], p[3], p[8], p[9], p[10], p[11] = p[0]-p[4], p[1]-p[5], p[2]-p[6], p[3]-p[7], p[8]-p[12], p[9]-p[13], p[10]-p[14], p[11]-p[15]
+	p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = p[0]-p[8], p[1]-p[9], p[2]-p[10], p[3]-p[11], p[4]-p[12], p[5]-p[13], p[6]-p[14], p[7]-p[15]
+	nu1, nu2 := (*[8]uint64)(st.serNu[1]), (*[4]uint64)(st.serNu[2])
+	for i := range nu1 {
+		nu1[i] = p[i] + p[i+8]
 	}
 	if !st.serCyclic && st.bits >= m-1 {
 		nu1[reverse(st.serHead, m-1)]++
 	}
-	top1 := 1 << uint(m-2)
-	for q := range nu2 {
-		nu2[q] = nu1[q] + nu1[q|top1]
+	for i := range nu2 {
+		nu2[i] = nu1[i] + nu1[i+4]
 	}
 	if !st.serCyclic && st.bits >= m-2 {
 		nu2[reverse(st.serHead, m-2)]++
 	}
 	st.serSynced = true
+}
+
+// serialEdges corrects the shifted counts p of a partial sequence. For a
+// lane set S whose lowest lane is j ≥ 1, Q(S shifted to lane 0) counts the
+// matching windows ending at bits m-1 … bits-1 but P(S) wants them j
+// clocks later: it loses the matches at the j newest window ends (read
+// from the context register) and gains those at the j ends before bit
+// m-1 (read from the head), each end only if the sequence has reached it.
+func (st *State) serialEdges(p *[16]uint64) {
+	for s := 2; s < 1<<serM; s += 2 {
+		j := bits.TrailingZeros(uint(s))
+		tail, head := ^uint64(0), ^uint64(0)
+		for k := j; k < serM; k++ {
+			if s>>k&1 == 1 {
+				tail &= st.ctx << uint(k-j)
+				head &= st.serHead << uint(k-j)
+			}
+		}
+		// The context holds bit b of the stream at ctxW - bits + b.
+		for end := max(serM-1, st.bits-j); end < st.bits; end++ {
+			p[s] -= tail >> uint(ctxW-st.bits+end) & 1
+		}
+		for end := serM - 1 - j; end < min(serM-1, st.bits-j); end++ {
+			p[s] += head >> uint(end) & 1
+		}
+	}
 }
 
 // reverse returns the low w bits of x in reverse order: a chronological
@@ -415,17 +464,15 @@ func reverse(x uint64, w int) uint64 { return bits.Reverse64(x) >> uint(64-w) }
 
 // finalize runs the end-of-sequence fixups: the serial test's cyclic
 // wrap-around feed, which continues the stream with the captured head.
-// The m-1 windows ending in the head are counted one at a time from the
-// tail context and the head (oldest bit the pattern's most significant).
-// Only the m-bit bank is fed; the wrap makes every bank hold exactly n
-// cyclic windows, so the narrower banks follow from marginalization alone
-// (serialSync).
+// The head's m-1 bits go through the per-word kernel after the tail
+// context, every window counted, so every lane-set count becomes cyclic:
+// over all n window ends, with the stream read modulo n.
 func (st *State) finalize() {
 	if st.hasSer {
-		x := st.ctx | st.serHead<<ctxW
-		for end := ctxW; end < ctxW+serM-1; end++ {
-			st.serNu[0][reverse(x>>(end-serM+1), serM)]++
-		}
+		v, lo := st.serHead, st.ctx<<(64-ctxW)
+		l1, l2, l3 := v<<1|lo>>63, v<<2|lo>>62, v<<3|lo>>61
+		countLaneSets((*[4]uint64)(st.serQ[:4]), v, l1, l2)
+		countLaneSets((*[4]uint64)(st.serQ[4:]), v&l3, l1, l2)
 		st.serCyclic = true
 		st.serSynced = false
 	}

@@ -104,7 +104,7 @@ func TestKernelsInline(t *testing.T) {
 			}
 		}
 	}
-	for _, fn := range []string{"erode8", "matchNO", "matchOV", "countRow4"} {
+	for _, fn := range []string{"erode8", "matchNO", "matchOV", "countLaneSets"} {
 		if !inlined[fn] {
 			t.Errorf("%s is not inlined into (*State).ingest (lines %d-%d)", fn, from, to)
 		}
