@@ -4,7 +4,7 @@
 # BENCH_latest.json, an archive recorded on another host, so a local run
 # measures the host difference more than the change. Run it by hand with
 # `make bench-diff`.
-.PHONY: check vet build test bench-smoke bench bench-diff lint docs docs-check soak ttd fuzz-smoke
+.PHONY: check vet build test bench-smoke bench bench-diff lint docs docs-check soak ttd fuzz-smoke loc
 
 check: build lint docs-check test bench-smoke soak fuzz-smoke
 
@@ -23,6 +23,16 @@ docs-check: docs
 
 vet:
 	go vet ./...
+
+# loc prints the line count the ROADMAP measures code size by, per package
+# and in total: non-blank lines that are not // comments, in the non-test
+# Go files of the packages of `go list ./...` (bench/ is its own module, so
+# it is not counted).
+loc:
+	@go list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) \
+			if (l !~ /^[ \t]*$$/ && l !~ /^[ \t]*\/\//) n++; close($$i) } \
+			printf "%7d %s\n", n, $$1; t += n } END { printf "%7d total\n", t }'
 
 build:
 	go build ./...

@@ -68,7 +68,7 @@ func (s *squarer) Reset() {}
 // nine HW-suitable ones.
 func BuildIndividual(testID, n int, p nist.Params) (*IndividualBlock, error) {
 	nl := hwsim.NewNetlist(fmt.Sprintf("individual-test%d-n%d", testID, n))
-	nBits := widthOf(uint64(n))
+	nBits := hwsim.WidthFor(uint64(n))
 	switch testID {
 	case 1:
 		hwsim.NewCounter(nl, "global", uint64(n))
@@ -78,7 +78,7 @@ func BuildIndividual(testID, n int, p nist.Params) (*IndividualBlock, error) {
 		hwsim.NewCounter(nl, "global", uint64(n))
 		hwsim.NewCounter(nl, "eps", uint64(p.BlockFrequencyM))
 		// The all-hardware version accumulates Σ(ε−M/2)² on the fly.
-		decisionUnit(nl, "t2", nBits+widthOf(uint64(p.BlockFrequencyM)), true)
+		decisionUnit(nl, "t2", nBits+hwsim.WidthFor(uint64(p.BlockFrequencyM)), true)
 	case 3:
 		hwsim.NewCounter(nl, "global", uint64(n))
 		hwsim.NewCounter(nl, "ones", uint64(n)) // needed for the interval select
@@ -136,14 +136,6 @@ func BuildIndividual(testID, n int, p nist.Params) (*IndividualBlock, error) {
 		return nil, fmt.Errorf("area: test %d has no hardware implementation", testID)
 	}
 	return &IndividualBlock{TestID: testID, Netlist: nl}, nil
-}
-
-func widthOf(max uint64) int {
-	w := 1
-	for max>>uint(w) != 0 {
-		w++
-	}
-	return w
 }
 
 // Comparison is the Table IV contrast for one design point.

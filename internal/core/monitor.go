@@ -121,24 +121,22 @@ func NewMonitor(cfg hwblock.Config, alpha float64, opts ...sweval.Option) (*Moni
 }
 
 // NewMonitorWithValues builds a monitor around an already-derived set of
-// critical values. Deriving critical values is the expensive part of
-// monitor construction (special functions, PWL tables); a fleet that
-// instantiates thousands of monitors for one design derives them once and
-// shares the constants — they are read-only after construction, so sharing
-// is race-free.
+// critical values, whose design cfg must be (the same name, sequence
+// length, tests and parameters). Deriving critical values is the expensive
+// part of monitor construction (special functions, PWL tables); a fleet
+// that instantiates thousands of monitors for one design derives them once
+// and shares the constants — they are read-only after construction, so
+// sharing is race-free. The monitor's block is built on the critical
+// values' register map, so all monitors sharing cv share one map.
 func NewMonitorWithValues(cfg hwblock.Config, cv *sweval.CriticalValues) (*Monitor, error) {
 	if cv == nil {
 		return nil, fmt.Errorf("core: nil critical values")
 	}
-	if got := cv.Config().Name; got != cfg.Name {
-		return nil, fmt.Errorf("core: critical values are for design %s, monitor is %s", got, cfg.Name)
-	}
-	block, err := hwblock.New(cfg)
-	if err != nil {
-		return nil, err
+	if err := cv.Config().CheckSame(cfg); err != nil {
+		return nil, fmt.Errorf("core: critical values are for design %s, the monitor's differs: %w", cv.Config().Name, err)
 	}
 	return &Monitor{
-		block: block,
+		block: cv.RegMap().NewBlock(),
 		eval:  sweval.NewEvaluator(cv),
 		cv:    cv,
 	}, nil

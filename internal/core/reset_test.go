@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hwblock"
@@ -157,6 +158,69 @@ func TestMonitorResetSharedCriticalValues(t *testing.T) {
 	}
 	if _, err := NewMonitorWithValues(other, cv); err == nil {
 		t.Fatal("critical values for a different design accepted")
+	}
+}
+
+// TestMonitorWithValuesRejectsDesignMismatch builds monitors for designs
+// that share the critical values' name but not their sequence length,
+// tests or parameters: each must be refused, not run one design's
+// constants against another's counters.
+func TestMonitorWithValuesRejectsDesignMismatch(t *testing.T) {
+	custom := func(name string, n int, tests ...int) hwblock.Config {
+		cfg, err := hwblock.NewCustomConfig(name, n, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	cfg := custom("y", 1024, 1, 13)
+	cv, err := sweval.NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := cfg
+	params.Params.TemplateM++
+	for _, c := range []struct {
+		name string
+		cfg  hwblock.Config
+		want string
+	}{
+		{"n=512", custom("y", 512, 1, 13), "n = 1024, not 512"},
+		{"n=2048", custom("y", 2048, 1, 13), "n = 1024, not 2048"},
+		{"n=4096", custom("y", 4096, 1, 13), "n = 1024, not 4096"},
+		{"more tests", custom("y", 1024, 1, 2, 3, 4, 11, 12, 13), "tests [1 13], not [1 2 3 4 11 12 13]"},
+		{"other parameters", params, "parameters"},
+	} {
+		if _, err := NewMonitorWithValues(c.cfg, cv); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := NewMonitorWithValues(cfg, cv); err != nil {
+		t.Fatalf("the critical values' design: %v", err)
+	}
+}
+
+// TestMonitorsShareRegMap: monitors built around one set of critical
+// values share its register map, and so do their blocks.
+func TestMonitorsShareRegMap(t *testing.T) {
+	cfg, err := hwblock.NewConfig(65536, hwblock.High)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv, err := sweval.NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewMonitorWithValues(cfg, cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMonitorWithValues(cfg, cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Block().RegMap() != cv.RegMap() || b.Block().RegMap() != cv.RegMap() {
+		t.Fatal("monitors built on one set of critical values do not share its register map")
 	}
 }
 

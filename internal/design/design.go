@@ -44,20 +44,9 @@ type Prim struct {
 	FFs, LUTs int
 }
 
-// Reg is one register-file entry of the memory map.
-type Reg struct {
-	// Name is the register's symbolic name.
-	Name string
-	// TestID is the SP800-22 test the value belongs to (0 for
-	// infrastructure).
-	TestID int
-	// Addr is the first word address.
-	Addr int
-	// Width is the value width in bits.
-	Width int
-	// Words is the number of consecutive 16-bit words occupied.
-	Words int
-}
+// Reg is one register-file entry of the memory map: the register map's
+// own entry type, so the model carries exactly what the map decodes.
+type Reg = hwblock.Entry
 
 // Design is the model of one design point.
 type Design struct {
@@ -110,15 +99,13 @@ func (d *Design) Clone() *Design {
 	return &c
 }
 
-// FromBlock extracts the model from a live block. It re-validates the
-// 7-bit address space so a consumer that only renders documentation
-// (cmd/regmapdoc) refuses an overflowing map even when designlint never
+// FromBlock extracts the model from a live block: its netlist and its
+// design's register map. The map refused a layout that outgrows the 7-bit
+// address space when it was built, so a consumer that only renders
+// documentation (cmd/regmapdoc) never sees one even when designlint never
 // runs.
 func FromBlock(b *hwblock.Block) (*Design, error) {
 	cfg := b.Config()
-	if err := b.RegFile().CheckAddressSpace(); err != nil {
-		return nil, fmt.Errorf("design: %s: %w", cfg.Name, err)
-	}
 	d := &Design{
 		Name:     cfg.Name,
 		N:        cfg.N,
@@ -141,11 +128,9 @@ func FromBlock(b *hwblock.Block) (*Design, error) {
 			FFs: res.FFs, LUTs: res.LUTs,
 		})
 	}
-	for _, e := range b.RegFile().Entries() {
-		d.Regs = append(d.Regs, Reg{
-			Name: e.Name, TestID: e.TestID, Addr: e.Addr, Width: e.Width, Words: e.Words,
-		})
-	}
+	// Entries is a copy: the mutation-kill suite edits a model's
+	// registers without touching the shared map.
+	d.Regs = b.RegMap().Entries()
 	return d, nil
 }
 

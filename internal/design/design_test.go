@@ -1,7 +1,7 @@
 package design
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hwblock"
@@ -49,7 +49,7 @@ func TestModelMatchesRegFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := b.RegFile().Entries()
+	entries := b.RegMap().Entries()
 	if len(d.Regs) != len(entries) {
 		t.Fatalf("%d model regs vs %d entries", len(d.Regs), len(entries))
 	}
@@ -65,24 +65,15 @@ func TestModelMatchesRegFile(t *testing.T) {
 	}
 }
 
-// TestFromBlockChecksAddressSpace: extraction refuses a register file
-// that outgrew the 7-bit address space, so regmapdoc-style consumers that
-// never run designlint cannot render an overflowing map.
+// TestFromBlockChecksAddressSpace: a register map that outgrows the 7-bit
+// address space is refused when it is built, so no block carries one and
+// regmapdoc-style consumers that never run designlint cannot render an
+// overflowing map.
 func TestFromBlockChecksAddressSpace(t *testing.T) {
-	cfg, err := hwblock.NewConfig(128, hwblock.Light)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hwblock.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf := b.RegFile()
-	for i := 0; rf.Words() <= 1<<AddressBits; i++ {
-		rf.Add(fmt.Sprintf("PAD_%d", i), 0, hwblock.WordBits, func() uint64 { return 0 })
-	}
-	if _, err := FromBlock(b); err == nil {
-		t.Fatal("FromBlock accepted a register file exceeding the address space")
+	cfg := hwblock.Config{Name: "wide", N: 4096, Tests: []int{2}}
+	cfg.Params.BlockFrequencyM = 16 // 256 one-word registers
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "address space") {
+		t.Fatalf("New: err = %v, want the map refused for exceeding the address space", err)
 	}
 }
 

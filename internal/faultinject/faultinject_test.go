@@ -124,9 +124,26 @@ func TestStallBlocksThenReleases(t *testing.T) {
 	}
 }
 
+// smallBlock returns the n = 128 light block, its GLOBAL_BITS (address 0)
+// counting the 0x35 bits it has been fed.
+func smallBlock(t *testing.T) *hwblock.Block {
+	t.Helper()
+	cfg, err := hwblock.NewConfig(128, hwblock.Light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hwblock.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ClockWord(0, 0x35); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestRegCorruptorDoubleReadDisagrees(t *testing.T) {
-	rf := hwblock.NewRegFile()
-	rf.Add("C", 0, 16, func() uint64 { return 0xABCD })
+	rf := smallBlock(t).RegFile()
 	c := CorruptRegFile(rf, 1.0, 3) // every read corrupted
 	defer c.Detach()
 	// With independent single-bit flips per transaction, two reads of the
@@ -147,14 +164,13 @@ func TestRegCorruptorDoubleReadDisagrees(t *testing.T) {
 }
 
 func TestRegCorruptorDetach(t *testing.T) {
-	rf := hwblock.NewRegFile()
-	rf.Add("C", 0, 16, func() uint64 { return 0x1234 })
+	rf := smallBlock(t).RegFile()
 	c := CorruptRegFile(rf, 1.0, 3)
-	if rf.ReadWord(0) == 0x1234 {
+	if rf.ReadWord(0) == 0x35 {
 		t.Error("rate-1.0 corruptor left a read clean")
 	}
 	c.Detach()
-	if got := rf.ReadWord(0); got != 0x1234 {
+	if got := rf.ReadWord(0); got != 0x35 {
 		t.Errorf("read after Detach = %#x", got)
 	}
 }

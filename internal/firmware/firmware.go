@@ -52,7 +52,7 @@ type gen struct {
 	b      strings.Builder
 	labels int
 	cfg    hwblock.Config
-	rf     *hwblock.RegFile
+	regs   *hwblock.RegMap
 }
 
 func (g *gen) emit(format string, args ...interface{}) {
@@ -67,7 +67,7 @@ func (g *gen) label(prefix string) string {
 // valueAddr returns the bus address of a register-file value and its word
 // count.
 func (g *gen) valueAddr(name string) (uint16, int, error) {
-	e, ok := g.rf.Lookup(name)
+	e, ok := g.regs.Lookup(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("firmware: no register %q", name)
 	}
@@ -126,10 +126,12 @@ func (g *gen) gt48(lo, mid, hi string, c int64, target string) {
 
 // Generate produces the evaluation routine's assembly source for a light
 // (or richer — extra tests are ignored) design configuration with the
-// given critical values baked in as constants.
-func Generate(cfg hwblock.Config, cv *sweval.CriticalValues, rf *hwblock.RegFile) (string, error) {
+// given critical values baked in as constants, reading the registers at
+// the addresses of the design's register map.
+func Generate(regs *hwblock.RegMap, cv *sweval.CriticalValues) (string, error) {
 	c := cv.Constants()
-	g := &gen{cfg: cfg, rf: rf}
+	cfg := regs.Config()
+	g := &gen{cfg: cfg, regs: regs}
 	n := int64(cfg.N)
 
 	// Sanity for the 32-bit longest-run accumulation (see lr loop).
@@ -455,7 +457,7 @@ func (r Result) Pass() bool { return r.FailBitmap == 0 }
 // and returns the verdict bitmap plus the cycle count — the quantity the
 // paper's Table IV latency row measures.
 func Run(b *hwblock.Block, cv *sweval.CriticalValues) (Result, string, error) {
-	src, err := Generate(b.Config(), cv, b.RegFile())
+	src, err := Generate(b.RegMap(), cv)
 	if err != nil {
 		return Result{}, "", err
 	}

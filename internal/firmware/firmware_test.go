@@ -216,7 +216,7 @@ func TestGenerateEmitsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(cfg, cv, b.RegFile())
+	src, err := Generate(b.RegMap(), cv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ const (
 type rvGen struct {
 	b      strings.Builder
 	labels int
-	rf     *hwblock.RegFile
+	regs   *hwblock.RegMap
 }
 
 func (g *rvGen) emit(format string, args ...interface{}) {
@@ -48,7 +48,7 @@ func (g *rvGen) label(prefix string) string {
 // loadVal emits code loading a register-file value into reg, via one or two
 // 16-bit bus reads. s1 must hold RV32TBBase.
 func (g *rvGen) loadVal(name, reg string) error {
-	e, ok := g.rf.Lookup(name)
+	e, ok := g.regs.Lookup(name)
 	if !ok {
 		return fmt.Errorf("firmware: no register %q", name)
 	}
@@ -82,9 +82,10 @@ func (g *rvGen) gt64(lo, hi string, c int64, target string) {
 }
 
 // GenerateRV32 produces the light-set evaluation routine for the RV32 core.
-func GenerateRV32(cfg hwblock.Config, cv *sweval.CriticalValues, rf *hwblock.RegFile) (string, error) {
+func GenerateRV32(regs *hwblock.RegMap, cv *sweval.CriticalValues) (string, error) {
 	c := cv.Constants()
-	g := &rvGen{rf: rf}
+	cfg := regs.Config()
+	g := &rvGen{regs: regs}
 	n := int64(cfg.N)
 
 	g.emit(" .org 0x%X", RV32CodeBase)
@@ -111,7 +112,7 @@ func GenerateRV32(cfg hwblock.Config, cv *sweval.CriticalValues, rf *hwblock.Reg
 
 	// ---- Test 2: D = Σ(2ε−M)² with a 64-bit accumulator.
 	if cfg.Has(2) {
-		e, ok := rf.Lookup("BF_EPS_0")
+		e, ok := regs.Lookup("BF_EPS_0")
 		if !ok {
 			return "", fmt.Errorf("firmware: no BF_EPS_0")
 		}
@@ -189,7 +190,7 @@ func GenerateRV32(cfg hwblock.Config, cv *sweval.CriticalValues, rf *hwblock.Reg
 
 	// ---- Test 4: Σν²·Q16 with a 64-bit accumulator.
 	if cfg.Has(4) {
-		e, ok := rf.Lookup("LR_NU_0")
+		e, ok := regs.Lookup("LR_NU_0")
 		if !ok {
 			return "", fmt.Errorf("firmware: no LR_NU_0")
 		}
@@ -354,7 +355,7 @@ func (w *rv32RAMWindow) WriteWord(addr, v uint32)    { w.word = v }
 // RunRV32 generates, assembles and executes the RV32 evaluation routine
 // against the block's register file.
 func RunRV32(b *hwblock.Block, cv *sweval.CriticalValues) (Result, string, error) {
-	src, err := GenerateRV32(b.Config(), cv, b.RegFile())
+	src, err := GenerateRV32(b.RegMap(), cv)
 	if err != nil {
 		return Result{}, "", err
 	}

@@ -80,7 +80,7 @@ func (g *rvGen) sumSquares64(addr, words, count int) {
 // genNonOverlap emits test 7: D = Σ(2^m·W − (M−m+1))² with a 64-bit
 // accumulator.
 func (g *rvGen) genNonOverlap(cfg hwblock.Config, c sweval.EmbeddedConstants) error {
-	e, ok := g.rf.Lookup("NO_W_0")
+	e, ok := g.regs.Lookup("NO_W_0")
 	if !ok {
 		return fmt.Errorf("firmware: no NO_W_0")
 	}
@@ -128,7 +128,7 @@ func (g *rvGen) genNonOverlap(cfg hwblock.Config, c sweval.EmbeddedConstants) er
 // genClassChi emits the Σν²·Q16 pattern (tests 4 and 8 share it); used
 // here for test 8 with its own table label and fail bit.
 func (g *rvGen) genClassChi(firstEntry string, qs []int64, max int64, tabLabel string, failBit int) error {
-	e, ok := g.rf.Lookup(firstEntry)
+	e, ok := g.regs.Lookup(firstEntry)
 	if !ok {
 		return fmt.Errorf("firmware: no %s", firstEntry)
 	}
@@ -175,7 +175,7 @@ func (g *rvGen) genSerial(cfg hwblock.Config, c sweval.EmbeddedConstants) error 
 	var banks []bank
 	for i, w := range []int{m, m - 1, m - 2} {
 		name := fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, 0)
-		e, ok := g.rf.Lookup(name)
+		e, ok := g.regs.Lookup(name)
 		if !ok {
 			return fmt.Errorf("firmware: no %s", name)
 		}
@@ -236,7 +236,7 @@ func (g *rvGen) genApEn(cfg hwblock.Config, c sweval.EmbeddedConstants, logN int
 	// φ accumulates in s6 (width m−1 bank) then s7 (width m bank).
 	for i, w := range []int{m - 1, m} {
 		name := fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, 0)
-		e, ok := g.rf.Lookup(name)
+		e, ok := g.regs.Lookup(name)
 		if !ok {
 			return fmt.Errorf("firmware: no %s", name)
 		}

@@ -8,17 +8,6 @@ import (
 	"repro/internal/nist"
 )
 
-// Signed walk values are exposed through the register file in offset-binary
-// form (value + N), so every register read is unsigned; the software
-// subtracts N after reassembly. offsetWidth is the width of such a field.
-func offsetWidth(n int) int {
-	w := 1
-	for (uint64(2*n))>>uint(w) != 0 {
-		w++
-	}
-	return w
-}
-
 // walkEngine implements the hardware half of test 13 (cumulative sums): an
 // up/down counter tracking the ±1 random walk plus min/max registers. Its
 // final value also yields N_ones = (S_final + N)/2, which is why no
@@ -36,10 +25,14 @@ func newWalkEngine(b *Block, n int) *walkEngine {
 		s:   hwsim.NewUpDownCounter(b.nl, "cusum_s", uint64(n)),
 		ext: hwsim.NewMinMaxTracker(b.nl, "cusum_ext", uint64(n)),
 	}
-	w := offsetWidth(n)
-	b.rf.Add("S_MAX", 13, w, func() uint64 { return uint64(e.ext.Max() + int64(n)) })
-	b.rf.Add("S_MIN", 13, w, func() uint64 { return uint64(e.ext.Min() + int64(n)) })
-	b.rf.Add("S_FINAL", 13, w, func() uint64 { return uint64(e.s.Value() + int64(n)) })
+	// Signed walk values are exposed in offset-binary form (value + N), so
+	// every register read is unsigned; the software subtracts N after
+	// reassembly.
+	b.rf.walk = [3]func() uint64{
+		func() uint64 { return uint64(e.ext.Max() + int64(n)) },
+		func() uint64 { return uint64(e.ext.Min() + int64(n)) },
+		func() uint64 { return uint64(e.s.Value() + int64(n)) },
+	}
 	return e
 }
 
@@ -64,7 +57,7 @@ func newRunsEngine(b *Block, n int) *runsEngine {
 		runs: hwsim.NewCounter(b.nl, "runs", uint64(n)),
 		prev: hwsim.NewRegister(b.nl, "runs_prev", 1),
 	}
-	b.rf.addRef("N_RUNS", 3, e.runs.Width(), e.runs.Ref())
+	b.rf.refs[b.m.banks.Runs.First] = e.runs.Ref()
 	return e
 }
 
@@ -85,14 +78,15 @@ type blockFreqEngine struct {
 	bank []*hwsim.Register
 }
 
-func newBlockFreqEngine(b *Block, m, nBlocks int) *blockFreqEngine {
-	store := b.bankStorage(nBlocks, (*hwfast.State).BlockFreqBank)
+func newBlockFreqEngine(b *Block, m int) *blockFreqEngine {
+	bk := b.m.banks.BlockFreq
+	store := b.bankStorage(bk.N, (*hwfast.State).BlockFreqBank)
 	e := &blockFreqEngine{m: m, eps: hwsim.NewCounter(b.nl, "bf_eps", uint64(m))}
-	e.bank = make([]*hwsim.Register, nBlocks)
+	e.bank = make([]*hwsim.Register, bk.N)
 	for i := range e.bank {
 		e.bank[i] = hwsim.NewRegisterAt(b.nl, fmt.Sprintf("bf_eps_%d", i), uint64(m), &store[i])
-		b.rf.addRef(fmt.Sprintf("BF_EPS_%d", i), 2, e.bank[i].Width(), e.bank[i].Ref())
 	}
+	b.bind(bk, func(i int) *uint64 { return e.bank[i].Ref() })
 	return e
 }
 
@@ -119,10 +113,10 @@ type longestRunEngine struct {
 	classes *hwsim.CounterBank
 }
 
-func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
+func newLongestRunEngine(b *Block, m, nBlocks int) *longestRunEngine {
 	lo, hi, err := nist.LongestRunClassBounds(m)
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: NewRegMap derived the class bank from the same bounds
 	}
 	e := &longestRunEngine{
 		m:      m,
@@ -133,18 +127,8 @@ func newLongestRunEngine(b *Block, m, nBlocks int) (*longestRunEngine, error) {
 		classes: hwsim.NewCounterBankOver(b.nl, "lr_class",
 			b.bankStorage(hi-lo+1, (*hwfast.State).LongestRunClasses), uint64(nBlocks)),
 	}
-	for i := 0; i < e.classes.Len(); i++ {
-		b.rf.addRef(fmt.Sprintf("LR_NU_%d", i), 4, widthOf(uint64(nBlocks)), e.classes.Ref(i))
-	}
-	return e, nil
-}
-
-func widthOf(max uint64) int {
-	w := 1
-	for max>>uint(w) != 0 {
-		w++
-	}
-	return w
+	b.bind(b.m.banks.LongestRun, e.classes.Ref)
+	return e
 }
 
 func (e *longestRunEngine) clock(bit byte, t int) {

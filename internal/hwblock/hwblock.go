@@ -20,6 +20,11 @@
 // memory map of every variant is generated into REGISTERS.md at the
 // repository root (cmd/regmapdoc; `make docs` keeps it in sync).
 //
+// The memory map is a RegMap: the paper's fixed 7-bit address decode,
+// built once per design from its Config and immutable after that. Every
+// block built on a map (RegMap.NewBlock) shares it and holds only the
+// live values behind its entries; New builds a map for a single block.
+//
 // Blocks and register files accept an optional internal/obs registry
 // (SetObs): ingested bits, completed sequences and bus transactions are
 // then counted on the live exposition endpoint. The instrumentation is
@@ -34,6 +39,7 @@ package hwblock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bitstream"
@@ -128,6 +134,23 @@ func (c Config) Has(id int) bool {
 		}
 	}
 	return false
+}
+
+// CheckSame reports how o differs from the design c describes: an error
+// naming the first of the name, the sequence length, the tests and the
+// parameters that differs, or nil when both describe one design.
+func (c Config) CheckSame(o Config) error {
+	switch {
+	case c.Name != o.Name:
+		return fmt.Errorf("name %s, not %s", c.Name, o.Name)
+	case c.N != o.N:
+		return fmt.Errorf("n = %d, not %d", c.N, o.N)
+	case !slices.Equal(c.Tests, o.Tests):
+		return fmt.Errorf("tests %v, not %v", c.Tests, o.Tests)
+	case c.Params != o.Params:
+		return fmt.Errorf("parameters %+v, not %+v", c.Params, o.Params)
+	}
+	return nil
 }
 
 // CheckParams reports an error if a block parameter of an implemented
@@ -255,9 +278,9 @@ func AllConfigs() []Config {
 // sequence while the software evaluates the previous counters (the register
 // file snapshot survives until the next Reset via Snapshot).
 type Block struct {
-	cfg    Config
+	m      *RegMap
 	nl     *hwsim.Netlist
-	rf     *RegFile
+	rf     RegFile
 	global *hwsim.Counter
 
 	walk       *walkEngine
@@ -291,18 +314,25 @@ type Block struct {
 	obsSeqs      *obs.Counter
 }
 
-// New instantiates the design described by cfg.
+// New instantiates the design described by cfg on a register map of its
+// own (NewRegMap). Blocks of one design that share a map come from
+// RegMap.NewBlock.
 func New(cfg Config) (*Block, error) {
-	if cfg.N < 8 {
-		return nil, fmt.Errorf("hwblock: sequence length %d too small", cfg.N)
-	}
-	if err := cfg.CheckParams(); err != nil {
+	m, err := NewRegMap(cfg)
+	if err != nil {
 		return nil, err
 	}
+	return m.NewBlock(), nil
+}
+
+// NewBlock instantiates the map's design. The block reads its register
+// decode from m and binds only the live values behind the entries.
+func (m *RegMap) NewBlock() *Block {
+	cfg := &m.cfg
 	b := &Block{
-		cfg: cfg,
-		nl:  hwsim.NewNetlist(cfg.Name),
-		rf:  NewRegFile(),
+		m:  m,
+		nl: hwsim.NewNetlist(cfg.Name),
+		rf: RegFile{m: m, refs: make([]*uint64, len(m.entries))},
 	}
 	// The word-level functional model is the default ingest path. It has
 	// only the window shapes every NewConfig and NewCustomConfig design
@@ -320,7 +350,7 @@ func New(cfg Config) (*Block, error) {
 		b.path = CycleAccurate
 	}
 	b.global = hwsim.NewCounter(b.nl, "global_bits", uint64(cfg.N))
-	b.rf.addRef("GLOBAL_BITS", 0, b.global.Width(), b.global.Ref())
+	b.rf.refs[m.banks.Global.First] = b.global.Ref()
 
 	// The walk engine exists in every variant: it serves test 13 and, via
 	// S_final, tests 1 and 3 (the "omitted redundant counter").
@@ -329,14 +359,10 @@ func New(cfg Config) (*Block, error) {
 		b.runs = newRunsEngine(b, cfg.N)
 	}
 	if cfg.Has(2) {
-		b.blockFreq = newBlockFreqEngine(b, cfg.Params.BlockFrequencyM, cfg.N/cfg.Params.BlockFrequencyM)
+		b.blockFreq = newBlockFreqEngine(b, cfg.Params.BlockFrequencyM)
 	}
 	if cfg.Has(4) {
-		e, err := newLongestRunEngine(b, cfg.Params.LongestRunM, cfg.N/cfg.Params.LongestRunM)
-		if err != nil {
-			return nil, err
-		}
-		b.longestRun = e
+		b.longestRun = newLongestRunEngine(b, cfg.Params.LongestRunM, cfg.N/cfg.Params.LongestRunM)
 	}
 	if cfg.Has(7) || cfg.Has(8) || cfg.Has(11) || cfg.Has(12) {
 		// The shared shift register is sized for the widest implemented
@@ -353,7 +379,7 @@ func New(cfg Config) (*Block, error) {
 	}
 	if cfg.Has(7) {
 		b.nonOv = newNonOverlapEngine(b, cfg.Params.TemplateB, cfg.Params.TemplateM,
-			cfg.Params.NonOverlappingN, cfg.N/cfg.Params.NonOverlappingN)
+			cfg.N/cfg.Params.NonOverlappingN)
 	}
 	if cfg.Has(8) {
 		b.overlap = newOverlapEngine(b, cfg.Params.TemplateM, cfg.Params.OverlappingM,
@@ -362,11 +388,16 @@ func New(cfg Config) (*Block, error) {
 	if cfg.Has(11) || cfg.Has(12) {
 		b.serial = newSerialEngine(b, cfg.Params.SerialM, cfg.N)
 	}
-	b.nl.SetMuxWords(b.rf.Words())
-	if err := b.rf.CheckAddressSpace(); err != nil {
-		return nil, err
+	b.nl.SetMuxWords(m.words)
+	return b
+}
+
+// bind points the register file's entries of bank bk at the values ref
+// returns for each of them.
+func (b *Block) bind(bk Bank, ref func(i int) *uint64) {
+	for i := range bk.N {
+		b.rf.refs[bk.First+i] = ref(i)
 	}
-	return b, nil
 }
 
 // bankStorage returns the storage a counter bank of n counters is built
@@ -413,7 +444,7 @@ func (b *Block) SetPath(p IngestPath) error {
 		return nil
 	}
 	if p == FastPath && b.fast == nil {
-		return fmt.Errorf("hwblock: design %s has no fast-path model", b.cfg.Name)
+		return fmt.Errorf("hwblock: design %s has no fast-path model", b.m.cfg.Name)
 	}
 	if b.bits != 0 && !b.done {
 		return fmt.Errorf("hwblock: cannot switch ingest path %d bits into a sequence", b.bits)
@@ -487,23 +518,23 @@ func (b *Block) LoadWordStats(ws *hwfast.WordStats) error {
 }
 
 // Config returns the block's design configuration.
-func (b *Block) Config() Config { return b.cfg }
+func (b *Block) Config() Config { return b.m.cfg }
 
 // N returns the sequence length, without the copy of the whole design
 // configuration that Config makes.
 //
 //trnglint:hotpath
-func (b *Block) N() int { return b.cfg.N }
+func (b *Block) N() int { return b.m.cfg.N }
 
-// Name returns the design name, without the copy of the whole design
-// configuration that Config makes.
-func (b *Block) Name() string { return b.cfg.Name }
+// RegMap returns the design's register map, which the block shares with
+// every block built on it.
+func (b *Block) RegMap() *RegMap { return b.m }
 
 // Netlist returns the structural inventory, the input to the area model.
 func (b *Block) Netlist() *hwsim.Netlist { return b.nl }
 
 // RegFile returns the memory-mapped register file.
-func (b *Block) RegFile() *RegFile { return b.rf }
+func (b *Block) RegFile() *RegFile { return &b.rf }
 
 // BitsSeen reports how many bits have been clocked in since reset.
 //
@@ -531,7 +562,7 @@ func (b *Block) Clock(bit byte) error {
 	b.pendN++
 	b.bits++
 	b.dirty = true
-	if b.pendN == 64 || b.bits == b.cfg.N {
+	if b.pendN == 64 || b.bits == b.m.cfg.N {
 		b.flushPending()
 	}
 	return nil
@@ -589,7 +620,7 @@ func (b *Block) ClockWords(ws []uint64) error {
 	if b.done {
 		return errBurstDone
 	}
-	if len(ws) > (b.cfg.N-b.bits)/64 {
+	if len(ws) > (b.m.cfg.N-b.bits)/64 {
 		return errBurstLong
 	}
 	if b.path != FastPath || b.fast == nil {
@@ -699,7 +730,7 @@ func (b *Block) clockStructural(bit byte) error {
 	b.global.Inc()
 	b.bits++
 	b.obsBitsCycle.Inc()
-	if b.bits == b.cfg.N {
+	if b.bits == b.m.cfg.N {
 		b.finalize()
 	}
 	return nil
@@ -740,7 +771,7 @@ func (b *Block) Run(src bitstream.BitReader) error {
 func (b *Block) runWords(wr bitstream.WordReader) error {
 	b.flushPending()
 	for !b.done {
-		take := b.cfg.N - b.bits
+		take := b.m.cfg.N - b.bits
 		if take > 64 {
 			take = 64
 		}

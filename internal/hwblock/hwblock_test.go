@@ -316,29 +316,65 @@ func TestRegFileReadWordUnmapped(t *testing.T) {
 	}
 }
 
-func TestRegFileDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate register name did not panic")
+// TestRegMapNamesUnique checks that every entry of every shipped design's
+// map, and of custom designs with every implementable test, has a name of
+// its own that Lookup resolves back to it.
+func TestRegMapNamesUnique(t *testing.T) {
+	cfgs := AllConfigs()
+	for _, n := range []int{64, 1024, 1 << 16} {
+		cfg, err := NewCustomConfig(fmt.Sprintf("all-%d", n), n, []int{1, 2, 3, 4, 7, 8, 11, 12, 13})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	rf := NewRegFile()
-	rf.Add("X", 1, 8, func() uint64 { return 0 })
-	rf.Add("X", 1, 8, func() uint64 { return 0 })
+		cfgs = append(cfgs, cfg)
+	}
+	for _, cfg := range cfgs {
+		m, err := NewRegMap(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		for _, e := range m.Entries() {
+			if got, ok := m.Lookup(e.Name); !ok || got != e {
+				t.Errorf("%s: Lookup(%s) = %+v, %v; want %+v", cfg.Name, e.Name, got, ok, e)
+			}
+		}
+	}
 }
 
+// TestRegFileMultiWordValue reads the 18-bit S_MAX of an all-ones n = 65536
+// sequence, 2N in offset binary: two bus words, least significant first.
 func TestRegFileMultiWordValue(t *testing.T) {
-	rf := NewRegFile()
-	rf.Add("WIDE", 1, 21, func() uint64 { return 0x12345 })
-	v, reads, err := rf.ReadValue("WIDE")
+	cfg, err := NewConfig(65536, Light)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 0x12345 {
-		t.Errorf("value = %#x, want 0x12345", v)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]uint64, cfg.N/64)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	if err := b.ClockWords(ones); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := b.RegMap().Lookup("S_MAX")
+	if !ok || e.Width != 18 || e.Words != 2 {
+		t.Fatalf("S_MAX entry = %+v, %v; want 18 bits in 2 words", e, ok)
+	}
+	v, reads, err := b.RegFile().ReadValue("S_MAX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 0x20000 {
+		t.Errorf("value = %#x, want 0x20000", v)
 	}
 	if reads != 2 {
 		t.Errorf("bus reads = %d, want 2", reads)
+	}
+	if lo, hi := b.RegFile().ReadWord(e.Addr), b.RegFile().ReadWord(e.Addr+1); lo != 0 || hi != 2 {
+		t.Errorf("bus words = %#x, %#x; want 0, 2", lo, hi)
 	}
 }
 
@@ -347,11 +383,11 @@ func TestEntriesForTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialEntries := b.RegFile().EntriesForTest(11)
+	serialEntries := b.RegMap().EntriesForTest(11)
 	if len(serialEntries) != 28 { // 16 + 8 + 4 pattern counters
 		t.Errorf("serial test exposes %d entries, want 28", len(serialEntries))
 	}
-	cusum := b.RegFile().EntriesForTest(13)
+	cusum := b.RegMap().EntriesForTest(13)
 	if len(cusum) != 3 {
 		t.Errorf("cusum exposes %d entries, want 3", len(cusum))
 	}

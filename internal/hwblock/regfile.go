@@ -15,43 +15,14 @@ const AddressBits = 7
 // architecture.
 const WordBits = 16
 
-// Entry is one named value exposed through the register file. Values wider
-// than 16 bits occupy consecutive word addresses, least significant word
-// first.
-type Entry struct {
-	// Name is the value's symbolic name (e.g. "S_MAX", "SERIAL_NU4_0011").
-	Name string
-	// TestID is the SP800-22 test the value belongs to (0 for
-	// infrastructure such as the global bit counter).
-	TestID int
-	// Addr is the first word address.
-	Addr int
-	// Width is the value width in bits.
-	Width int
-	// Words is the number of 16-bit words the value occupies.
-	Words int
-
-	// The live value: *ref when ref is set, the read callback's result
-	// otherwise.
-	read func() uint64
-	ref  *uint64
-}
-
-// value samples the entry's live hardware value.
-func (e *Entry) value() uint64 {
-	if e.ref != nil {
-		return *e.ref
-	}
-	return e.read()
-}
-
 // RegFile is the memory-mapped output interface: a big multiplexer over all
-// counter values, addressed by word.
+// counter values, addressed by word. The address decode is the design's
+// RegMap, shared by all its blocks; the file holds only the live value
+// behind each entry and the hooks of its own bus.
 type RegFile struct {
-	entries []Entry
-	byName  map[string]int
-	words   int
-	byAddr  []int32 // entry index of each word address
+	m    *RegMap
+	refs []*uint64        // the storage of each entry's value; nil for the walk triple
+	walk [3]func() uint64 // S_MAX, S_MIN, S_FINAL, sampled through the walk engine
 
 	prepare   func()
 	readFault func(addr int, word uint16) uint16
@@ -59,50 +30,17 @@ type RegFile struct {
 	obsReads  *obs.Counter // nil-safe; cached by SetObs
 }
 
-// NewRegFile returns an empty register file.
-func NewRegFile() *RegFile {
-	return &RegFile{byName: make(map[string]int)}
-}
-
-// Add exposes a value through the register file, assigning it the next free
-// word-aligned address range. The read callback samples the live hardware
-// value.
-func (rf *RegFile) Add(name string, testID, width int, read func() uint64) {
-	rf.add(Entry{Name: name, TestID: testID, Width: width, read: read})
-}
-
-// addRef is Add for a value the hardware holds as is, in a primitive's
-// storage (see hwsim's Ref methods): reads load *ref, without a callback.
-func (rf *RegFile) addRef(name string, testID, width int, ref *uint64) {
-	rf.add(Entry{Name: name, TestID: testID, Width: width, ref: ref})
-}
-
-// add assigns e its address range and word count and appends it.
-func (rf *RegFile) add(e Entry) {
-	if _, dup := rf.byName[e.Name]; dup {
-		panic(fmt.Sprintf("hwblock: duplicate register %q", e.Name))
+// value samples entry i's live hardware value. ReadRange calls it once
+// per entry, so it is kept within the inlining budget.
+func (rf *RegFile) value(i int) uint64 {
+	if r := rf.refs[i]; r != nil {
+		return *r
 	}
-	e.Addr = rf.words
-	e.Words = (e.Width + WordBits - 1) / WordBits
-	for range e.Words {
-		rf.byAddr = append(rf.byAddr, int32(len(rf.entries)))
-	}
-	rf.byName[e.Name] = len(rf.entries)
-	rf.entries = append(rf.entries, e)
-	rf.words += e.Words
+	return rf.walk[i-walkFirst]()
 }
 
 // Words reports the total number of addressable words.
-func (rf *RegFile) Words() int { return rf.words }
-
-// CheckAddressSpace verifies the map fits the 7-bit address space.
-func (rf *RegFile) CheckAddressSpace() error {
-	if rf.words > 1<<AddressBits {
-		return fmt.Errorf("hwblock: register file needs %d words, exceeds the %d-word (7-bit) address space",
-			rf.words, 1<<AddressBits)
-	}
-	return nil
-}
+func (rf *RegFile) Words() int { return rf.m.words }
 
 // SetPrepare installs a hook invoked once per read call (a ReadWord, or
 // a ReadValue or ReadRange over any number of words), ahead of the value
@@ -151,9 +89,9 @@ func (rf *RegFile) ReadWord(addr int) uint16 {
 	rf.busReads++
 	rf.obsReads.Inc()
 	var word uint16
-	if addr >= 0 && addr < rf.words {
-		e := &rf.entries[rf.byAddr[addr]]
-		word = uint16(e.value() >> uint((addr-e.Addr)*WordBits))
+	if addr >= 0 && addr < rf.m.words {
+		i := int(rf.m.byAddr[addr])
+		word = uint16(rf.value(i) >> uint((addr-rf.m.entries[i].Addr)*WordBits))
 	}
 	if rf.readFault != nil {
 		word = rf.readFault(addr, word)
@@ -161,28 +99,12 @@ func (rf *RegFile) ReadWord(addr int) uint16 {
 	return word
 }
 
-// Lookup finds an entry by name.
-func (rf *RegFile) Lookup(name string) (Entry, bool) {
-	i, ok := rf.byName[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return rf.entries[i], true
-}
-
-// Index returns the position of the named entry in Entries, for callers
-// that resolve names once and then read with ReadRange.
-func (rf *RegFile) Index(name string) (int, bool) {
-	i, ok := rf.byName[name]
-	return i, ok
-}
-
 // ReadValue reads a full named value by issuing one bus read per word and
 // reassembling (a one-entry ReadRange), returning the value and the number
 // of bus reads performed (the quantity the paper's READ instruction count
 // measures).
 func (rf *RegFile) ReadValue(name string) (value uint64, busReads int, err error) {
-	i, ok := rf.byName[name]
+	i, ok := rf.m.byName[name]
 	if !ok {
 		return 0, 0, fmt.Errorf("hwblock: no register named %q", name)
 	}
@@ -198,15 +120,15 @@ func (rf *RegFile) ReadValue(name string) (value uint64, busReads int, err error
 // order: each word passes through the read-fault hook at its own address,
 // and BusReads and trng_regfile_bus_reads_total advance by one per word.
 // The call samples each entry's live value once and runs the prepare hook
-// once. It panics when the range does not lie within Entries.
+// once. It panics when the range does not lie within the map's entries.
 func (rf *RegFile) ReadRange(first int, dst []uint64) (busReads int) {
-	entries := rf.entries[first : first+len(dst) : len(rf.entries)]
+	entries := rf.m.entries[first : first+len(dst) : len(rf.m.entries)]
 	if rf.prepare != nil {
 		rf.prepare()
 	}
 	for k := range entries {
 		e := &entries[k]
-		v := e.value()
+		v := rf.value(first + k)
 		if rf.readFault != nil {
 			v = rf.faultWords(e, v)
 		}
@@ -238,23 +160,9 @@ func (rf *RegFile) faultWords(e *Entry, v uint64) (value uint64) {
 // differential equivalence suite compares images between the fast and the
 // cycle-accurate ingest paths.
 func (rf *RegFile) Image() []uint16 {
-	out := make([]uint16, rf.words)
+	out := make([]uint16, rf.m.words)
 	for addr := range out {
 		out[addr] = rf.ReadWord(addr)
-	}
-	return out
-}
-
-// Entries returns all entries in address order.
-func (rf *RegFile) Entries() []Entry { return rf.entries }
-
-// EntriesForTest returns the entries belonging to one test.
-func (rf *RegFile) EntriesForTest(testID int) []Entry {
-	var out []Entry
-	for _, e := range rf.entries {
-		if e.TestID == testID {
-			out = append(out, e)
-		}
 	}
 	return out
 }

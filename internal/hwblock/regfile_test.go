@@ -7,13 +7,19 @@ import (
 	"repro/internal/obs"
 )
 
+// TestRegFileReadFaultHook reads GLOBAL_BITS, the word at address 0,
+// through a read-fault hook that flips its low bit.
 func TestRegFileReadFaultHook(t *testing.T) {
-	rf := NewRegFile()
-	var v uint64 = 0xBEEF
-	rf.Add("X", 0, 16, func() uint64 { return v })
-
-	if got := rf.ReadWord(0); got != 0xBEEF {
-		t.Fatalf("fault-free read = %#x", got)
+	b, err := New(cfg128(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ClockWord(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	rf := b.RegFile()
+	if got := rf.ReadWord(0); got != 5 {
+		t.Fatalf("fault-free read = %#x, want 5", got)
 	}
 
 	var seenAddr int
@@ -21,28 +27,37 @@ func TestRegFileReadFaultHook(t *testing.T) {
 		seenAddr = addr
 		return word ^ 0x0001
 	})
-	if got := rf.ReadWord(0); got != 0xBEEE {
-		t.Errorf("faulted read = %#x, want %#x", got, 0xBEEE)
+	if got := rf.ReadWord(0); got != 4 {
+		t.Errorf("faulted read = %#x, want 4", got)
 	}
 	if seenAddr != 0 {
 		t.Errorf("hook saw address %d", seenAddr)
 	}
 	// The hook also covers the unmapped default leg.
-	if got := rf.ReadWord(99); got != 0x0001 {
+	if got := rf.ReadWord(rf.Words()); got != 0x0001 {
 		t.Errorf("faulted unmapped read = %#x, want 1", got)
 	}
 
 	rf.SetReadFault(nil)
-	if got := rf.ReadWord(0); got != 0xBEEF {
+	if got := rf.ReadWord(0); got != 5 {
 		t.Errorf("read after uninstall = %#x", got)
 	}
 }
 
+// TestRegFileBusReadCounter reads the two-word GLOBAL_BITS of an
+// n = 65536 design.
 func TestRegFileBusReadCounter(t *testing.T) {
-	rf := NewRegFile()
-	rf.Add("W", 0, 32, func() uint64 { return 0x12345678 })
+	cfg, err := NewConfig(65536, Light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf := b.RegFile()
 	start := rf.BusReads()
-	if _, busReads, err := rf.ReadValue("W"); err != nil || busReads != 2 {
+	if _, busReads, err := rf.ReadValue("GLOBAL_BITS"); err != nil || busReads != 2 {
 		t.Fatalf("ReadValue = %d bus reads, err %v", busReads, err)
 	}
 	if got := rf.BusReads() - start; got != 2 {
@@ -120,14 +135,15 @@ func TestReadRangeMatchesReadWord(t *testing.T) {
 				preBus, preObs := rf.BusReads(), counters[0].Value()
 				// Two calls, split at a position-dependent entry, so that
 				// ranges starting past entry 0 are covered too.
-				got := make([]uint64, len(rf.Entries()))
+				entries := blocks[0].RegMap().Entries()
+				got := make([]uint64, len(entries))
 				split := at % len(got)
 				busReads := rf.ReadRange(0, got[:split]) + rf.ReadRange(split, got[split:])
 				rangeBus, rangeObs := rf.BusReads()-preBus, counters[0].Value()-preObs
 
 				rf = blocks[1].RegFile()
 				preBus, preObs = rf.BusReads(), counters[1].Value()
-				for k, e := range rf.Entries() {
+				for k, e := range entries {
 					var want uint64
 					for w := 0; w < e.Words; w++ {
 						want |= uint64(rf.ReadWord(e.Addr+w)) << uint(w*WordBits)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hwfast"
 	"repro/internal/hwsim"
+	"repro/internal/nist"
 )
 
 // nonOverlapEngine implements the hardware half of test 7: the shared shift
@@ -27,7 +28,8 @@ type nonOverlapEngine struct {
 	hold    int
 }
 
-func newNonOverlapEngine(b *Block, tpl uint32, m, nBlocks, blockLen int) *nonOverlapEngine {
+func newNonOverlapEngine(b *Block, tpl uint32, m, blockLen int) *nonOverlapEngine {
+	bk := b.m.banks.NonOverlap
 	e := &nonOverlapEngine{
 		tpl:      tpl,
 		m:        m,
@@ -38,12 +40,12 @@ func newNonOverlapEngine(b *Block, tpl uint32, m, nBlocks, blockLen int) *nonOve
 		holdoff:  hwsim.NewCounter(b.nl, "no_hold", uint64(m)),
 		inBlock:  hwsim.NewCounter(b.nl, "no_fill", uint64(m)),
 	}
-	store := b.bankStorage(nBlocks, (*hwfast.State).NonOverlapBank)
-	e.bank = make([]*hwsim.Register, nBlocks)
+	store := b.bankStorage(bk.N, (*hwfast.State).NonOverlapBank)
+	e.bank = make([]*hwsim.Register, bk.N)
 	for i := range e.bank {
 		e.bank[i] = hwsim.NewRegisterAt(b.nl, fmt.Sprintf("no_w_%d", i), uint64(blockLen/m+1), &store[i])
-		b.rf.addRef(fmt.Sprintf("NO_W_%d", i), 7, e.bank[i].Width(), e.bank[i].Ref())
 	}
+	b.bind(bk, func(i int) *uint64 { return e.bank[i].Ref() })
 	return e
 }
 
@@ -91,7 +93,7 @@ type overlapEngine struct {
 }
 
 func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
-	const k = 5
+	const k = nist.OverlappingTemplateK
 	e := &overlapEngine{
 		m:        m,
 		blockLen: blockLen,
@@ -104,9 +106,7 @@ func newOverlapEngine(b *Block, m, blockLen, nBlocks int) *overlapEngine {
 		classes: hwsim.NewCounterBankOver(b.nl, "ov_class",
 			b.bankStorage(k+1, (*hwfast.State).OverlapClasses), uint64(nBlocks)),
 	}
-	for i := 0; i <= k; i++ {
-		b.rf.addRef(fmt.Sprintf("OV_NU_%d", i), 8, widthOf(uint64(nBlocks)), e.classes.Ref(i))
-	}
+	b.bind(b.m.banks.Overlap, e.classes.Ref)
 	return e
 }
 
@@ -154,9 +154,7 @@ func newSerialEngine(b *Block, m, n int) *serialEngine {
 	for i, w := range []int{m, m - 1, m - 2} {
 		store := b.bankStorage(1<<uint(w), func(st *hwfast.State) []uint64 { return st.SerialCounts(i) })
 		e.nu[i] = hwsim.NewCounterBankOver(b.nl, fmt.Sprintf("serial_nu%d", w), store, uint64(n))
-		for pat := 0; pat < 1<<uint(w); pat++ {
-			b.rf.addRef(fmt.Sprintf("SERIAL_NU%d_%0*b", w, w, pat), 11, widthOf(uint64(n)), e.nu[i].Ref(pat))
-		}
+		b.bind(b.m.banks.Serial[i], e.nu[i].Ref)
 	}
 	e.head = hwsim.NewRegister(b.nl, "serial_head", uint64(1<<uint(m-1))-1)
 	return e

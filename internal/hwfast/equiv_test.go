@@ -48,7 +48,7 @@ func compareImages(t testing.TB, fast, gold *hwblock.Block, ctx string) {
 	for addr := range fi {
 		if fi[addr] != gi[addr] {
 			name := fmt.Sprintf("addr %d", addr)
-			for _, e := range gold.RegFile().Entries() {
+			for _, e := range gold.RegMap().Entries() {
 				if addr >= e.Addr && addr < e.Addr+e.Words {
 					name = fmt.Sprintf("%s word %d (addr %d)", e.Name, addr-e.Addr, addr)
 					break

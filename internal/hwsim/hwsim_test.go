@@ -15,8 +15,8 @@ func TestWidthFor(t *testing.T) {
 		{65535, 16}, {65536, 17}, {1048576, 21},
 	}
 	for _, c := range cases {
-		if got := widthFor(c.max); got != c.want {
-			t.Errorf("widthFor(%d) = %d, want %d", c.max, got, c.want)
+		if got := WidthFor(c.max); got != c.want {
+			t.Errorf("WidthFor(%d) = %d, want %d", c.max, got, c.want)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestUpDownCounter(t *testing.T) {
 	if c.Value() != -1 {
 		t.Errorf("Value = %d, want -1", c.Value())
 	}
-	if c.CounterWidth() != widthFor(128)+1 {
+	if c.CounterWidth() != WidthFor(128)+1 {
 		t.Errorf("width = %d", c.CounterWidth())
 	}
 }
@@ -213,8 +213,8 @@ func TestNetlistMaxCounterWidth(t *testing.T) {
 	NewCounter(nl, "small", 100)
 	NewUpDownCounter(nl, "walk", 1<<20)
 	NewCounterBank(nl, "bank", 4, 1000)
-	if got := nl.MaxCounterWidth(); got != widthFor(1<<20)+1 {
-		t.Errorf("MaxCounterWidth = %d, want %d", got, widthFor(1<<20)+1)
+	if got := nl.MaxCounterWidth(); got != WidthFor(1<<20)+1 {
+		t.Errorf("MaxCounterWidth = %d, want %d", got, WidthFor(1<<20)+1)
 	}
 }
 

@@ -11,7 +11,7 @@ import "testing"
 // what is pinned here.
 
 // maskWidths are the boundary widths under test. 22 is the widest counter
-// width any shipped variant constructs (widthFor(2^20)+1 for the signed
+// width any shipped variant constructs (WidthFor(2^20)+1 for the signed
 // walk; the unsigned global counter reaches 21).
 var maskWidths = []int{1, 15, 16, 22}
 

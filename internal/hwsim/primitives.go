@@ -2,8 +2,9 @@ package hwsim
 
 import "fmt"
 
-// widthFor returns the number of bits needed to represent values 0..max.
-func widthFor(max uint64) int {
+// WidthFor returns the number of bits needed to represent values 0..max:
+// the width every primitive built for a worst-case count of max declares.
+func WidthFor(max uint64) int {
 	w := 1
 	for max>>uint(w) != 0 {
 		w++
@@ -23,7 +24,7 @@ type Counter struct {
 // NewCounter creates a counter wide enough to count to max and registers it
 // in nl.
 func NewCounter(nl *Netlist, name string, max uint64) *Counter {
-	c := &Counter{name: name, width: widthFor(max)}
+	c := &Counter{name: name, width: WidthFor(max)}
 	nl.add(c)
 	return c
 }
@@ -84,7 +85,7 @@ type UpDownCounter struct {
 
 // NewUpDownCounter creates an up/down counter able to hold ±maxAbs.
 func NewUpDownCounter(nl *Netlist, name string, maxAbs uint64) *UpDownCounter {
-	c := &UpDownCounter{name: name, width: widthFor(maxAbs) + 1} // +1 sign bit
+	c := &UpDownCounter{name: name, width: WidthFor(maxAbs) + 1} // +1 sign bit
 	nl.add(c)
 	return c
 }
@@ -139,7 +140,7 @@ func NewRegister(nl *Netlist, name string, max uint64) *Register {
 // NewRegisterAt is NewRegister for a register that stores its value at v,
 // storage it shares with another model of the same hardware.
 func NewRegisterAt(nl *Netlist, name string, max uint64, v *uint64) *Register {
-	r := &Register{name: name, width: widthFor(max), value: v}
+	r := &Register{name: name, width: WidthFor(max), value: v}
 	nl.add(r)
 	return r
 }
@@ -186,7 +187,7 @@ type MinMaxTracker struct {
 
 // NewMinMaxTracker creates a tracker for values within ±maxAbs.
 func NewMinMaxTracker(nl *Netlist, name string, maxAbs uint64) *MinMaxTracker {
-	t := &MinMaxTracker{name: name, width: widthFor(maxAbs) + 1}
+	t := &MinMaxTracker{name: name, width: WidthFor(maxAbs) + 1}
 	nl.add(t)
 	return t
 }
@@ -240,7 +241,7 @@ type MaxTracker struct {
 
 // NewMaxTracker creates a tracker for values 0..maxVal.
 func NewMaxTracker(nl *Netlist, name string, maxVal uint64) *MaxTracker {
-	t := &MaxTracker{name: name, width: widthFor(maxVal)}
+	t := &MaxTracker{name: name, width: WidthFor(maxVal)}
 	nl.add(t)
 	return t
 }
@@ -388,7 +389,7 @@ func NewCounterBank(nl *Netlist, name string, n int, max uint64) *CounterBank {
 // enough to count to max, storing its counts in values: storage the bank
 // shares with another model of the same hardware.
 func NewCounterBankOver(nl *Netlist, name string, values []uint64, max uint64) *CounterBank {
-	b := &CounterBank{name: name, n: len(values), width: widthFor(max), values: values}
+	b := &CounterBank{name: name, n: len(values), width: WidthFor(max), values: values}
 	nl.add(b)
 	return b
 }

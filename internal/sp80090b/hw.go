@@ -39,21 +39,13 @@ func NewHealthBlock(h, alpha float64, window int) (*HealthBlock, error) {
 	}
 	b.runCounter = hwsim.NewCounter(b.nl, "rct_run", uint64(rct.Cutoff()))
 	hwsim.NewRegister(b.nl, "rct_last", 1)
-	hwsim.NewEqComparator(b.nl, "rct_cmp", widthOf(uint64(rct.Cutoff())))
+	hwsim.NewEqComparator(b.nl, "rct_cmp", hwsim.WidthFor(uint64(rct.Cutoff())))
 	b.winCounter = hwsim.NewCounter(b.nl, "apt_window", uint64(window))
 	b.occCounter = hwsim.NewCounter(b.nl, "apt_count", uint64(window))
 	hwsim.NewRegister(b.nl, "apt_first", 1)
-	hwsim.NewEqComparator(b.nl, "apt_cmp", widthOf(uint64(window)))
+	hwsim.NewEqComparator(b.nl, "apt_cmp", hwsim.WidthFor(uint64(window)))
 	b.nl.SetMuxWords(2) // alarm counters exposed as two words
 	return b, nil
-}
-
-func widthOf(max uint64) int {
-	w := 1
-	for max>>uint(w) != 0 {
-		w++
-	}
-	return w
 }
 
 // Netlist returns the structural inventory for area estimation.

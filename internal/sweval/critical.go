@@ -43,6 +43,8 @@ type CriticalValues struct {
 	// Alpha is the level of significance the constants encode.
 	Alpha float64
 	cfg   hwblock.Config
+	regs  *hwblock.RegMap // the design's register map
+	banks hwblock.Banks   // regs' banks, read by every pass
 
 	// Test 1: fail iff |S_final| > monobitSMax.
 	monobitSMax int64
@@ -99,6 +101,11 @@ const runsTableRows = 16
 // across many monitors of the same design (see core.NewMonitorWithValues).
 func (cv *CriticalValues) Config() hwblock.Config { return cv.cfg }
 
+// RegMap returns the design's register map. Blocks built on it
+// (RegMap.NewBlock) are recognized as the critical values' design by
+// pointer, without a compare of the design.
+func (cv *CriticalValues) RegMap() *hwblock.RegMap { return cv.regs }
+
 // NewCriticalValues precomputes the constants for the given design at level
 // of significance alpha (NIST recommends alpha in [0.001, 0.01]). This is
 // the flexibility the HW/SW split buys: changing alpha regenerates these
@@ -107,13 +114,23 @@ func NewCriticalValues(cfg hwblock.Config, alpha float64, opts ...Option) (*Crit
 	if alpha <= 0 || alpha >= 0.5 {
 		return nil, fmt.Errorf("sweval: alpha %g out of range", alpha)
 	}
-	if err := cfg.CheckParams(); err != nil {
+	for _, id := range cfg.Tests {
+		switch id {
+		case 1, 2, 3, 4, 7, 8, 11, 12, 13:
+		default:
+			return nil, fmt.Errorf("sweval: no software routine for test %d", id)
+		}
+	}
+	regs, err := hwblock.NewRegMap(cfg)
+	if err != nil {
 		return nil, err
 	}
 	n := float64(cfg.N)
 	cv := &CriticalValues{
 		Alpha:      alpha,
-		cfg:        cfg,
+		cfg:        regs.Config(),
+		regs:       regs,
+		banks:      regs.Banks(),
 		runsMethod: RunsTable,
 		pwl:        NewXLogXTable(),
 	}

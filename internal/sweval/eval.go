@@ -88,36 +88,25 @@ func (r *Report) add(m *meter, id int, pass bool, stat, threshold int64, note st
 // meters the same routine on a 32- or 64-bit core. Bus READs always count
 // 16-bit words — the register-file interface width is a hardware property.
 //
-// An Evaluator resolves the design's register names to register-file
-// entry ranges on its first pass over a block, one range per bank of
-// consecutive entries, and reads each bank with one RegFile.ReadRange call
-// after that, resolving again only when it meets a different block. It is
-// not safe for concurrent use: each core.Monitor owns its own, and one-off
+// An Evaluator reads each bank of the design's register map with one
+// RegFile.ReadRange call, at the entry ranges the critical values took
+// from the map. A block built on the critical values' map is their design
+// by construction; a block built on another map is compared with the
+// design once, and the evaluator remembers the last such map. It is not
+// safe for concurrent use: each core.Monitor owns its own, and one-off
 // callers (internal/tables) build a fresh one per call.
 type Evaluator struct {
-	cv   *CriticalValues
-	wide uint // the meters' word size, as meter.wide
-	regs regMap
-	buf  []uint64 // one bank's values, sized to the largest bank
+	cv    *CriticalValues
+	wide  uint             // the meters' word size, as meter.wide
+	other *hwblock.RegMap  // the last map of another construction found to be cv's design
+	rf    *hwblock.RegFile // the register file of the pass in flight
+	buf   []uint64         // one bank's values, sized to the largest bank
 }
-
-// regMap holds the register-file entry ranges one pass reads, resolved
-// against the register file rf.
-type regMap struct {
-	rf             *hwblock.RegFile
-	walk, runs     bank    // S_MAX, S_MIN, S_FINAL; N_RUNS
-	bf, lr, no, ov bank    // BF_EPS_i, LR_NU_i, NO_W_i, OV_NU_i
-	serial         [3]bank // SERIAL_NUw_pattern for w = SerialM − k at [k]
-}
-
-// bank is a run of consecutive register-file entries, read with one
-// RegFile.ReadRange call.
-type bank struct{ first, n int }
 
 // NewEvaluator returns an evaluator bound to one set of critical values,
 // metering at the paper's 16-bit word size.
 func NewEvaluator(cv *CriticalValues) *Evaluator {
-	return &Evaluator{cv: cv}
+	return newEvaluator(cv, 0)
 }
 
 // NewEvaluatorWordSize returns an evaluator metering at the given word size
@@ -125,93 +114,22 @@ func NewEvaluator(cv *CriticalValues) *Evaluator {
 func NewEvaluatorWordSize(cv *CriticalValues, wordBits int) (*Evaluator, error) {
 	switch wordBits {
 	case WordSize16, WordSize32, WordSize64:
-		return &Evaluator{cv: cv, wide: wideShift(wordBits)}, nil
+		return newEvaluator(cv, wideShift(wordBits)), nil
 	}
 	return nil, fmt.Errorf("sweval: unsupported word size %d", wordBits)
 }
 
-// resolve looks up every register the design's tests read in the block's
-// register file (the caller has checked that the block is the critical
-// values' design), unless the evaluator already holds that file's ranges.
-// Each bank must occupy consecutive entries in name order. A test with no
-// software routine, a missing register or a bank that is not contiguous
-// is an error and leaves the previous resolution in place.
-func (ev *Evaluator) resolve(b *hwblock.Block) error {
-	rf := b.RegFile()
-	if ev.regs.rf == rf {
-		return nil
-	}
-	cfg := &ev.cv.cfg
-	var err error
-	span := func(names ...string) bank {
-		bk := bank{n: len(names)}
-		for i, name := range names {
-			at, ok := rf.Index(name)
-			switch {
-			case err != nil:
-			case !ok:
-				err = fmt.Errorf("sweval: design %s has no register %q", cfg.Name, name)
-			case i == 0:
-				bk.first = at
-			case at != bk.first+i:
-				err = fmt.Errorf("sweval: design %s register %q does not follow %q", cfg.Name, name, names[i-1])
-			}
-		}
-		return bk
-	}
-	numbered := func(count int, format string) bank {
-		names := make([]string, count)
-		for i := range names {
-			names[i] = fmt.Sprintf(format, i)
-		}
-		return span(names...)
-	}
-	r := regMap{rf: rf, walk: span("S_MAX", "S_MIN", "S_FINAL")}
-	for _, id := range cfg.Tests {
-		switch id {
-		case 2:
-			r.bf = numbered(cfg.N/cfg.Params.BlockFrequencyM, "BF_EPS_%d")
-		case 3:
-			r.runs = span("N_RUNS")
-		case 4:
-			r.lr = numbered(len(ev.cv.longestRunQ16), "LR_NU_%d")
-		case 7:
-			r.no = numbered(cfg.Params.NonOverlappingN, "NO_W_%d")
-		case 8:
-			r.ov = numbered(len(ev.cv.overlapQ16), "OV_NU_%d")
-		case 11, 12:
-			// One set of pattern counters serves both tests; the
-			// hardware always exposes all three banks.
-			if r.serial[0].n != 0 {
-				continue
-			}
-			for k := range r.serial {
-				w := cfg.Params.SerialM - k
-				r.serial[k] = numbered(1<<uint(w), fmt.Sprintf("SERIAL_NU%d_%%0%db", w, w))
-			}
-		case 1, 13: // the walk triple, resolved above
-		default:
-			if err == nil {
-				err = fmt.Errorf("sweval: no software routine for test %d", id)
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	widest := max(r.walk.n, r.runs.n, r.bf.n, r.lr.n, r.no.n, r.ov.n, r.serial[0].n)
-	if cap(ev.buf) < widest {
-		ev.buf = make([]uint64, widest)
-	}
-	ev.regs = r
-	return nil
+func newEvaluator(cv *CriticalValues, wide uint) *Evaluator {
+	bk := &cv.banks
+	widest := max(bk.Walk.N, bk.BlockFreq.N, bk.LongestRun.N, bk.NonOverlap.N, bk.Overlap.N, bk.Serial[0].N)
+	return &Evaluator{cv: cv, wide: wide, buf: make([]uint64, widest)}
 }
 
 // read issues the bus reads of bank bk, charges them to m and returns the
 // bank's values in the evaluator's scratch, valid until the next read.
-func (ev *Evaluator) read(m *meter, bk bank) []uint64 {
-	vals := ev.buf[:bk.n]
-	m.read(ev.regs.rf.ReadRange(bk.first, vals))
+func (ev *Evaluator) read(m *meter, bk hwblock.Bank) []uint64 {
+	vals := ev.buf[:bk.N]
+	m.read(ev.rf.ReadRange(bk.First, vals))
 	return vals
 }
 
@@ -234,16 +152,17 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 	if !b.Done() {
 		return fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.N())
 	}
-	if b.Name() != ev.cv.cfg.Name {
-		return fmt.Errorf("sweval: critical values are for design %s, block is %s", ev.cv.cfg.Name, b.Name())
+	if bm := b.RegMap(); bm != ev.cv.regs && bm != ev.other {
+		if err := ev.cv.cfg.CheckSame(bm.Config()); err != nil {
+			return fmt.Errorf("sweval: critical values are for design %s, the block differs: %w", ev.cv.cfg.Name, err)
+		}
+		ev.other = bm
 	}
-	if err := ev.resolve(b); err != nil {
-		return err
-	}
+	ev.rf = b.RegFile()
 	// The block is the design the critical values were built for: read
 	// its tests and parameters in place, without copying the Config.
 	cfg := &ev.cv.cfg
-	regs := &ev.regs
+	regs := &ev.cv.banks
 	if cap(rep.Verdicts) < len(cfg.Tests) {
 		rep.Verdicts = make([]Verdict, 0, len(cfg.Tests))
 	}
@@ -253,7 +172,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 	// Shared walk values, charged to test 13 (their home) as in the
 	// paper's unified register map.
 	mWalk := meter{wide: ev.wide}
-	walk := ev.read(&mWalk, regs.walk)
+	walk := ev.read(&mWalk, regs.Walk)
 	sMaxRaw, sMinRaw, sFinRaw := int64(walk[0]), int64(walk[1]), int64(walk[2])
 	// Recenter the offset-binary values: S = raw − n.
 	sMax := mWalk.sub(sMaxRaw, n)
@@ -277,7 +196,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 		case 2:
 			bigM := int64(cfg.Params.BlockFrequencyM)
 			var d int64
-			for _, eps := range ev.read(&m, regs.bf) {
+			for _, eps := range ev.read(&m, regs.BlockFreq) {
 				dev := m.sub(m.shl(int64(eps), 1), bigM) // 2ε − M
 				d = m.add(d, m.sqr(dev))
 			}
@@ -285,13 +204,13 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 			rep.add(&m, 2, pass, d, ev.cv.blockFreqMax, "")
 
 		case 3:
-			v := int64(ev.read(&m, regs.runs)[0])
+			v := int64(ev.read(&m, regs.Runs)[0])
 			pass, stat, threshold, note := ev.evalRuns(&m, n, sFin, ones, zeros, v)
 			rep.add(&m, 3, pass, stat, threshold, note)
 
 		case 4:
 			var sum int64
-			for k, nu := range ev.read(&m, regs.lr) {
+			for k, nu := range ev.read(&m, regs.LongestRun) {
 				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.longestRunQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.longestRunMax)
@@ -302,7 +221,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 			blockLen := int64(cfg.N / cfg.Params.NonOverlappingN)
 			muScaled := m.sub(blockLen, int64(tm-1)) // μ·2^m = M − m + 1
 			var d int64
-			for _, w := range ev.read(&m, regs.no) {
+			for _, w := range ev.read(&m, regs.NonOverlap) {
 				dev := m.sub(m.shl(int64(w), uint(tm)), muScaled)
 				d = m.add(d, m.sqr(dev))
 			}
@@ -311,7 +230,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 
 		case 8:
 			var sum int64
-			for k, nu := range ev.read(&m, regs.ov) {
+			for k, nu := range ev.read(&m, regs.Overlap) {
 				sum = m.add(sum, m.mul(m.sqr(int64(nu)), ev.cv.overlapQ16[k]))
 			}
 			pass := !m.cmpGreater(sum, ev.cv.overlapMax)
@@ -319,9 +238,9 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 
 		case 11:
 			sm := cfg.Params.SerialM
-			a := ev.sumSquares(&m, regs.serial[0])
-			a1 := ev.sumSquares(&m, regs.serial[1])
-			a2 := ev.sumSquares(&m, regs.serial[2])
+			a := ev.sumSquares(&m, regs.Serial[0])
+			a1 := ev.sumSquares(&m, regs.Serial[1])
+			a2 := ev.sumSquares(&m, regs.Serial[2])
 			// n·∇ψ² = 2^m·A_m − 2^{m−1}·A_{m−1}
 			x1 := m.sub(m.shl(a, uint(sm)), m.shl(a1, uint(sm-1)))
 			// n·∇²ψ² = 2^m·A_m − 2^m·A_{m−1} + 2^{m−2}·A_{m−2}
@@ -342,8 +261,8 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 		case 12:
 			// φ_m in Q16 via the PWL table, reusing the serial counters
 			// (m−1 = 3-bit and m = 4-bit banks for SerialM = 4).
-			phi4 := ev.phiQ16(&m, cfg.N, regs.serial[0])
-			phi3 := ev.phiQ16(&m, cfg.N, regs.serial[1])
+			phi4 := ev.phiQ16(&m, cfg.N, regs.Serial[0])
+			phi3 := ev.phiQ16(&m, cfg.N, regs.Serial[1])
 			apen := m.sub(phi3, phi4)
 			pass := !m.cmpGreater(ev.cv.apenMinQ16, apen)
 			rep.add(&m, 12, pass, apen, ev.cv.apenMinQ16, "")
@@ -420,7 +339,7 @@ func (ev *Evaluator) evalRuns(m *meter, n, sFin, ones, zeros, v int64) (pass boo
 
 // sumSquares reads every pattern counter of one serial bank and
 // accumulates Σν².
-func (ev *Evaluator) sumSquares(m *meter, bk bank) int64 {
+func (ev *Evaluator) sumSquares(m *meter, bk hwblock.Bank) int64 {
 	var sum int64
 	for _, nu := range ev.read(m, bk) {
 		sum = m.add(sum, m.sqr(int64(nu)))
@@ -430,7 +349,7 @@ func (ev *Evaluator) sumSquares(m *meter, bk bank) int64 {
 
 // phiQ16 computes φ_w = Σ (ν/n)·ln(ν/n) in Q16 through the PWL table over
 // one serial bank. n is a power of two, so ν/n in Q16 is a single shift.
-func (ev *Evaluator) phiQ16(m *meter, n int, bk bank) int64 {
+func (ev *Evaluator) phiQ16(m *meter, n int, bk hwblock.Bank) int64 {
 	logN := uint(bits.Len(uint(n - 1)))
 	var phi int64
 	for _, nu := range ev.read(m, bk) {

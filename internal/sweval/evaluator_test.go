@@ -1,7 +1,6 @@
 package sweval
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,27 +49,104 @@ func TestEvaluatorRebinding(t *testing.T) {
 	}
 }
 
-// TestEvaluateRejectsMissingRegister gives the evaluator critical values
-// that expect one more longest-run counter than the block exposes: the
-// pass must fail with an error naming the register, on every attempt.
-func TestEvaluateRejectsMissingRegister(t *testing.T) {
-	cfg := mustConfig(t, 128, hwblock.Light)
+// mustCustom builds a custom design.
+func mustCustom(t *testing.T, name string, n int, tests ...int) hwblock.Config {
+	t.Helper()
+	cfg, err := hwblock.NewCustomConfig(name, n, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestEvaluateRejectsDesignMismatch evaluates blocks of designs that share
+// the critical values' name but not their sequence length, tests or
+// parameters: each pass must fail with an error naming the difference, on
+// every attempt, rather than apply one design's constants to the other's
+// counters. A block of the same design built on a map of its own is
+// accepted.
+func TestEvaluateRejectsDesignMismatch(t *testing.T) {
+	cfg := mustCustom(t, "y", 1024, 1, 13)
 	cv, err := NewCriticalValues(cfg, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := *cv
-	wide.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
-	b := runBlock(t, cfg, trng.Read(trng.NewIdeal(43), cfg.N))
-	ev := NewEvaluator(&wide)
-	for i := 0; i < 2; i++ {
-		_, err := ev.Evaluate(b)
-		if err == nil || !strings.Contains(err.Error(), "LR_NU_4") {
-			t.Fatalf("attempt %d: err = %v, want a missing LR_NU_4 register", i, err)
+	xcfg := mustCustom(t, "x", 1024, 1, 13)
+	xcv, err := NewCriticalValues(xcfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := mustCustom(t, "x", 1024, 1, 2, 3, 4, 11, 12, 13)
+	otherParams := params
+	otherParams.Params.BlockFrequencyM /= 2
+	cvParams, err := NewCriticalValues(params, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		cv    *CriticalValues
+		block hwblock.Config
+		want  string
+	}{
+		{"n=512", cv, mustCustom(t, "y", 512, 1, 13), "n = 1024, not 512"},
+		{"n=2048", cv, mustCustom(t, "y", 2048, 1, 13), "n = 1024, not 2048"},
+		{"n=4096", cv, mustCustom(t, "y", 4096, 1, 13), "n = 1024, not 4096"},
+		{"more tests", xcv, mustCustom(t, "x", 1024, 1, 2, 3, 4, 11, 12, 13), "tests [1 13], not [1 2 3 4 11 12 13]"},
+		{"other parameters", cvParams, otherParams, "parameters"},
+	} {
+		b := runBlock(t, c.block, trng.Read(trng.NewIdeal(45), c.block.N))
+		ev := NewEvaluator(c.cv)
+		for i := 0; i < 2; i++ {
+			if _, err := ev.Evaluate(b); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s, attempt %d: err = %v, want one naming %q", c.name, i, err, c.want)
+			}
 		}
 	}
-	if _, err := NewEvaluator(cv).Evaluate(b); err != nil {
-		t.Fatalf("matching critical values: %v", err)
+	ev := NewEvaluator(cv)
+	for i := 0; i < 2; i++ {
+		if _, err := ev.Evaluate(runBlock(t, cfg, trng.Read(trng.NewIdeal(45), cfg.N))); err != nil {
+			t.Fatalf("the critical values' design, attempt %d: %v", i, err)
+		}
+	}
+}
+
+// TestEvaluatorSharesTheCriticalValuesMap checks that a block built on the
+// critical values' map evaluates as a standalone block of the design does.
+func TestEvaluatorSharesTheCriticalValuesMap(t *testing.T) {
+	cfg := mustConfig(t, 128, hwblock.Medium)
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := trng.Read(trng.NewBiased(0.6, 48), cfg.N)
+	shared := cv.RegMap().NewBlock()
+	if err := shared.Run(bitstream.NewReader(s)); err != nil {
+		t.Fatal(err)
+	}
+	if shared.RegMap() != cv.RegMap() {
+		t.Fatal("the block does not share the critical values' map")
+	}
+	got, err := NewEvaluator(cv).Evaluate(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEvaluator(cv).Evaluate(runBlock(t, cfg, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shared-map report %+v, standalone %+v", *got, *want)
+	}
+}
+
+// TestCriticalValuesNeedSoftwareRoutine: a design with a test the software
+// cannot evaluate gets no critical values.
+func TestCriticalValuesNeedSoftwareRoutine(t *testing.T) {
+	cfg := mustConfig(t, 128, hwblock.Medium)
+	cfg.Tests = append(cfg.Tests[:len(cfg.Tests):len(cfg.Tests)], 5)
+	if _, err := NewCriticalValues(cfg, 0.01); err == nil || !strings.Contains(err.Error(), "no software routine for test 5") {
+		t.Fatalf("err = %v, want no software routine for test 5", err)
 	}
 }
 
@@ -120,10 +196,10 @@ func TestEvaluateAllocs(t *testing.T) {
 }
 
 // TestEvaluateIntoErrorLeavesReport fails a pass in each way it can fail
-// (an incomplete block, critical values of another design, a missing
-// register, a test with no software routine) into a report holding an
-// earlier pass, which must come back untouched, down to its Verdicts'
-// backing array.
+// (an incomplete block, critical values of another design, of a design
+// with the same name but another length, or other tests) into a report
+// holding an earlier pass, which must come back untouched, down to its
+// Verdicts' backing array.
 func TestEvaluateIntoErrorLeavesReport(t *testing.T) {
 	cfg := mustConfig(t, 128, hwblock.Medium)
 	cv, err := NewCriticalValues(cfg, 0.01)
@@ -145,24 +221,15 @@ func TestEvaluateIntoErrorLeavesReport(t *testing.T) {
 	if err := partial.Clock(1); err != nil {
 		t.Fatal(err)
 	}
-	other := mustConfig(t, 128, hwblock.Light)
-	cvOther, err := NewCriticalValues(other, 0.01)
-	if err != nil {
-		t.Fatal(err)
+	cvFor := func(c hwblock.Config) *CriticalValues {
+		cv, err := NewCriticalValues(c, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cv
 	}
-	missing := *cv
-	missing.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
-	unknown := cfg
-	unknown.Tests = append(cfg.Tests[:len(cfg.Tests):len(cfg.Tests)], 5)
-	cvUnknown := *cv
-	cvUnknown.cfg = unknown
-	unknownBlock, err := hwblock.New(unknown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := unknownBlock.Run(bitstream.NewReader(trng.Read(trng.NewIdeal(47), cfg.N))); err != nil {
-		t.Fatal(err)
-	}
+	longer := mustCustom(t, cfg.Name, 256, cfg.Tests...)
+	fewer := mustCustom(t, cfg.Name, 128, 1, 2, 3, 4, 13)
 	for _, c := range []struct {
 		name string
 		cv   *CriticalValues
@@ -170,9 +237,9 @@ func TestEvaluateIntoErrorLeavesReport(t *testing.T) {
 		want string
 	}{
 		{"incomplete block", cv, partial, "only seen 1 of 128 bits"},
-		{"other design", cvOther, done, "critical values are for design"},
-		{"missing register", &missing, done, "LR_NU_"},
-		{"no software routine", &cvUnknown, unknownBlock, "no software routine for test 5"},
+		{"other design", cvFor(mustConfig(t, 128, hwblock.Light)), done, "critical values are for design"},
+		{"same name, other length", cvFor(longer), done, "n = 256, not 128"},
+		{"same name, other tests", cvFor(fewer), done, "tests [1 2 3 4 13], not [1 2 3 4 11 12 13]"},
 	} {
 		err := NewEvaluator(c.cv).EvaluateInto(c.b, &rep)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -182,29 +249,5 @@ func TestEvaluateIntoErrorLeavesReport(t *testing.T) {
 			!reflect.DeepEqual(rep.Verdicts[:cap(rep.Verdicts)], backing) {
 			t.Fatalf("%s: the failed pass wrote the report", c.name)
 		}
-	}
-}
-
-// TestEvaluateRejectsSplitBank gives the evaluator critical values that
-// expect one more longest-run counter than the block's bank holds, and
-// adds that register at the end of the register file, away from its bank:
-// the pass must fail with an error naming it, not read it on its own.
-func TestEvaluateRejectsSplitBank(t *testing.T) {
-	cfg := mustConfig(t, 128, hwblock.Medium)
-	cv, err := NewCriticalValues(cfg, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := *cv
-	wide.longestRunQ16 = append(cv.longestRunQ16[:len(cv.longestRunQ16):len(cv.longestRunQ16)], 0)
-	b := runBlock(t, cfg, trng.Read(trng.NewIdeal(45), cfg.N))
-	name := fmt.Sprintf("LR_NU_%d", len(cv.longestRunQ16))
-	b.RegFile().Add(name, 4, 8, func() uint64 { return 0 })
-	_, err = NewEvaluator(&wide).Evaluate(b)
-	if err == nil || !strings.Contains(err.Error(), name+`" does not follow`) {
-		t.Fatalf("err = %v, want %s rejected as outside its bank", err, name)
-	}
-	if _, err := NewEvaluator(cv).Evaluate(b); err != nil {
-		t.Fatalf("matching critical values: %v", err)
 	}
 }

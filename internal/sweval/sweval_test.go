@@ -336,11 +336,11 @@ func TestReadCountEqualsRegisterWords(t *testing.T) {
 		b := runBlock(t, cfg, s)
 		rep := evaluate(t, cfg, s, 0.01)
 		// The GLOBAL_BITS entry is infrastructure the routine never reads.
-		g, _ := b.RegFile().Lookup("GLOBAL_BITS")
+		g, _ := b.RegMap().Lookup("GLOBAL_BITS")
 		want := b.RegFile().Words() - g.Words
 		if cfg.Has(11) && cfg.Has(12) {
 			sm := cfg.Params.SerialM
-			for _, e := range b.RegFile().EntriesForTest(11) {
+			for _, e := range b.RegMap().EntriesForTest(11) {
 				var w int
 				if _, err := fmt.Sscanf(e.Name, "SERIAL_NU%d_", &w); err == nil && (w == sm || w == sm-1) {
 					want += e.Words

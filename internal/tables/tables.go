@@ -82,13 +82,13 @@ func TableI() string {
 	fmt.Fprintf(&b, "Table I — The NIST test suite: suitability for on-the-fly HW/SW implementation\n")
 	fmt.Fprintf(&b, "%-4s %-42s %-4s %s\n", "#", "Test", "HW", "evidence (n=65536 design)")
 	cfg, _ := hwblock.NewConfig(65536, hwblock.High)
-	block, _ := hwblock.New(cfg)
+	regs, _ := hwblock.NewRegMap(cfg)
 	for _, tc := range nist.Suite() {
 		verdict := "No"
 		detail := unsuitableReasons[tc.ID]
 		if tc.HWSuitable {
 			verdict = "Yes"
-			entries := block.RegFile().EntriesForTest(tc.ID)
+			entries := regs.EntriesForTest(tc.ID)
 			bits, words := 0, 0
 			for _, e := range entries {
 				bits += e.Width
@@ -141,7 +141,7 @@ func TableII() string {
 	fmt.Fprintf(&sb, "Table II — calculations split between hardware and software (n=65536, high)\n")
 	fmt.Fprintf(&sb, "%-26s %-30s %s\n", "Test", "Hardware (exposed values)", "Software (measured instruction mix)")
 	for _, id := range cfg.Tests {
-		entries := b.RegFile().EntriesForTest(id)
+		entries := b.RegMap().EntriesForTest(id)
 		hw := fmt.Sprintf("%d values", len(entries))
 		switch id {
 		case 1:
