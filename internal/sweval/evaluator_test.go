@@ -111,6 +111,72 @@ func TestEvaluateRejectsDesignMismatch(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsMissingRegister gives the evaluator critical values
+// that expect a longest-run bank and a block of a design under the same
+// name whose register map has no LR_NU registers: the pass must fail with
+// an error naming the difference, on every attempt, not read past the
+// block's map.
+func TestEvaluateRejectsMissingRegister(t *testing.T) {
+	cfg := mustCustom(t, "z", 1024, 1, 4, 13)
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := mustCustom(t, "z", 1024, 1, 13)
+	b := runBlock(t, short, trng.Read(trng.NewIdeal(43), short.N))
+	if _, ok := cv.RegMap().Lookup("LR_NU_0"); !ok {
+		t.Fatal("the critical values' map has no LR_NU_0 register")
+	}
+	if _, ok := b.RegMap().Lookup("LR_NU_0"); ok {
+		t.Fatal("the block's map has an LR_NU_0 register")
+	}
+	ev := NewEvaluator(cv)
+	for i := 0; i < 2; i++ {
+		_, err := ev.Evaluate(b)
+		if err == nil || !strings.Contains(err.Error(), "tests [1 4 13], not [1 13]") {
+			t.Fatalf("attempt %d: err = %v, want the missing test 4 named", i, err)
+		}
+	}
+	if _, err := ev.Evaluate(runBlock(t, cfg, trng.Read(trng.NewIdeal(43), cfg.N))); err != nil {
+		t.Fatalf("matching design: %v", err)
+	}
+}
+
+// TestEvaluateRejectsSplitBank gives the evaluator critical values whose
+// longest-run bank is shorter than the block's, under the same name: the
+// pass must fail naming the parameters rather than read a part of the
+// block's bank. In both maps the LR_NU registers form one run of entries.
+func TestEvaluateRejectsSplitBank(t *testing.T) {
+	wide := mustCustom(t, "z", 1024, 1, 4)
+	cfg := wide
+	cfg.Params.LongestRunM = wide.Params.LongestRunM / 16
+	cv, err := NewCriticalValues(cfg, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := runBlock(t, wide, trng.Read(trng.NewIdeal(45), wide.N))
+	if got, want := b.RegMap().Banks().LongestRun.N, cv.RegMap().Banks().LongestRun.N; got <= want {
+		t.Fatalf("block's longest-run bank holds %d counters, want more than %d", got, want)
+	}
+	for _, m := range []*hwblock.RegMap{cv.RegMap(), b.RegMap()} {
+		bk := m.Banks().LongestRun
+		for i, e := range m.Entries() {
+			if strings.HasPrefix(e.Name, "LR_NU_") && (i < bk.First || i >= bk.First+bk.N) {
+				t.Errorf("LongestRunM = %d: %s at entry %d lies outside its bank %+v", m.Config().Params.LongestRunM, e.Name, i, bk)
+			}
+		}
+	}
+	ev := NewEvaluator(cv)
+	for i := 0; i < 2; i++ {
+		if _, err := ev.Evaluate(b); err == nil || !strings.Contains(err.Error(), "parameters") {
+			t.Fatalf("attempt %d: err = %v, want the parameters named", i, err)
+		}
+	}
+	if _, err := ev.Evaluate(runBlock(t, cfg, trng.Read(trng.NewIdeal(45), cfg.N))); err != nil {
+		t.Fatalf("matching design: %v", err)
+	}
+}
+
 // TestEvaluatorSharesTheCriticalValuesMap checks that a block built on the
 // critical values' map evaluates as a standalone block of the design does.
 func TestEvaluatorSharesTheCriticalValuesMap(t *testing.T) {
