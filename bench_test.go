@@ -261,8 +261,11 @@ func BenchmarkMonitorSteadyState(b *testing.B) {
 // n = 128 design also has a "-fresh" row that resets the block and clocks
 // a new sequence (two ClockWords) before every pass, so the pass also pays
 // the lazy publish of the fast path's state, as a fleet boundary does.
-// Every row evaluates into one reused report, as core.Monitor does once
-// its history ring is full, so the rows report 0 allocs/op.
+// Every row is metered (EvaluateInto, the Table III cost model) and has an
+// "-unmetered" twin (EvaluateVerdicts, the verdict path core.Monitor and
+// the fleet take by default). Every row evaluates into one reused report,
+// as core.Monitor does once its history ring is full, so the rows report
+// 0 allocs/op.
 func BenchmarkSWEvaluation(b *testing.B) {
 	for _, cfg := range hwblock.AllConfigs() {
 		if cfg.N > 65536 {
@@ -281,15 +284,26 @@ func BenchmarkSWEvaluation(b *testing.B) {
 		}
 		ev := sweval.NewEvaluator(cv)
 		var rep sweval.Report
-		b.Run(cfg.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := ev.EvaluateInto(blk, &rep); err != nil {
-					b.Fatal(err)
+		passes := []struct {
+			suffix string
+			eval   func(*hwblock.Block, *sweval.Report) error
+		}{
+			{"", ev.EvaluateInto},
+			{"-unmetered", ev.EvaluateVerdicts},
+		}
+		for _, p := range passes {
+			b.Run(cfg.Name+p.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := p.eval(blk, &rep); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(rep.Cost.Total()), "16bit-instructions")
-		})
+				if p.suffix == "" {
+					b.ReportMetric(float64(rep.Cost.Total()), "16bit-instructions")
+				}
+			})
+		}
 		if cfg.N != 128 {
 			continue
 		}
@@ -301,22 +315,24 @@ func BenchmarkSWEvaluation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.Run(cfg.Name+"-fresh", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				blk.Reset()
-				seq := words[2*(i%16):]
-				if err := blk.ClockWord(seq[0], 64); err != nil {
-					b.Fatal(err)
+		for _, p := range passes {
+			b.Run(cfg.Name+"-fresh"+p.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					blk.Reset()
+					seq := words[2*(i%16):]
+					if err := blk.ClockWord(seq[0], 64); err != nil {
+						b.Fatal(err)
+					}
+					if err := blk.ClockWord(seq[1], 64); err != nil {
+						b.Fatal(err)
+					}
+					if err := p.eval(blk, &rep); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := blk.ClockWord(seq[1], 64); err != nil {
-					b.Fatal(err)
-				}
-				if err := ev.EvaluateInto(blk, &rep); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -125,6 +125,8 @@ func run(o options) int {
 	if err != nil {
 		return fatal(err)
 	}
+	// The per-sequence report prints the pass's software cost.
+	mon.Metered = true
 	if err := mon.Block().SetPath(path); err != nil {
 		return fatal(err)
 	}
@@ -191,7 +193,7 @@ func run(o options) int {
 	start := time.Now()
 	switch {
 	case o.workers != 1:
-		runner := &core.SequenceRunner{Cfg: cfg, Alpha: o.alpha, Workers: o.workers, Path: path, Obs: reg}
+		runner := &core.SequenceRunner{Cfg: cfg, Alpha: o.alpha, Workers: o.workers, Path: path, Obs: reg, Metered: true}
 		reports, runErr = runner.Run(o.sequences, func(trial int) trng.Source {
 			s, err := trng.NewSimulated(o.source, o.p, o.seed+int64(trial))
 			if err != nil {

@@ -25,6 +25,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Meter the software pass, so each report carries its Table III
+	// instruction count.
+	monitor.Metered = true
 
 	// A healthy elementary ring-oscillator TRNG model.
 	source := repro.NewRingOscillatorSource(100.37, 1.0, 43)

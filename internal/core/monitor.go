@@ -97,6 +97,15 @@ type Monitor struct {
 	// completed sequence.
 	KeepHistory int
 
+	// Metered runs each sequence's software pass through the instruction
+	// meter, so the report carries its Table III cost (Report.Cost and
+	// every verdict's Cost) and an attached registry's
+	// trng_monitor_eval_ops histogram observes it. By default the pass is
+	// unmetered: the verdicts and the bus-word count are the same, the
+	// costs are zero, and the pass is cheaper. A change takes effect at
+	// the next completed sequence.
+	Metered bool
+
 	// Observability handles, cached once by SetObs. All of them are
 	// nil-safe no-ops when no registry is attached, so the instrumented
 	// monitor is bit-identical to an uninstrumented one (the differential
@@ -162,8 +171,9 @@ func (m *Monitor) Reset() {
 // SetObs attaches an observability registry: per-test verdict counters,
 // sequence pass/fail counters, the software-evaluation cost histogram (in
 // the paper's deterministic instruction-count units, not wall time — core
-// is bit-reproducible, so no clock may enter here) and the ingest counters
-// of the underlying hardware block. Handles are cached once; a nil
+// is bit-reproducible, so no clock may enter here; metered passes only),
+// the bus-word counter (every pass) and the ingest counters of the
+// underlying hardware block. Handles are cached once; a nil
 // registry detaches instrumentation and restores the zero-overhead path.
 func (m *Monitor) SetObs(r *obs.Registry) {
 	m.obs = r
@@ -189,7 +199,7 @@ func (m *Monitor) SetObs(r *obs.Registry) {
 		}
 	}
 	m.obsEvalOps = r.Histogram("trng_monitor_eval_ops",
-		"software evaluation cost per sequence, total metered instructions (Table III categories)",
+		"software evaluation cost per metered sequence, total instructions (Table III categories)",
 		obs.Pow2Buckets(4, 20))
 	m.obsBusReads = r.Counter("trng_monitor_bus_read_words_total",
 		"16-bit register-file words transferred for software evaluation (the paper's READ count)")
@@ -371,13 +381,14 @@ func (m *Monitor) completeSequence(verify bool) (*SequenceReport, error) {
 	if full {
 		rep = m.history[m.head].Report
 	}
+	metered := m.Metered
 	if verify {
 		for i, r := range m.verify {
 			if r == nil {
 				r = new(sweval.Report)
 				m.verify[i] = r
 			}
-			if err := m.eval.EvaluateInto(m.block, r); err != nil {
+			if err := m.evaluate(r, metered); err != nil {
 				return nil, err
 			}
 		}
@@ -391,12 +402,12 @@ func (m *Monitor) completeSequence(verify bool) (*SequenceReport, error) {
 		if rep == nil {
 			rep = new(sweval.Report)
 		}
-		if err := m.eval.EvaluateInto(m.block, rep); err != nil {
+		if err := m.evaluate(rep, metered); err != nil {
 			return nil, err
 		}
 	}
 	if m.obs != nil {
-		m.observeReport(rep)
+		m.observeReport(rep, metered)
 	}
 	var slot *SequenceReport
 	if full {
@@ -419,6 +430,15 @@ func (m *Monitor) completeSequence(verify bool) (*SequenceReport, error) {
 	m.seq++
 	m.block.Reset()
 	return slot, nil
+}
+
+// evaluate runs the software pass over the completed block into rep,
+// through the meter when metered is set.
+func (m *Monitor) evaluate(rep *sweval.Report, metered bool) error {
+	if metered {
+		return m.eval.EvaluateInto(m.block, rep)
+	}
+	return m.eval.EvaluateVerdicts(m.block, rep)
 }
 
 // fitHistory brings the ring in line with a KeepHistory changed since
@@ -448,7 +468,9 @@ func (m *Monitor) linearize() {
 }
 
 // observeReport folds one accepted evaluation into the attached registry.
-func (m *Monitor) observeReport(rep *sweval.Report) {
+// Only a metered pass has a cost for the evaluation-cost histogram; every
+// pass counts its bus words.
+func (m *Monitor) observeReport(rep *sweval.Report, metered bool) {
 	if rep.Pass() {
 		m.obsSeqPass.Inc()
 	} else {
@@ -463,8 +485,10 @@ func (m *Monitor) observeReport(rep *sweval.Report) {
 			h[1].Inc()
 		}
 	}
-	m.obsEvalOps.Observe(float64(rep.Cost.Total()))
-	m.obsBusReads.Add(uint64(rep.Cost.Get(sweval.OpRead)))
+	if metered {
+		m.obsEvalOps.Observe(float64(rep.Cost.Total()))
+	}
+	m.obsBusReads.Add(uint64(rep.BusWords))
 	m.obsBitsSeen.Set(float64(m.bitsSeen))
 }
 

@@ -172,7 +172,7 @@ func TestMonitorSetAlpha(t *testing.T) {
 // TestMonitorSetAlphaThenEvaluate swaps the critical values after the
 // monitor's evaluator has bound to its block: the next sequences must be
 // judged at the new alpha, exactly as a fresh block and evaluator judge
-// the same bits.
+// the same bits, unmetered and metered in turn.
 func TestMonitorSetAlphaThenEvaluate(t *testing.T) {
 	m := newMonitor(t, 128, hwblock.Medium, 0.01)
 	cfg := m.Config()
@@ -188,6 +188,7 @@ func TestMonitorSetAlphaThenEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
+		m.Metered = i%2 == 1
 		seq := trng.Read(src, cfg.N)
 		var got *SequenceReport
 		for j := 0; j < seq.Len(); j++ {
@@ -205,7 +206,12 @@ func TestMonitorSetAlphaThenEvaluate(t *testing.T) {
 		if err := b.Run(bitstream.NewReader(seq)); err != nil {
 			t.Fatal(err)
 		}
-		want, err := sweval.NewEvaluator(cv).Evaluate(b)
+		want, ev := new(sweval.Report), sweval.NewEvaluator(cv)
+		if m.Metered {
+			err = ev.EvaluateInto(b, want)
+		} else {
+			err = ev.EvaluateVerdicts(b, want)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

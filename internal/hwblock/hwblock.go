@@ -228,18 +228,24 @@ func NewConfig(n int, v Variant) (Config, error) {
 // NewCustomConfig implements the paper's future-work extension ("allowing
 // the software to select the length of the test sequence, as well as the
 // test parameters"): an arbitrary power-of-two sequence length with an
-// arbitrary subset of the nine implementable tests. Parameters are derived
-// from the closest standard configuration and re-scaled so every block
-// length stays a power of two that divides n.
+// arbitrary subset of the nine implementable tests. The tests may come in
+// any order; the design lists them ascending, and a test named twice is an
+// error. Parameters are derived from the closest standard configuration
+// and re-scaled so every block length stays a power of two that divides n.
 func NewCustomConfig(name string, n int, tests []int) (Config, error) {
 	if n < 64 || n&(n-1) != 0 {
 		return Config{}, fmt.Errorf("hwblock: custom length %d must be a power of two ≥ 64", n)
 	}
 	implementable := map[int]bool{1: true, 2: true, 3: true, 4: true, 7: true,
 		8: true, 11: true, 12: true, 13: true}
-	for _, id := range tests {
+	tests = slices.Clone(tests)
+	slices.Sort(tests)
+	for i, id := range tests {
 		if !implementable[id] {
 			return Config{}, fmt.Errorf("hwblock: test %d has no on-the-fly hardware implementation (Table I)", id)
+		}
+		if i > 0 && tests[i-1] == id {
+			return Config{}, fmt.Errorf("hwblock: test %d is listed twice", id)
 		}
 	}
 	p := nist.RecommendedParams(n)

@@ -2,10 +2,16 @@
 // the routines a 16-bit microcontroller runs on the raw counter values read
 // from the hardware testing block. Every routine works in integer or
 // fixed-point arithmetic against precomputed critical values — no erfc, no
-// gamma functions, no floating point on the embedded path — and every
-// operation is metered by the instruction-cost model whose categories
-// (ADD, SUB, MUL, SQR, SHIFT, COMP, LUT, READ) are exactly the rows of the
-// paper's Table III.
+// gamma functions, no floating point on the embedded path.
+//
+// One routine source serves two entry points. A metered pass
+// (Evaluator.Evaluate, EvaluateInto) charges every operation to the
+// instruction-cost model whose categories (ADD, SUB, MUL, SQR, SHIFT,
+// COMP, LUT, READ) are exactly the rows of the paper's Table III; the
+// tables, the goldens and the firmware comparison run it. An unmetered
+// pass (EvaluateVerdicts) computes the same verdicts without charging,
+// as the embedded core itself does: it is the verdict path of
+// core.Monitor and the fleet, where nothing reads a cost.
 package sweval
 
 import (
@@ -87,12 +93,15 @@ func (c Cost) String() string {
 // operations"). The paper's platform has 16-bit words; the Table III
 // discussion's expectation that "on 32-bit or 64-bit platforms,
 // considerably lower latency could be achieved" is reproduced by metering
-// the same routines at wider word sizes.
+// the same routines at wider word sizes. A meter that is off performs
+// the arithmetic alone: each helper tests off before it computes a limb
+// count, so an unmetered pass charges nothing and its cost stays zero.
 type meter struct {
 	cost Cost
 	// wide is log2(word size / 16): 0, 1 or 2 for a 16-, 32- or 64-bit
 	// core, so the zero meter meters the paper's 16-bit core.
 	wide uint
+	off  bool // charge nothing
 }
 
 // Supported cost-model word sizes.
@@ -118,60 +127,78 @@ func (m *meter) words(v uint64) int {
 
 // add computes a+b, charging one ADD per limb of the wider operand.
 func (m *meter) add(a, b int64) int64 {
-	m.cost[OpAdd] += m.words(abs64(a) | abs64(b))
+	if !m.off {
+		m.cost[OpAdd] += m.words(abs64(a) | abs64(b))
+	}
 	return a + b
 }
 
 // sub computes a−b, charging one SUB per limb.
 func (m *meter) sub(a, b int64) int64 {
-	m.cost[OpSub] += m.words(abs64(a) | abs64(b))
+	if !m.off {
+		m.cost[OpSub] += m.words(abs64(a) | abs64(b))
+	}
 	return a - b
 }
 
 // mul computes a·b, charging limb-product MULs and carry ADDs.
 func (m *meter) mul(a, b int64) int64 {
-	p := m.words(abs64(a)) * m.words(abs64(b))
-	m.cost[OpMul] += p
-	m.cost[OpAdd] += p - 1 // partial-product accumulation
+	if !m.off {
+		p := m.words(abs64(a)) * m.words(abs64(b))
+		m.cost[OpMul] += p
+		m.cost[OpAdd] += p - 1 // partial-product accumulation
+	}
 	return a * b
 }
 
 // sqr computes a², charging SQRs on the diagonal limb products, MULs on the
 // off-diagonal ones, and carry ADDs.
 func (m *meter) sqr(a int64) int64 {
-	w := m.words(abs64(a))
-	m.cost[OpSqr] += w
-	m.cost[OpMul] += w * (w - 1) / 2
-	m.cost[OpAdd] += w - 1
+	if !m.off {
+		w := m.words(abs64(a))
+		m.cost[OpSqr] += w
+		m.cost[OpMul] += w * (w - 1) / 2
+		m.cost[OpAdd] += w - 1
+	}
 	return a * a
 }
 
 // shl shifts left, charging one SHIFT.
 func (m *meter) shl(a int64, k uint) int64 {
-	m.cost[OpShift]++
+	if !m.off {
+		m.cost[OpShift]++
+	}
 	return a << k
 }
 
 // shr shifts right, charging one SHIFT.
 func (m *meter) shr(a int64, k uint) int64 {
-	m.cost[OpShift]++
+	if !m.off {
+		m.cost[OpShift]++
+	}
 	return a >> k
 }
 
 // cmpGreater reports a > b, charging one COMP per limb.
 func (m *meter) cmpGreater(a, b int64) bool {
-	m.cost[OpComp] += m.words(abs64(a) | abs64(b))
+	if !m.off {
+		m.cost[OpComp] += m.words(abs64(a) | abs64(b))
+	}
 	return a > b
 }
 
 // lut charges one table access (the PWL segment fetch).
 func (m *meter) lut() {
-	m.cost[OpLUT]++
+	if !m.off {
+		m.cost[OpLUT]++
+	}
 }
 
 // read charges the bus reads of one register-file value.
 func (m *meter) read(busReads int) {
-	m.cost[OpRead] += busReads
+	if !m.off {
+		m.cost[OpRead] += busReads
+	}
 }
 
 // abs64 returns |a| as an unsigned magnitude (math.MinInt64 gives 1<<63),

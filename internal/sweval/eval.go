@@ -22,9 +22,10 @@ type Verdict struct {
 	Threshold int64
 	// Note carries auxiliary detail (e.g. which serial statistic failed).
 	Note string
-	// Cost is the instruction count this test's routine spent. The shared
-	// random-walk reads (S_MAX, S_MIN, S_FINAL) are charged to test 13,
-	// their home in the paper's unified register map.
+	// Cost is the instruction count this test's routine spent on a
+	// metered pass, zero on an unmetered one. The shared random-walk
+	// reads (S_MAX, S_MIN, S_FINAL) are charged to test 13, their home in
+	// the paper's unified register map.
 	Cost Cost
 }
 
@@ -34,8 +35,12 @@ type Report struct {
 	// Verdicts holds one entry per implemented test, ascending by TestID.
 	Verdicts []Verdict
 	// Cost is the total instruction count of the pass, in the paper's
-	// Table III categories: the sum of the verdicts' costs.
+	// Table III categories: the sum of the verdicts' costs. An unmetered
+	// pass leaves it zero.
 	Cost Cost
+	// BusWords is the number of 16-bit register-file words the pass read,
+	// counted on every pass; on a metered one it equals Cost's READ.
+	BusWords int
 }
 
 // Pass reports whether every implemented test accepted.
@@ -71,12 +76,16 @@ func (r *Report) TestCost(id int) Cost {
 }
 
 // add appends the verdict of test id, carrying the cost its routine
-// metered. It writes the verdict's fields in place, in the capacity
-// EvaluateInto reserved.
+// metered, or a zero cost when m is off. It writes the verdict's fields in
+// place, in the capacity the pass reserved.
 func (r *Report) add(m *meter, id int, pass bool, stat, threshold int64, note string) {
 	r.Verdicts = r.Verdicts[:len(r.Verdicts)+1]
 	v := &r.Verdicts[len(r.Verdicts)-1]
 	v.TestID, v.Pass, v.Statistic, v.Threshold, v.Note = id, pass, stat, threshold, note
+	if m.off {
+		v.Cost = Cost{}
+		return
+	}
 	v.Cost = m.cost
 	r.Cost.Add(m.cost)
 }
@@ -87,6 +96,9 @@ func (r *Report) add(m *meter, id int, pass bool, stat, threshold int64, note st
 // default word size is 16 bits (the paper's platform); a wider word size
 // meters the same routine on a 32- or 64-bit core. Bus READs always count
 // 16-bit words — the register-file interface width is a hardware property.
+//
+// Evaluate and EvaluateInto meter the pass; EvaluateVerdicts runs the
+// same routine unmetered, for callers that need only the verdicts.
 //
 // An Evaluator reads each bank of the design's register map with one
 // RegFile.ReadRange call, at the entry ranges the critical values took
@@ -100,6 +112,7 @@ type Evaluator struct {
 	wide  uint             // the meters' word size, as meter.wide
 	other *hwblock.RegMap  // the last map of another construction found to be cv's design
 	rf    *hwblock.RegFile // the register file of the pass in flight
+	bus   int              // the bus words the pass in flight has read
 	buf   []uint64         // one bank's values, sized to the largest bank
 }
 
@@ -125,16 +138,19 @@ func newEvaluator(cv *CriticalValues, wide uint) *Evaluator {
 	return &Evaluator{cv: cv, wide: wide, buf: make([]uint64, widest)}
 }
 
-// read issues the bus reads of bank bk, charges them to m and returns the
-// bank's values in the evaluator's scratch, valid until the next read.
+// read issues the bus reads of bank bk, counts them, charges them to m and
+// returns the bank's values in the evaluator's scratch, valid until the
+// next read.
 func (ev *Evaluator) read(m *meter, bk hwblock.Bank) []uint64 {
 	vals := ev.buf[:bk.N]
-	m.read(ev.rf.ReadRange(bk.First, vals))
+	words := ev.rf.ReadRange(bk.First, vals)
+	ev.bus += words
+	m.read(words)
 	return vals
 }
 
-// Evaluate performs one software pass over the block's register file into
-// a newly allocated report. The block must have absorbed a full sequence.
+// Evaluate performs one metered software pass over the block's register
+// file into a newly allocated report. The block must have absorbed a full sequence.
 func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 	rep := new(Report)
 	if err := ev.EvaluateInto(b, rep); err != nil {
@@ -143,12 +159,24 @@ func (ev *Evaluator) Evaluate(b *hwblock.Block) (*Report, error) {
 	return rep, nil
 }
 
-// EvaluateInto performs one software pass over the block's register file
-// and writes its verdicts into rep, replacing what rep held and reusing
-// rep.Verdicts when its capacity holds one verdict per test. Every check
-// that can fail runs before the first write, so an error leaves rep
-// untouched. The block must have absorbed a full sequence.
+// EvaluateInto performs one metered software pass over the block's
+// register file and writes its verdicts into rep, replacing what rep held
+// and reusing rep.Verdicts when its capacity holds one verdict per test.
+// Every check that can fail runs before the first write, so an error
+// leaves rep untouched. The block must have absorbed a full sequence.
 func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
+	return ev.evaluate(b, rep, true)
+}
+
+// EvaluateVerdicts is EvaluateInto without the meter: the same routine
+// reaches the same verdicts and reads the same bus words (rep.BusWords),
+// but charges nothing, so rep.Cost and every verdict's Cost are zero.
+func (ev *Evaluator) EvaluateVerdicts(b *hwblock.Block, rep *Report) error {
+	return ev.evaluate(b, rep, false)
+}
+
+// evaluate is the software pass, metered when metered is set.
+func (ev *Evaluator) evaluate(b *hwblock.Block, rep *Report, metered bool) error {
 	if !b.Done() {
 		return fmt.Errorf("sweval: hardware block has only seen %d of %d bits", b.BitsSeen(), b.N())
 	}
@@ -158,7 +186,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 		}
 		ev.other = bm
 	}
-	ev.rf = b.RegFile()
+	ev.rf, ev.bus = b.RegFile(), 0
 	// The block is the design the critical values were built for: read
 	// its tests and parameters in place, without copying the Config.
 	cfg := &ev.cv.cfg
@@ -171,7 +199,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 
 	// Shared walk values, charged to test 13 (their home) as in the
 	// paper's unified register map.
-	mWalk := meter{wide: ev.wide}
+	mWalk := meter{wide: ev.wide, off: !metered}
 	walk := ev.read(&mWalk, regs.Walk)
 	sMaxRaw, sMinRaw, sFinRaw := int64(walk[0]), int64(walk[1]), int64(walk[2])
 	// Recenter the offset-binary values: S = raw − n.
@@ -183,7 +211,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 	zeros := mWalk.sub(n, ones)
 
 	for _, id := range cfg.Tests {
-		m := meter{wide: ev.wide}
+		m := meter{wide: ev.wide, off: !metered}
 		switch id {
 		case 1:
 			absS := sFin
@@ -299,6 +327,7 @@ func (ev *Evaluator) EvaluateInto(b *hwblock.Block, rep *Report) error {
 			rep.add(m, 13, !failF && !failB, z, ev.cv.cusumZMin, note)
 		}
 	}
+	rep.BusWords = ev.bus
 	return nil
 }
 

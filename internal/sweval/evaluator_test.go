@@ -219,7 +219,8 @@ func TestCriticalValuesNeedSoftwareRoutine(t *testing.T) {
 // TestEvaluateAllocs gates the per-sequence allocations of a pass on
 // every shipped design: Evaluate allocates the Report and its Verdicts,
 // nothing else, and EvaluateInto into a reused report allocates nothing
-// and reports what Evaluate reports.
+// and reports what Evaluate reports. EvaluateVerdicts into a reused
+// report allocates nothing either.
 func TestEvaluateAllocs(t *testing.T) {
 	for _, cfg := range hwblock.AllConfigs() {
 		b, err := hwblock.New(cfg)
@@ -257,6 +258,14 @@ func TestEvaluateAllocs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(&rep, want) {
 			t.Errorf("%s: EvaluateInto reports %+v, Evaluate %+v", cfg.Name, rep, *want)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if err := ev.EvaluateVerdicts(b, &rep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: EvaluateVerdicts into a reused report makes %.0f allocations, want 0", cfg.Name, allocs)
 		}
 	}
 }
