@@ -193,7 +193,7 @@ func run(o options) int {
 	start := time.Now()
 	switch {
 	case o.workers != 1:
-		runner := &core.SequenceRunner{Cfg: cfg, Alpha: o.alpha, Workers: o.workers, Path: path, Obs: reg, Metered: true}
+		runner := &core.SequenceRunner{Cfg: cfg, Alpha: o.alpha, Workers: o.workers, Path: path, Obs: reg}
 		reports, runErr = runner.Run(o.sequences, func(trial int) trng.Source {
 			s, err := trng.NewSimulated(o.source, o.p, o.seed+int64(trial))
 			if err != nil {

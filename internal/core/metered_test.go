@@ -98,29 +98,3 @@ func TestMonitorMetered(t *testing.T) {
 		}
 	}
 }
-
-// TestSequenceRunnerMetered runs the same trials with and without
-// SequenceRunner.Metered: the verdicts agree, and only the metered run's
-// reports carry a cost.
-func TestSequenceRunnerMetered(t *testing.T) {
-	cfg := runnerConfig(t)
-	makeSource := func(trial int) trng.Source { return trng.NewBiased(0.55, int64(trial)+1) }
-	plain, err := (&SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: 2}).Run(4, makeSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metered, err := (&SequenceRunner{Cfg: cfg, Alpha: 0.01, Workers: 2, Metered: true}).Run(4, makeSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		p, m := plain[i].Report, metered[i].Report
-		if p.Cost != (sweval.Cost{}) || m.Cost.Total() == 0 {
-			t.Errorf("trial %d: cost %v unmetered, %v metered", i, p.Cost, m.Cost)
-		}
-		if fmt.Sprint(p.Failed()) != fmt.Sprint(m.Failed()) || p.BusWords != m.BusWords {
-			t.Errorf("trial %d: unmetered failed %v (%d words), metered %v (%d words)",
-				i, p.Failed(), p.BusWords, m.Failed(), m.BusWords)
-		}
-	}
-}

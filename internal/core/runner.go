@@ -31,9 +31,6 @@ type SequenceRunner struct {
 	// Opts are passed to the software evaluator's critical-value
 	// derivation.
 	Opts []sweval.Option
-	// Metered sets every worker monitor's Monitor.Metered, so each report
-	// carries its software cost.
-	Metered bool
 	// Obs, if set, instruments every worker monitor through the shared
 	// registry and exposes per-worker utilization
 	// (trng_runner_trials_total by worker). The registry's counters are
@@ -73,7 +70,8 @@ func (sr *SequenceRunner) Run(trials int, makeSource func(trial int) trng.Source
 			return nil, err
 		}
 		m.SetObs(sr.Obs)
-		m.Metered = sr.Metered
+		// Every report carries its software cost (otftest -workers prints it).
+		m.Metered = true
 		mons[i] = m
 	}
 	sr.Obs.Gauge("trng_runner_workers", "worker-pool size of the sequence fan-out").

@@ -48,6 +48,10 @@ func TestSequenceRunnerDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d trial %d: verdicts differ\n got: %+v\nwant: %+v",
 					workers, i, got[i].Report.Verdicts, serial[i].Report.Verdicts)
 			}
+			// Worker monitors meter: otftest -workers prints each cost.
+			if got[i].Report.Cost != serial[i].Report.Cost || got[i].Report.Cost.Total() == 0 {
+				t.Fatalf("workers=%d trial %d: cost %v, serial %v", workers, i, got[i].Report.Cost, serial[i].Report.Cost)
+			}
 		}
 	}
 }
